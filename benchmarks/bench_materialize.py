@@ -1,16 +1,17 @@
 #!/usr/bin/env python
 """Benchmark harness for the step-1 materialization engine.
 
-Measures the three materialization paths over a grid of dataset sizes
-and worker counts, and emits a machine-readable ``BENCH_materialize.json``
+Measures the three materialization paths over a grid of dataset sizes,
+serially, and emits a machine-readable ``BENCH_materialize.json``
 that seeds the repo's performance trajectory (one file per engine; later
 PRs append runs next to it and compare):
 
 ``query_loop``
     :func:`repro.core.materialize` — one ``query_with_ties`` per object
-    through the index front door (the paper's literal step 1).
+    through the index front door (the paper's literal step 1, and the
+    only path ``LocalOutlierFactor`` and the CLI use).
 ``batched``
-    :func:`repro.core.materialize_batched` — one
+    :meth:`repro.core.MaterializationDB.materialize_batched` — one
     ``query_batch_with_ties`` per block of queries; on the brute backend
     one distance-kernel invocation per block.
 ``fast``
@@ -34,7 +35,7 @@ contract: ``distance.kernel_calls``, ``distance.evaluations``,
 reports the kernel-call ratio of ``query_loop`` over ``batched`` per
 size — the acceptance trajectory number — plus, for the ``fast`` and
 ``chunked`` engine paths, the wall-clock speedup over ``query_loop``
-and the peak-RSS ratio at ``n_jobs=1``, so the engine win is a recorded
+and the peak-RSS ratio, so the engine win is a recorded
 number instead of raw-row archaeology. (RSS is the OS high-water mark
 and therefore monotone across the rows of one invocation: a ratio near
 1.0 for a path that ran *after* ``query_loop`` means it stayed inside
@@ -43,7 +44,7 @@ the envelope the loop had already established.)
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_materialize.py \
-        --sizes 500 1000 2000 --n-jobs 1 2 --out BENCH_materialize.json
+        --sizes 500 1000 2000 --out BENCH_materialize.json
 
     # the memory-envelope demonstration row:
     PYTHONPATH=src python benchmarks/bench_materialize.py \
@@ -77,7 +78,6 @@ RESULT_FIELDS = {
     "path": str,
     "index": str,
     "block_size": int,
-    "n_jobs": int,
     "wall_s": float,
     "peak_rss_kb": int,
     "counters": dict,
@@ -85,22 +85,22 @@ RESULT_FIELDS = {
 }
 
 
-def _run_one(path, X, ub, block_size, n_jobs, index_name, tile_bytes):
+def _run_one(path, X, ub, block_size, index_name, tile_bytes):
     from repro import obs
-    from repro.core import fast_materialize, materialize, materialize_batched
+    from repro.core import MaterializationDB, fast_materialize, materialize
 
     if path == "query_loop":
-        fn = lambda: materialize(X, ub, index=index_name, n_jobs=n_jobs)
+        fn = lambda: materialize(X, ub, index=index_name)
     elif path == "batched":
-        fn = lambda: materialize_batched(
-            X, ub, index=index_name, block_size=block_size, n_jobs=n_jobs
+        fn = lambda: MaterializationDB.materialize_batched(
+            X, ub, index=index_name, block_size=block_size
         )
     elif path == "fast":
-        fn = lambda: fast_materialize(X, ub, block_size=block_size, n_jobs=n_jobs)
+        fn = lambda: fast_materialize(X, ub, block_size=block_size)
     elif path == "chunked":
         fn = lambda: fast_materialize(
             X, ub, block_size=block_size, strategy="chunked",
-            tile_bytes=tile_bytes, n_threads=n_jobs,
+            tile_bytes=tile_bytes,
         )
     else:
         raise ValueError(f"unknown path {path!r}")
@@ -129,52 +129,43 @@ def run(args) -> dict:
                     file=sys.stderr,
                 )
                 continue
-            for n_jobs in args.n_jobs:
-                wall, peak_rss_kb, counters, timers = _run_one(
-                    path, X, ub, args.block_size, n_jobs, args.index,
-                    args.tile_bytes,
-                )
-                results.append(
-                    {
-                        "n": n,
-                        "dim": args.dim,
-                        "min_pts_ub": ub,
-                        "path": path,
-                        "index": args.index
-                        if path not in ("fast", "chunked") else "none",
-                        "block_size": args.block_size,
-                        "n_jobs": n_jobs,
-                        "wall_s": round(wall, 6),
-                        "peak_rss_kb": peak_rss_kb,
-                        "counters": counters,
-                        "timers": {
-                            name: {
-                                "count": rec["count"],
-                                "total_s": round(rec["total_s"], 6),
-                            }
-                            for name, rec in timers.items()
-                        },
-                    }
-                )
-                print(
-                    f"n={n:>6} path={path:<10} n_jobs={n_jobs} "
-                    f"wall={wall:8.4f}s peak_rss={peak_rss_kb / 1024:7.1f}MB "
-                    f"kernel_calls="
-                    f"{counters.get('distance.kernel_calls', 0)} "
-                    f"tile_bytes={counters.get('argkmin.tile_bytes', 0)}",
-                    file=sys.stderr,
-                )
+            wall, peak_rss_kb, counters, timers = _run_one(
+                path, X, ub, args.block_size, args.index, args.tile_bytes
+            )
+            results.append(
+                {
+                    "n": n,
+                    "dim": args.dim,
+                    "min_pts_ub": ub,
+                    "path": path,
+                    "index": args.index
+                    if path not in ("fast", "chunked") else "none",
+                    "block_size": args.block_size,
+                    "wall_s": round(wall, 6),
+                    "peak_rss_kb": peak_rss_kb,
+                    "counters": counters,
+                    "timers": {
+                        name: {
+                            "count": rec["count"],
+                            "total_s": round(rec["total_s"], 6),
+                        }
+                        for name, rec in timers.items()
+                    },
+                }
+            )
+            print(
+                f"n={n:>6} path={path:<10} "
+                f"wall={wall:8.4f}s peak_rss={peak_rss_kb / 1024:7.1f}MB "
+                f"kernel_calls="
+                f"{counters.get('distance.kernel_calls', 0)} "
+                f"tile_bytes={counters.get('argkmin.tile_bytes', 0)}",
+                file=sys.stderr,
+            )
 
     derived = {}
     for n in args.sizes:
-        loop = [
-            r for r in results
-            if r["n"] == n and r["path"] == "query_loop" and r["n_jobs"] == 1
-        ]
-        batched = [
-            r for r in results
-            if r["n"] == n and r["path"] == "batched" and r["n_jobs"] == 1
-        ]
+        loop = [r for r in results if r["n"] == n and r["path"] == "query_loop"]
+        batched = [r for r in results if r["n"] == n and r["path"] == "batched"]
         if loop and batched:
             lc = loop[0]["counters"].get("distance.kernel_calls", 0)
             bc = batched[0]["counters"].get("distance.kernel_calls", 0)
@@ -186,18 +177,12 @@ def run(args) -> dict:
 
     speedups = {}
     for n in args.sizes:
-        loop = [
-            r for r in results
-            if r["n"] == n and r["path"] == "query_loop" and r["n_jobs"] == 1
-        ]
+        loop = [r for r in results if r["n"] == n and r["path"] == "query_loop"]
         if not loop:
             continue
         entry = {}
         for path in ("fast", "chunked"):
-            rows = [
-                r for r in results
-                if r["n"] == n and r["path"] == path and r["n_jobs"] == 1
-            ]
+            rows = [r for r in results if r["n"] == n and r["path"] == path]
             if rows:
                 wall = rows[0]["wall_s"]
                 entry[path] = {
@@ -221,7 +206,6 @@ def run(args) -> dict:
             "dim": args.dim,
             "min_pts_ub": args.min_pts_ub,
             "block_size": args.block_size,
-            "n_jobs": args.n_jobs,
             "paths": args.paths,
             "index": args.index,
             "seed": args.seed,
@@ -291,10 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dim", type=int, default=3)
     parser.add_argument("--min-pts-ub", type=int, default=20)
     parser.add_argument("--block-size", type=int, default=512)
-    parser.add_argument(
-        "--n-jobs", nargs="+", type=int, default=[1, 2],
-        help="worker counts to sweep (each path runs once per value)",
-    )
     parser.add_argument(
         "--paths", nargs="+", default=["query_loop", "batched", "fast"],
         choices=["query_loop", "batched", "fast", "chunked"],

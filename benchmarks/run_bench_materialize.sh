@@ -3,7 +3,7 @@
 # trajectory grid, including the n=100k chunked-engine memory-envelope
 # row (the per-object paths skip sizes above --max-loop-n). Extra
 # arguments are passed through to the harness and override the grid,
-# e.g.:  benchmarks/run_bench_materialize.sh --sizes 200 --n-jobs 1
+# e.g.:  benchmarks/run_bench_materialize.sh --sizes 200
 set -e
 cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \

@@ -17,26 +17,25 @@ import numpy as np
 from repro import MaterializationDB, lof_range, rank_outliers
 from repro.core import top_n_lof
 from repro.datasets import make_performance_dataset
-from repro.io import load_materialization, save_materialization
 
 
 def main():
     X = make_performance_dataset(4000, dim=4, seed=0)
     workdir = Path(tempfile.mkdtemp(prefix="repro_"))
-    mat_path = workdir / "flows.mat"
+    mat_path = workdir / "flows.rlof"
 
     # ---- step 1: materialize once, with a tree index --------------------
     t0 = time.perf_counter()
     mat = MaterializationDB.materialize(X, min_pts_ub=50, index="kdtree")
     t_build = time.perf_counter() - t0
-    save_materialization(mat_path, mat)
+    mat.save(mat_path)
     print(f"step 1: materialized {mat.n_points} x {mat.min_pts_ub} "
           f"neighborhoods in {t_build:.1f}s -> {mat_path} "
           f"({mat_path.stat().st_size / 1e6:.1f} MB)")
 
     # ---- step 2: a different 'process' reloads M; raw data not needed ---
     del X, mat
-    mat = load_materialization(mat_path)
+    mat = MaterializationDB.load(mat_path)
     t0 = time.perf_counter()
     res = lof_range(min_pts_lb=10, min_pts_ub=50, materialization=mat)
     t_lof = time.perf_counter() - t0

@@ -63,7 +63,6 @@ from .core import (
     lof_scores,
     local_reachability_density,
     materialize,
-    materialize_batched,
     rank_outliers,
     reach_dist,
     reachability_matrix,
@@ -106,7 +105,6 @@ __all__ = [
     "lof_scores",
     "local_reachability_density",
     "materialize",
-    "materialize_batched",
     "rank_outliers",
     "reach_dist",
     "reachability_matrix",

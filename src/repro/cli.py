@@ -25,12 +25,13 @@ topn
     Exact top-n outliers with Theorem-1 bound pruning:
     ``repro-lof topn data.csv --n 10 --min-pts 30``
 materialize
-    Step 1 of the two-step algorithm: build and persist the
-    materialization database M:
-    ``repro-lof materialize data.csv --min-pts-ub 50 --out data.mat``
+    Step 1 of the two-step algorithm: build the materialization
+    database M and persist it as a model store:
+    ``repro-lof materialize data.csv --min-pts-ub 50 --out data.rlof``
 sweep
-    Step 2 from a persisted M: LOF statistics per MinPts value:
-    ``repro-lof sweep data.mat --min-pts 10 50``
+    Step 2 from a persisted M (a ``materialize`` or ``fit`` store): LOF
+    statistics per MinPts value:
+    ``repro-lof sweep data.rlof --min-pts 10 50``
 demo
     Run the Figure 9 synthetic demo end to end and print its ranking.
 lint
@@ -65,26 +66,17 @@ from .core.ranking import rank_outliers
 from .core.topn import top_n_lof
 from .datasets.paper import make_fig9_dataset
 from .exceptions import ReproError, StoreError
-from .io import (
-    load_dataset,
-    load_materialization,
-    save_materialization,
-    save_scores,
-)
+from .io import load_dataset, save_scores
 
 
 EXIT_USER_ERROR = 2
 EXIT_STORE_ERROR = 3
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
+def _add_knn_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--min-pts", nargs="+", type=int, default=[10, 50], metavar="K",
         help="a single MinPts value, or a LB UB pair (default: 10 50)",
-    )
-    parser.add_argument(
-        "--aggregate", choices=("max", "min", "mean", "median"), default="max",
-        help="aggregation over the MinPts range (default: max, per Section 6.2)",
     )
     parser.add_argument(
         "--index", default="brute",
@@ -94,17 +86,13 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         "--metric", default="euclidean",
         help="distance metric: euclidean, manhattan, chebyshev",
     )
+
+
+def _add_common_options(parser: argparse.ArgumentParser) -> None:
+    _add_knn_options(parser)
     parser.add_argument(
-        "--engine", choices=("loop", "batched", "chunked"), default="loop",
-        help="materialization engine (default: loop; 'chunked' is the "
-             "cache-budgeted argkmin engine — sequential scan, --index "
-             "ignored; identical scores either way)",
-    )
-    parser.add_argument(
-        "--n-jobs", type=int, default=None, metavar="N",
-        help="parallel workers for the materialization step "
-             "(default: serial; -1 = one per CPU; with --engine chunked "
-             "this is the thread count; results are identical)",
+        "--aggregate", choices=("max", "min", "mean", "median"), default="max",
+        help="aggregation over the MinPts range (default: max, per Section 6.2)",
     )
 
 
@@ -130,8 +118,6 @@ def _fit(args, X) -> LocalOutlierFactor:
         aggregate=args.aggregate,
         metric=args.metric,
         index=args.index,
-        engine=args.engine,
-        n_jobs=args.n_jobs,
         scorer=getattr(args, "scorer", None) or "lof",
     )
     return est.fit(X)
@@ -170,8 +156,6 @@ def _cmd_fit(args) -> int:
         index=args.index,
         duplicate_mode=args.duplicate_mode,
         threshold=args.threshold,
-        engine=args.engine,
-        n_jobs=args.n_jobs,
         scorer=args.scorer or "lof",
     ).fit(X)
     est.save(args.out)
@@ -278,43 +262,14 @@ def _cmd_topn(args) -> int:
 
 def _cmd_materialize(args) -> int:
     X, _ = load_dataset(args.dataset)
-    if args.batched and args.chunked:
-        print("error: --batched and --chunked are mutually exclusive",
-              file=sys.stderr)
-        return EXIT_USER_ERROR
-    if args.chunked:
-        from .core.blocked import fast_materialize
-
-        mat = fast_materialize(
-            X,
-            args.min_pts_ub,
-            metric=args.metric,
-            block_size=args.block_size,
-            duplicate_mode=args.duplicate_mode,
-            strategy="auto",
-            tile_bytes=args.tile_bytes,
-            n_threads=args.n_jobs,
-        )
-    elif args.batched:
-        mat = MaterializationDB.materialize_batched(
-            X,
-            args.min_pts_ub,
-            index=args.index,
-            metric=args.metric,
-            block_size=args.block_size,
-            duplicate_mode=args.duplicate_mode,
-            n_jobs=args.n_jobs,
-        )
-    else:
-        mat = MaterializationDB.materialize(
-            X,
-            args.min_pts_ub,
-            index=args.index,
-            metric=args.metric,
-            duplicate_mode=args.duplicate_mode,
-            n_jobs=args.n_jobs,
-        )
-    save_materialization(args.out, mat)
+    mat = MaterializationDB.materialize(
+        X,
+        args.min_pts_ub,
+        index=args.index,
+        metric=args.metric,
+        duplicate_mode=args.duplicate_mode,
+    )
+    mat.save(args.out, metric=args.metric)
     print(
         f"materialized {mat.n_points} objects x MinPtsUB={mat.min_pts_ub} "
         f"({mat.size_in_records()} records) to {args.out}"
@@ -323,7 +278,7 @@ def _cmd_materialize(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    mat = load_materialization(args.materialization)
+    mat = MaterializationDB.load(args.materialization)
     lb, ub = (args.min_pts[0], args.min_pts[-1])
     print("MinPts    min    mean     max")
     for k in range(lb, ub + 1):
@@ -524,50 +479,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_topn.add_argument("dataset", help="CSV written by repro.io.save_dataset")
     p_topn.add_argument("--n", type=int, default=10, help="outliers to mine")
-    _add_common_options(p_topn)
+    _add_knn_options(p_topn)
     p_topn.set_defaults(func=_cmd_topn)
 
     p_mat = sub.add_parser(
         "materialize", help="build and persist the materialization database M"
     )
     p_mat.add_argument("dataset", help="CSV written by repro.io.save_dataset")
-    p_mat.add_argument("--out", required=True, help="output .mat file")
+    p_mat.add_argument("--out", required=True, help="output model store file")
     p_mat.add_argument("--min-pts-ub", type=int, default=50)
     p_mat.add_argument("--index", default="brute")
     p_mat.add_argument("--metric", default="euclidean")
     p_mat.add_argument(
         "--duplicate-mode", choices=("inf", "distinct", "error"), default="inf"
     )
-    p_mat.add_argument(
-        "--n-jobs", type=int, default=None, metavar="N",
-        help="parallel workers for the query loop (-1 = one per CPU)",
-    )
-    p_mat.add_argument(
-        "--batched", action="store_true",
-        help="build the neighborhood graph through the batched index "
-             "front door (one query_batch_with_ties call per block)",
-    )
-    p_mat.add_argument(
-        "--block-size", type=int, default=512, metavar="B",
-        help="query rows per batched/chunked block (default: 512)",
-    )
-    p_mat.add_argument(
-        "--chunked", action="store_true",
-        help="build through the cache-budgeted chunked argkmin engine "
-             "(sequential scan; --index ignored; --n-jobs sets the "
-             "thread fan-out); mutually exclusive with --batched",
-    )
-    p_mat.add_argument(
-        "--tile-bytes", type=int, default=None, metavar="BYTES",
-        help="with --chunked: per-tile distance-slab byte budget "
-             "(default: 8 MiB)",
-    )
     p_mat.set_defaults(func=_cmd_materialize)
 
     p_sweep = sub.add_parser(
         "sweep", help="LOF statistics per MinPts from a persisted M"
     )
-    p_sweep.add_argument("materialization", help=".mat file from 'materialize'")
+    p_sweep.add_argument(
+        "materialization", help="model store written by 'materialize' or 'fit'"
+    )
     p_sweep.add_argument(
         "--min-pts", nargs="+", type=int, default=[10, 50], metavar="K"
     )

@@ -19,7 +19,7 @@ Module map (paper anchor in parentheses):
 * :mod:`~repro.core.range_lof` — MinPts-range heuristic (Section 6.2)
 * :mod:`~repro.core.materialization` — the two-step algorithm (Section 7.4)
 * :mod:`~repro.core.blocked` — blocked, fully vectorized materialization
-* :mod:`~repro.core.parallel` — ``n_jobs`` process-pool sharding for step 1
+* :mod:`~repro.core.parallel` — forked workers for the serving fleet
 * :mod:`~repro.core.estimator` — the fit/score object API
 * :mod:`~repro.core.ranking` — ranked outlier reports
 * :mod:`~repro.core.duplicates` — k-distinct-distance utilities
@@ -30,7 +30,7 @@ Module map (paper anchor in parentheses):
 * :mod:`~repro.core.reference` — the naive oracle (independent by design)
 """
 
-from .blocked import fast_lof_scores, fast_materialize
+from .blocked import fast_materialize
 from .bounds import (
     NeighborhoodBounds,
     PartitionBounds,
@@ -50,8 +50,8 @@ from .streaming import SlidingWindowLOF, StreamEvent, StreamingLOFDetector
 from .topn import TopNResult, top_n_lof
 from .lof import lof_scores
 from .lrd import local_reachability_density
-from .materialization import MaterializationDB, materialize, materialize_batched
-from .parallel import fork_available, map_sharded, resolve_n_jobs
+from .materialization import MaterializationDB, materialize
+from .parallel import fork_available
 from .neighbors import k_distance, k_distance_neighborhood
 from .range_lof import RangeLOFResult, lof_range, score_range, suggest_min_pts_range
 from .reference import naive_lof, naive_lrd
@@ -60,7 +60,6 @@ from .reachability import reach_dist, reachability_matrix
 from .scoring import lof_values, lrd_values, reach_dist_values
 
 __all__ = [
-    "fast_lof_scores",
     "fast_materialize",
     "NeighborhoodBounds",
     "PartitionBounds",
@@ -90,10 +89,7 @@ __all__ = [
     "local_reachability_density",
     "MaterializationDB",
     "materialize",
-    "materialize_batched",
     "fork_available",
-    "map_sharded",
-    "resolve_n_jobs",
     "k_distance",
     "k_distance_neighborhood",
     "RangeLOFResult",

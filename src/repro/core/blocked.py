@@ -27,17 +27,15 @@ budget (or with ``strategy="chunked"``), each block is further tiled
 along the corpus axis so the peak is bounded by ``tile_bytes``
 regardless of n.
 
-With ``n_threads > 1`` the query blocks are fanned across a thread pool
-(:func:`repro.core.parallel.map_threaded`); per-tile BLAS kernels
-release the GIL, the dataset and the obs registry are shared, and the
-results are bit-identical to the serial run.
+This builder is library code only: :class:`~repro.core.estimator.
+LocalOutlierFactor` and the CLI build M through the per-object
+:meth:`MaterializationDB.materialize`, whose plain-form distances match
+the online scorer's bit for bit.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
-
-import numpy as np
 
 from .. import obs
 from .._validation import check_data, check_min_pts
@@ -51,7 +49,6 @@ from .materialization import (
     _coord_keys_for,
     ensure_distinct_coverage,
 )
-from .parallel import resolve_n_jobs
 
 
 def _block_bounds(n: int, block_size: int) -> List[Tuple[int, int]]:
@@ -65,10 +62,8 @@ def fast_materialize(
     metric="euclidean",
     block_size: int = 512,
     duplicate_mode: str = "inf",
-    n_jobs=None,
     strategy: str = "auto",
     tile_bytes=None,
-    n_threads=None,
 ) -> MaterializationDB:
     """Build M through the chunked argkmin engine.
 
@@ -85,18 +80,11 @@ def fast_materialize(
         policy choices as :meth:`MaterializationDB.materialize`;
         'distinct' post-extends the few duplicate-saturated rows via
         :func:`~repro.core.materialization.ensure_distinct_coverage`.
-    n_jobs : historical name for the worker knob; kept as an alias so
-        existing callers keep working. Blocks now fan out over threads
-        (the per-tile BLAS work releases the GIL), and results are
-        bit-identical to the serial path for every value.
     strategy : passed to the engine — ``"auto"`` (default), ``"whole"``
         or ``"chunked"``; see :func:`repro.index.argkmin.argkmin_with_ties`.
     tile_bytes : engine tile budget (default 8 MiB); with
         ``strategy="chunked"`` this bounds peak temporary memory
         regardless of n.
-    n_threads : thread fan-out over query blocks; overrides ``n_jobs``
-        when both are given. ``None``/1 serial, ``-1`` one thread per
-        CPU.
     """
     X = check_data(X, min_rows=2)
     n = X.shape[0]
@@ -105,8 +93,6 @@ def fast_materialize(
     if block_size < 1:
         raise ValidationError(f"block_size must be >= 1, got {block_size}")
     metric_obj = get_metric(metric)
-    threads = n_threads if n_threads is not None else n_jobs
-    resolve_n_jobs(threads)  # validate eagerly, under the historical name
 
     with obs.span("materialize.fast"):
         obs.incr("materialize.blocks", len(_block_bounds(n, block_size)))
@@ -117,7 +103,6 @@ def fast_materialize(
             strategy=strategy,
             x_chunk=block_size,
             tile_bytes=tile_bytes,
-            n_threads=threads,
         )
         graph = NeighborhoodGraph.from_csr_blocks([flat], k_max=ub)
         coord_keys = None
@@ -128,27 +113,3 @@ def fast_materialize(
         graph, duplicate_mode=duplicate_mode, coord_keys=coord_keys
     )
 
-
-def fast_lof_scores(
-    X,
-    min_pts: int,
-    metric="euclidean",
-    block_size: int = 512,
-    duplicate_mode: str = "inf",
-    n_jobs=None,
-    strategy: str = "auto",
-    tile_bytes=None,
-    n_threads=None,
-) -> np.ndarray:
-    """LOF via the blocked fast path — identical values, less Python."""
-    return fast_materialize(
-        X,
-        min_pts,
-        metric=metric,
-        block_size=block_size,
-        duplicate_mode=duplicate_mode,
-        n_jobs=n_jobs,
-        strategy=strategy,
-        tile_bytes=tile_bytes,
-        n_threads=n_threads,
-    ).lof(min_pts)

@@ -11,7 +11,7 @@ argument of the LOF entry points.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +43,44 @@ def has_min_pts_duplicates(X, min_pts: int) -> bool:
     return bool(np.any(counts >= min_pts + 1))
 
 
+def k_distinct_radius(
+    ids: np.ndarray, dists: np.ndarray, coord_keys: np.ndarray, k: int
+) -> Optional[float]:
+    """The k-distinct-distance of one neighbor row, or None if it falls short.
+
+    ``ids`` / ``dists`` are one query's candidates sorted by (distance,
+    id). Walking the row, skip candidates at distance <= 0 (co-located
+    duplicates of the query) or at a non-finite distance (an excluded
+    id), and return the distance at which the ``k``-th new coordinate
+    group key of ``coord_keys`` is reached. Every k-distinct-distance in
+    the package is computed here, so the batch, incremental and online
+    paths agree bit for bit.
+    """
+    keep = (dists > 0.0) & np.isfinite(dists)
+    kept = dists[keep]
+    _, first = np.unique(coord_keys[ids[keep]], return_index=True)
+    if len(first) < k:
+        return None
+    return kept[np.sort(first)[k - 1]]
+
+
+def k_distinct_ball(drow: np.ndarray, coord_keys: np.ndarray, k: int):
+    """The closed ball at the k-distinct-distance over one distance row.
+
+    ``drow[j]`` is the query's distance to object ``j`` (inf for an
+    excluded id). Returns ``(ids, dists, radius)`` with the members
+    sorted by (distance, id) — duplicates of the query inside the ball
+    included, the analog of Definition 4 — or None when fewer than
+    ``k`` distinct locations are reachable.
+    """
+    order = np.lexsort((np.arange(len(drow)), drow))
+    radius = k_distinct_radius(order, drow[order], coord_keys, k)
+    if radius is None:
+        return None
+    members = order[drow[order] <= radius]
+    return members, drow[members], radius
+
+
 def k_distinct_distance(X, i: int, k: int, metric="euclidean") -> float:
     """The k-distinct-distance of object ``i``: the smallest radius
     containing at least ``k`` neighbors whose spatial coordinates are
@@ -66,15 +104,4 @@ def k_distinct_distance(X, i: int, k: int, metric="euclidean") -> float:
     metric_obj = get_metric(metric)
     dists = metric_obj.pairwise_to_point(X, X[i])
     order = np.argsort(dists, kind="stable")
-    seen = set()
-    for j in order:
-        if dists[j] <= 0.0:
-            continue
-        key = int(keys[j])
-        if key not in seen:
-            seen.add(key)
-            if len(seen) == k:
-                return float(dists[j])
-    raise ValidationError(  # pragma: no cover - guarded above
-        f"could not find {k} distinct locations around object {i}"
-    )
+    return float(k_distinct_radius(order, dists[order], keys, k))

@@ -41,7 +41,6 @@ from .._validation import check_data, check_min_pts
 from ..exceptions import ValidationError
 from ..index import make_index
 from ..index.batch import scatter_padded
-from .parallel import map_sharded, resolve_n_jobs
 
 
 @dataclass(frozen=True)
@@ -206,35 +205,21 @@ class NeighborhoodGraph:
         k_max: int,
         index="brute",
         metric="euclidean",
-        n_jobs=None,
     ) -> "NeighborhoodGraph":
         """Build via one tie-inclusive query per object (step 1's loop).
 
         ``index`` may be a registry name, an :class:`~repro.index.NNIndex`
-        class, or a fitted/unfitted instance; ``n_jobs`` shards the loop
-        across a fork-based process pool with bit-identical results.
+        class, or a fitted/unfitted instance.
         """
         X = check_data(X, min_rows=2)
-        n = X.shape[0]
-        k_max = check_min_pts(k_max, n, name="k_max")
-        jobs = resolve_n_jobs(n_jobs)
+        k_max = check_min_pts(k_max, X.shape[0], name="k_max")
         nn_index = _resolve_index(index, metric, X)
-
-        def query_shard(ids):
-            shard_ids: List[np.ndarray] = []
-            shard_dists: List[np.ndarray] = []
-            for i in ids:
-                hood = nn_index.query_with_ties(X[int(i)], k_max, exclude=int(i))
-                shard_ids.append(hood.ids.astype(np.int64))
-                shard_dists.append(hood.distances.astype(np.float64))
-            return shard_ids, shard_dists
-
         rows_ids: List[np.ndarray] = []
         rows_dists: List[np.ndarray] = []
-        shards = np.array_split(np.arange(n), jobs) if jobs > 1 else [range(n)]
-        for shard_ids, shard_dists in map_sharded(query_shard, shards, jobs):
-            rows_ids.extend(shard_ids)
-            rows_dists.extend(shard_dists)
+        for i in range(X.shape[0]):
+            hood = nn_index.query_with_ties(X[i], k_max, exclude=i)
+            rows_ids.append(hood.ids.astype(np.int64))
+            rows_dists.append(hood.distances.astype(np.float64))
         return cls.from_rows(rows_ids, rows_dists, k_max=k_max)
 
     @classmethod
@@ -245,7 +230,6 @@ class NeighborhoodGraph:
         index="brute",
         metric="euclidean",
         block_size: int = 512,
-        n_jobs=None,
     ) -> "NeighborhoodGraph":
         """Build through the batched index front door.
 
@@ -258,17 +242,14 @@ class NeighborhoodGraph:
         k_max = check_min_pts(k_max, n, name="k_max")
         if block_size < 1:
             raise ValidationError(f"block_size must be >= 1, got {block_size}")
-        jobs = resolve_n_jobs(n_jobs)
         nn_index = _resolve_index(index, metric, X)
-
-        def query_block(bounds):
-            start, stop = bounds
-            return nn_index.query_batch_with_ties(
+        bounds = [(s, min(s + block_size, n)) for s in range(0, n, block_size)]
+        blocks = [
+            nn_index.query_batch_with_ties(
                 X[start:stop], k_max, exclude=np.arange(start, stop)
             )
-
-        bounds = [(s, min(s + block_size, n)) for s in range(0, n, block_size)]
-        blocks = map_sharded(query_block, bounds, jobs)
+            for start, stop in bounds
+        ]
         width = max(ids.shape[1] for ids, _ in blocks)
         padded_ids = np.full((n, width), -1, dtype=np.int64)
         padded_dists = np.full((n, width), np.inf, dtype=np.float64)

@@ -46,6 +46,7 @@ from ..exceptions import NotFittedError, ValidationError
 from ..index import get_metric
 from ..index.batch import tie_inclusive_row
 from . import scoring
+from .duplicates import k_distinct_ball
 from .graph import DynamicNeighborhoodGraph
 
 
@@ -190,28 +191,18 @@ class IncrementalLOF:
         """The k-distinct-distance neighborhood row (closed ball at the
         smallest radius covering ``min_pts`` distinct coordinate
         locations, duplicates of the query inside it included) — the
-        same walk :meth:`MaterializationDB._distinct_k_distances` does
-        over stored rows, so radii and membership match bit-for-bit."""
-        order = np.argsort(dists, kind="stable")
-        seen: Set[int] = set()
-        kth = None
-        for j in order:
-            d = dists[j]
-            if d <= 0.0 or not np.isfinite(d):
-                continue
-            key = self._coord_key[handles[j]]
-            if key not in seen:
-                seen.add(key)
-                if len(seen) == self.min_pts:
-                    kth = float(d)
-                    break
-        if kth is None:
+        same :func:`~repro.core.duplicates.k_distinct_ball` the
+        materialization uses, so radii and membership match
+        bit-for-bit."""
+        keys = np.array([self._coord_key[h] for h in handles], dtype=np.int64)
+        ball = k_distinct_ball(dists, keys, self.min_pts)
+        if ball is None:
             raise ValidationError(
                 f"fewer than k={self.min_pts} distinct coordinate "
                 "locations exist among the maintained points"
             )
-        members = order[dists[order] <= kth]
-        return members, kth
+        members, _, kth = ball
+        return members, float(kth)
 
     def _ensure_lrd_capacity(self, max_handle: int) -> None:
         if max_handle >= len(self._lrd):

@@ -52,8 +52,8 @@ from .._validation import check_data, check_min_pts
 from ..exceptions import ValidationError
 from ..index import NNIndex, make_index
 from . import scoring
+from .duplicates import k_distinct_ball, k_distinct_radius
 from .graph import NeighborhoodGraph
-from .parallel import map_sharded, resolve_n_jobs
 
 _DUPLICATE_MODES = ("inf", "distinct", "error")
 
@@ -165,17 +165,17 @@ class MaterializationDB:
         index="brute",
         metric="euclidean",
         duplicate_mode: str = "inf",
-        n_jobs=None,
     ) -> "MaterializationDB":
         """Step 1 of the two-step algorithm: build M from dataset ``X``.
 
-        ``index`` may be a registry name ('brute', 'grid', 'kdtree',
-        'balltree', 'rstar', 'xtree', 'vafile'), an :class:`NNIndex`
-        class, or a fitted/unfitted instance. ``n_jobs`` shards the
-        per-object query loop across a fork-based process pool
-        (``None``/1 serial, ``-1`` one worker per CPU); the fitted index
-        is shared with workers copy-on-write and the result is
-        bit-identical to the serial run.
+        One tie-inclusive :meth:`~repro.index.NNIndex.query_with_ties`
+        per object, the paper's literal step 1. ``index`` may be a
+        registry name ('brute', 'grid', 'kdtree', 'balltree', 'rstar',
+        'xtree', 'vafile'), an :class:`NNIndex` class, or a
+        fitted/unfitted instance. On 'brute' each row's distances come
+        from the same ``Metric.pairwise_to_point`` kernel the online
+        scorer uses for novel points, so served and fitted values agree
+        bit for bit.
         """
         X = check_data(X, min_rows=2)
         n = X.shape[0]
@@ -185,12 +185,12 @@ class MaterializationDB:
             if duplicate_mode == "distinct":
                 coord_keys = _coord_keys_for(X)
                 graph = cls._materialize_distinct_loop(
-                    X, ub, index, metric, coord_keys, n_jobs
+                    X, ub, index, metric, coord_keys
                 )
             else:
                 coord_keys = None
                 graph = NeighborhoodGraph.from_index(
-                    X, ub, index=index, metric=metric, n_jobs=n_jobs
+                    X, ub, index=index, metric=metric
                 )
         return cls.from_graph(
             graph, duplicate_mode=duplicate_mode, coord_keys=coord_keys
@@ -205,7 +205,6 @@ class MaterializationDB:
         metric="euclidean",
         block_size: int = 512,
         duplicate_mode: str = "inf",
-        n_jobs=None,
     ) -> "MaterializationDB":
         """Step 1 through the batched index front door.
 
@@ -220,6 +219,8 @@ class MaterializationDB:
         ``block_size``. ``duplicate_mode='distinct'`` post-extends the
         few rows whose plain neighborhoods do not cover MinPtsUB
         distinct locations (see :func:`ensure_distinct_coverage`).
+        Library code only: the estimator and the CLI build M with
+        :meth:`materialize`.
         """
         X = check_data(X, min_rows=2)
         n = X.shape[0]
@@ -232,7 +233,6 @@ class MaterializationDB:
                 index=index,
                 metric=metric,
                 block_size=block_size,
-                n_jobs=n_jobs,
             )
             coord_keys = None
             if duplicate_mode == "distinct":
@@ -244,11 +244,10 @@ class MaterializationDB:
 
     @classmethod
     def _materialize_distinct_loop(
-        cls, X, ub, index, metric, coord_keys, n_jobs
+        cls, X, ub, index, metric, coord_keys
     ) -> NeighborhoodGraph:
         """The per-object query loop under the k-distinct-distance policy."""
         n = X.shape[0]
-        jobs = resolve_n_jobs(n_jobs)
         nn_index = make_index(index, metric=metric)
         if not nn_index.is_fitted:
             nn_index.fit(X)
@@ -256,23 +255,12 @@ class MaterializationDB:
             raise ValidationError(
                 "a pre-fitted index must be fitted on the same dataset"
             )
-
-        def query_shard(ids):
-            shard_ids: List[np.ndarray] = []
-            shard_dists: List[np.ndarray] = []
-            for i in ids:
-                i = int(i)
-                hood = cls._distinct_neighborhood(nn_index, X[i], i, ub, coord_keys)
-                shard_ids.append(hood.ids.astype(np.int64))
-                shard_dists.append(hood.distances.astype(np.float64))
-            return shard_ids, shard_dists
-
         rows_ids: List[np.ndarray] = []
         rows_dists: List[np.ndarray] = []
-        shards = np.array_split(np.arange(n), jobs) if jobs > 1 else [range(n)]
-        for shard_ids, shard_dists in map_sharded(query_shard, shards, jobs):
-            rows_ids.extend(shard_ids)
-            rows_dists.extend(shard_dists)
+        for i in range(n):
+            hood = cls._distinct_neighborhood(nn_index, X[i], i, ub, coord_keys)
+            rows_ids.append(hood.ids.astype(np.int64))
+            rows_dists.append(hood.distances.astype(np.float64))
         return NeighborhoodGraph.from_rows(rows_ids, rows_dists, k_max=ub)
 
     @staticmethod
@@ -286,28 +274,14 @@ class MaterializationDB:
         while True:
             probe = min(probe, n - 1)
             hood = nn_index.query_with_ties(q, probe, exclude=self_id)
-            positive = hood.distances > 0.0
-            distinct = np.unique(coord_keys[hood.ids[positive]])
-            if len(distinct) >= k or probe >= n - 1:
+            kdist = k_distinct_radius(hood.ids, hood.distances, coord_keys, k)
+            if kdist is not None or probe >= n - 1:
                 break
             probe = min(n - 1, probe * 2)
-        if len(distinct) < k:
+        if kdist is None:
             raise ValidationError(
                 f"fewer than k={k} distinct coordinate locations exist"
             )
-        # k-distinct-distance: the distance at which the k-th distinct
-        # location (excluding the query's own coordinates) is reached.
-        seen: set = set()
-        kdist = None
-        for pid, dist in zip(hood.ids, hood.distances):
-            if dist <= 0.0:
-                continue
-            key = int(coord_keys[pid])
-            if key not in seen:
-                seen.add(key)
-                if len(seen) == k:
-                    kdist = dist
-                    break
         # Closed ball of that radius (duplicates of q inside it included,
         # matching the Definition 4 analog).
         return nn_index.query_radius(q, kdist, exclude=self_id)
@@ -328,19 +302,12 @@ class MaterializationDB:
         out = np.empty(self.n_points)
         row_lengths = self.graph.row_lengths
         for i in range(self.n_points):
-            dists = self.padded_dists[i, : row_lengths[i]]
-            ids = self.padded_ids[i, : row_lengths[i]]
-            seen: set = set()
-            kdist = None
-            for pid, dist in zip(ids, dists):
-                if dist <= 0.0:
-                    continue
-                key = int(self.coord_keys[pid])
-                if key not in seen:
-                    seen.add(key)
-                    if len(seen) == k:
-                        kdist = dist
-                        break
+            kdist = k_distinct_radius(
+                self.padded_ids[i, : row_lengths[i]],
+                self.padded_dists[i, : row_lengths[i]],
+                self.coord_keys,
+                k,
+            )
             if kdist is None:
                 raise ValidationError(
                     f"materialized rows do not cover {k} distinct locations "
@@ -612,8 +579,7 @@ def ensure_distinct_coverage(
         length = graph.row_lengths[i]
         ids = graph.padded_ids[i, :length]
         dists = graph.padded_dists[i, :length]
-        positive = dists > 0.0
-        if len(np.unique(coord_keys[ids[positive]])) < k:
+        if k_distinct_radius(ids, dists, coord_keys, k) is None:
             deficient.append(i)
     if not deficient:
         return graph
@@ -632,22 +598,7 @@ def ensure_distinct_coverage(
     for i in deficient:
         dists = metric_obj.pairwise(X[i : i + 1], X)[0]
         dists[i] = np.inf
-        order = np.lexsort((np.arange(n), dists))
-        seen: set = set()
-        radius = None
-        for j in order:
-            if dists[j] <= 0.0 or not np.isfinite(dists[j]):
-                continue
-            key = int(coord_keys[j])
-            if key not in seen:
-                seen.add(key)
-                if len(seen) == k:
-                    radius = dists[j]
-                    break
-        members = np.flatnonzero(dists <= radius)
-        sub_order = np.lexsort((members, dists[members]))
-        rows_ids[i] = members[sub_order].astype(np.int64)
-        rows_dists[i] = dists[members][sub_order]
+        rows_ids[i], rows_dists[i], _ = k_distinct_ball(dists, coord_keys, k)
     return NeighborhoodGraph.from_rows(rows_ids, rows_dists, k_max=k)
 
 
@@ -657,7 +608,6 @@ def materialize(
     index="brute",
     metric="euclidean",
     duplicate_mode: str = "inf",
-    n_jobs=None,
 ) -> MaterializationDB:
     """Convenience alias for :meth:`MaterializationDB.materialize`."""
     return MaterializationDB.materialize(
@@ -666,26 +616,5 @@ def materialize(
         index=index,
         metric=metric,
         duplicate_mode=duplicate_mode,
-        n_jobs=n_jobs,
     )
 
-
-def materialize_batched(
-    X,
-    min_pts_ub: int,
-    index="brute",
-    metric="euclidean",
-    block_size: int = 512,
-    duplicate_mode: str = "inf",
-    n_jobs=None,
-) -> MaterializationDB:
-    """Convenience alias for :meth:`MaterializationDB.materialize_batched`."""
-    return MaterializationDB.materialize_batched(
-        X,
-        min_pts_ub,
-        index=index,
-        metric=metric,
-        block_size=block_size,
-        duplicate_mode=duplicate_mode,
-        n_jobs=n_jobs,
-    )

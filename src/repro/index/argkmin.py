@@ -24,10 +24,6 @@ of scikit-learn's ``_pairwise_distances_reduction``:
   neighborhood — proved bit-identical to
   :func:`repro.index.batch.select_tie_inclusive` on the whole matrix by
   the property suite in ``tests/index/test_argkmin.py``.
-* **Thread parallelism.** Row chunks fan out over
-  :func:`repro.core.parallel.map_threaded` (no fork pool): the per-tile
-  work is BLAS/NumPy kernels that release the GIL, and threads share
-  the dataset and the obs registry for free.
 
 The old whole-matrix path survives as ``strategy="whole"`` (one tile
 spanning all of Y per row chunk — literally the classic
@@ -135,8 +131,7 @@ def _chunk_argkmin(
 
     Returns the chunk's CSR triple plus the largest tile (bytes) it
     materialized. Pure array transform over the instrumented ``tile``
-    closure — thread-safe by construction (no shared mutable state
-    beyond additive obs counters).
+    closure.
     """
     m_c = x1 - x0
     excl = exclude[x0:x1] if exclude is not None else None
@@ -204,7 +199,6 @@ def argkmin_with_ties(
     x_chunk: Optional[int] = None,
     y_chunk: Optional[int] = None,
     tile_bytes: Optional[int] = None,
-    n_threads=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tie-inclusive k-nearest selection of every row of ``Q`` against ``Y``.
 
@@ -223,8 +217,6 @@ def argkmin_with_ties(
     x_chunk, y_chunk : tile geometry overrides; defaults derive
         ``y_chunk`` from the byte budget.
     tile_bytes : per-tile cache budget (default 8 MiB).
-    n_threads : row-chunk thread fan-out (``None`` serial, ``-1`` one
-        per CPU). Results are bit-identical for every value.
 
     Returns
     -------
@@ -232,11 +224,6 @@ def argkmin_with_ties(
         CSR triple in ``(row, distance, id)`` order — the same contract
         as :func:`repro.index.batch.select_tie_inclusive`.
     """
-    # Imported lazily: repro.core.__init__ pulls modules that import
-    # repro.index back, so a module-level import here would make the
-    # "import repro.index first" order a circular-import trap.
-    from ..core.parallel import map_threaded, resolve_n_threads
-
     Q = _check_matrix(Q, "Q")
     Y = Q if Y is Q else _check_matrix(Y, "Y")
     m, n = Q.shape[0], Y.shape[0]
@@ -264,24 +251,20 @@ def argkmin_with_ties(
     k = int(k)
 
     strategy, xc, yc, _ = _resolve_plan(m, n, strategy, x_chunk, y_chunk, tile_bytes)
-    threads = resolve_n_threads(n_threads)
     tile = get_metric(metric).tile_kernel(Q, Y)
     if strategy == "whole":
         obs.incr("argkmin.strategy_whole")
     else:
         obs.incr("argkmin.strategy_chunked")
 
-    x_bounds = [(s, min(s + xc, m)) for s in range(0, m, xc)]
-
-    def run_chunk(bounds: Tuple[int, int]):
-        return _chunk_argkmin(tile, bounds[0], bounds[1], n, k, yc, exclude)
-
     with obs.span("argkmin.run"):
-        chunks = map_threaded(run_chunk, x_bounds, threads)
+        chunks = [
+            _chunk_argkmin(tile, x0, min(x0 + xc, m), n, k, yc, exclude)
+            for x0 in range(0, m, xc)
+        ]
 
     # The per-call memory envelope: bytes of the largest distance tile
-    # any chunk materialized (reduced here, outside the threads, so the
-    # counter is a deterministic single increment per engine call).
+    # any chunk materialized (one increment per engine call).
     obs.incr("argkmin.tile_bytes", max(c[3] for c in chunks))
 
     if len(chunks) == 1:
@@ -303,7 +286,6 @@ def argkmin_self(
     x_chunk: Optional[int] = None,
     y_chunk: Optional[int] = None,
     tile_bytes: Optional[int] = None,
-    n_threads=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Self k-NN of every row of ``X`` (diagonal excluded) — the
     materialization step's argkmin. Same contract and knobs as
@@ -319,5 +301,4 @@ def argkmin_self(
         x_chunk=x_chunk,
         y_chunk=y_chunk,
         tile_bytes=tile_bytes,
-        n_threads=n_threads,
     )

@@ -75,7 +75,6 @@ class BruteForceIndex(NNIndex):
     # tie-inclusive selection), and only budget-exceeding batches tile.
     batch_strategy: str = "auto"
     tile_bytes: Optional[int] = None
-    n_threads = None
 
     def _query_batch(self, Q, k, exclude) -> Tuple[np.ndarray, np.ndarray]:
         ids, dists = self._query_batch_with_ties(Q, k, exclude)
@@ -92,7 +91,6 @@ class BruteForceIndex(NNIndex):
             exclude=exclude,
             strategy=self.batch_strategy,
             tile_bytes=self.tile_bytes,
-            n_threads=self.n_threads,
         )
         self.stats.distance_evaluations += Q.shape[0] * self._X.shape[0]
         return pack_padded(flat_ids, flat_dists, counts)

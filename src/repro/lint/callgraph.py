@@ -27,7 +27,6 @@ static approximation both analyses share:
 
   - ``threading.Thread(target=f)`` (and ``target=self.m``);
   - ``fork_workers(n, worker)`` — each forked child runs ``worker``;
-  - ``map_threaded(fn, ...)`` / ``map_sharded(fn, ...)`` pool workers;
   - ``do_GET`` / ``do_POST`` (and the stdlib hook methods ``handle``,
     ``finish_request``) of classes derived from
     ``BaseHTTPRequestHandler`` — a ``ThreadingHTTPServer`` runs each
@@ -62,9 +61,9 @@ _HANDLER_ENTRY_METHODS = ("do_GET", "do_POST", "do_PUT", "do_DELETE", "handle")
 #: Base-class names that mark a request handler / threaded server.
 _HANDLER_BASES = ("BaseHTTPRequestHandler", "ThreadingHTTPServer")
 
-#: Pool fan-out helpers whose first callable argument runs on worker
-#: threads/processes (repro.core.parallel).
-_POOL_FANOUT = {"map_threaded": 0, "map_sharded": 0, "fork_workers": 1}
+#: Fan-out helpers whose callable argument (at the given position) runs
+#: on worker processes (repro.core.parallel).
+_POOL_FANOUT = {"fork_workers": 1}
 
 
 class FunctionInfo:
@@ -92,7 +91,7 @@ class ThreadEntry:
     __slots__ = ("kind", "label", "target", "node", "ctx")
 
     def __init__(self, kind, label, target, node, ctx):
-        self.kind = kind      # 'thread' | 'fork' | 'pool' | 'handler'
+        self.kind = kind      # 'thread' | 'fork' | 'handler'
         self.label = label    # human name, e.g. "Thread(repro-serve-batcher)"
         self.target = target  # qualname of the entry function
         self.node = node      # AST node that creates the thread
@@ -703,9 +702,8 @@ class _EdgeBuilder:
             qual = self._resolve_callable_ref(arg, cls_qual, locals_t)
             if qual is None:
                 return
-            kind = "fork" if name == "fork_workers" else "pool"
             self.graph.entries.append(
-                ThreadEntry(kind, f"{name}({qual.rsplit('.', 1)[-1]})", qual,
+                ThreadEntry("fork", f"{name}({qual.rsplit('.', 1)[-1]})", qual,
                             call, self.idx.ctx)
             )
 

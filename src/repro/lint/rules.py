@@ -238,7 +238,7 @@ class OneKernelRule(Rule):
 
 
 # Most-specific prefix first. Infrastructure (obs, exceptions,
-# validation, the fork-pool helper, the generated registry) sits below
+# validation, the fork-worker helper, the generated registry) sits below
 # everything; the lint package itself is a surface.
 _LAYER_PREFIXES: List[Tuple[str, int]] = [
     ("repro.core.scoring", 3),
@@ -853,9 +853,9 @@ class InferredRaceRule(Rule):
     )
 
     #: entry kinds that imply >1 concurrent thread by themselves (a
-    #: ThreadingHTTPServer handler / worker pool / forked fleet runs
+    #: ThreadingHTTPServer handler / forked fleet worker runs
     #: many instances of the same entry at once)
-    _SELF_CONCURRENT = ("handler", "pool", "fork")
+    _SELF_CONCURRENT = ("handler", "fork")
 
     def check_project(self, project: Project) -> Iterable[Finding]:
         model = _concurrency_model(project)

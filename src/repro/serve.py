@@ -96,6 +96,7 @@ from . import obs
 from ._validation import check_data
 from .core import scoring
 from .core.bounds import reach_extrema
+from .core.duplicates import k_distinct_ball
 from .core.graph import NeighborhoodView
 from .core.parallel import fork_available, fork_workers, wait_workers
 from .core.range_lof import _AGGREGATES
@@ -631,35 +632,19 @@ class OnlineScorer:
     def _distinct_query_row(self, drow: np.ndarray, k: int):
         """One query's k-distinct-distance neighborhood (closed ball).
 
-        Mirrors ``MaterializationDB._distinct_neighborhood``: the radius
-        is the distance at which the k-th distinct coordinate location
-        (at positive distance — co-located duplicates of the query do
-        not count) is reached; the neighborhood is every stored point
-        inside that closed ball, sorted by (distance, id).
+        The same :func:`~repro.core.duplicates.k_distinct_ball` the
+        materialization uses: the radius is the distance at which the
+        k-th distinct coordinate location (at positive distance —
+        co-located duplicates of the query do not count) is reached.
         """
-        coord_keys = self.mat.coord_keys
-        n = len(drow)
-        order = np.lexsort((np.arange(n), drow))
-        seen: set = set()
-        radius = None
-        for j in order:
-            d = drow[j]
-            if d <= 0.0 or not np.isfinite(d):
-                continue
-            key = int(coord_keys[j])
-            if key not in seen:
-                seen.add(key)
-                if len(seen) == k:
-                    radius = d
-                    break
-        if radius is None:
+        ball = k_distinct_ball(drow, self.mat.coord_keys, k)
+        if ball is None:
             raise ValidationError(
                 f"fewer than k={k} distinct coordinate locations are "
                 "reachable from the query point"
             )
-        members = np.flatnonzero(drow <= radius)
-        sub = np.lexsort((members, drow[members]))
-        return members[sub].astype(np.int64), drow[members][sub], float(radius)
+        ids, dists, radius = ball
+        return ids.astype(np.int64), dists, float(radius)
 
     def _reach_extrema(self, k: int):
         with self._lock:
@@ -1031,7 +1016,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"error": f"unknown path {self.path!r}"})
 
     def _read_json_body(self):
-        length = int(self.headers.get("Content-Length", 0))
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would block until the peer closes, and a
+            # body of unknown extent leaves the connection unusable.
+            self.close_connection = True
+            raise ValidationError("Content-Length must be a non-negative integer")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -1048,7 +1041,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             request = self._read_json_body()
         except (ValueError, UnicodeDecodeError) as exc:
-            self._reply(400, {"error": f"request body is not valid JSON: {exc}"})
+            self._reply(400, {"error": f"bad request body: {exc}"})
             return
         if not isinstance(request, dict) or "points" not in request:
             self._reply(400, {"error": 'request must be {"points": [[...], ...]}'})
@@ -1115,7 +1108,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             request = self._read_json_body()
         except (ValueError, UnicodeDecodeError) as exc:
-            self._reply(400, {"error": f"request body is not valid JSON: {exc}"})
+            self._reply(400, {"error": f"bad request body: {exc}"})
             return
         if not isinstance(request, dict):
             self._reply(400, {"error": 'request must be {} or {"path": "..."}'})

@@ -224,7 +224,7 @@ def save_model(
             )
         return _save_estimator(path, model, lineage=lineage)
     if isinstance(model, MaterializationDB):
-        return _save_materialization(
+        return _save_database(
             path, model, X=X, metric=metric, scorer=scorer, lineage=lineage
         )
     raise ValidationError(
@@ -262,7 +262,7 @@ def _section_dtype(name: str) -> str:
     return "<i8" if name in ("padded_ids", "coord_keys", "min_pts_values") else "<f8"
 
 
-def _save_materialization(
+def _save_database(
     path: Path, mat, X=None, metric="euclidean", scorer="lof", lineage=None
 ) -> Path:
     from .scorers import get_scorer

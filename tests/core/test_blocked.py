@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import lof_scores, materialize, obs
-from repro.core import fast_lof_scores, fast_materialize
+from repro.core import fast_materialize
 from repro.exceptions import ValidationError
 
 
@@ -23,7 +23,7 @@ class TestEquivalence:
 
     def test_lof_identical(self, random_points):
         np.testing.assert_allclose(
-            fast_lof_scores(random_points, 8),
+            fast_materialize(random_points, 8).lof(8),
             lof_scores(random_points, 8),
             rtol=1e-15,
         )
@@ -42,7 +42,7 @@ class TestEquivalence:
         np.testing.assert_allclose(dists, [1, 2, 2, 3, 3, 3])
 
     def test_manhattan_metric(self, random_points):
-        fast = fast_lof_scores(random_points, 5, metric="manhattan")
+        fast = fast_materialize(random_points, 5, metric="manhattan").lof(5)
         standard = lof_scores(random_points, 5, metric="manhattan")
         np.testing.assert_allclose(fast, standard, rtol=1e-12)
 

@@ -13,12 +13,15 @@ summation order legitimately differs at the last ulp.
 
 Datasets use integer coordinates so that the plain and the expanded-form
 (BLAS) distance computations are exact and the bit-identity claim is
-well-posed across backends.
+well-posed across backends. One test uses non-integer data on purpose:
+there the two forms disagree in the last ulps, and the default fit must
+use the per-row plain form that online scoring uses.
 """
 
 import numpy as np
 import pytest
 
+from repro import LocalOutlierFactor
 from repro.core import (
     IncrementalLOF,
     MaterializationDB,
@@ -28,6 +31,8 @@ from repro.core import (
     top_n_lof,
 )
 from repro.exceptions import DuplicatePointsError
+from repro.index import get_metric
+from repro.index.batch import apply_exclusions, pack_padded, select_tie_inclusive
 
 
 def duplicate_heavy():
@@ -55,9 +60,8 @@ def batch_paths(X, duplicate_mode):
 
     "blocked" is the historical whole-slab fast path (strategy="auto"
     resolves to whole tiles at this size); "chunked" forces the tiled
-    merge with a 400-byte budget (y-tiles of 7 columns) and two threads,
-    so the Definition-4 candidate merge and the thread fan-out are both
-    inside the bit-identity matrix.
+    merge with a 400-byte budget (y-tiles of 7 columns), so the
+    Definition-4 candidate merge is inside the bit-identity matrix.
     """
     return {
         "loop": MaterializationDB.materialize(
@@ -76,7 +80,6 @@ def batch_paths(X, duplicate_mode):
             duplicate_mode=duplicate_mode,
             strategy="chunked",
             tile_bytes=400,
-            n_threads=2,
         ),
     }
 
@@ -148,6 +151,25 @@ class TestServeAgainstChunkBuiltStore:
         )
         loop = MaterializationDB.materialize(X, MIN_PTS).lof(MIN_PTS)
         np.testing.assert_array_equal(served, loop)
+
+
+class TestFitUsesServeKernel:
+    def test_fitted_rows_equal_novel_row_kernel_on_grid_data(self):
+        """Gaussian data on a 1e-3 grid: the fitted graph's rows equal,
+        bit for bit, serve's novel-row kernel — stacked
+        ``pairwise_to_point`` rows, the diagonal excluded, then the
+        tie-inclusive selection."""
+        rng = np.random.default_rng(300)
+        X = np.round(rng.normal(size=(400, 3)), 3)
+        ub = 12
+        graph = LocalOutlierFactor(min_pts=(5, ub)).fit(X).graph_
+
+        metric = get_metric("euclidean")
+        D = np.stack([metric.pairwise_to_point(X, X[i]) for i in range(len(X))])
+        apply_exclusions(D, np.arange(len(X)))
+        ids, dists = pack_padded(*select_tie_inclusive(D, ub))
+        np.testing.assert_array_equal(graph.padded_ids, ids)
+        np.testing.assert_array_equal(graph.padded_dists, dists)
 
 
 class TestDynamicPathsBitIdentical:

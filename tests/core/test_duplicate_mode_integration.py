@@ -66,11 +66,11 @@ class TestRangeAndTopN:
 
 class TestPersistenceRoundtrip:
     def test_distinct_mode_survives_disk(self, duplicated_data, tmp_path):
-        from repro.io import load_materialization, save_materialization
+        from repro import MaterializationDB
 
         mat = materialize(duplicated_data, 5, duplicate_mode="distinct")
-        path = tmp_path / "dup.mat"
-        save_materialization(path, mat)
-        loaded = load_materialization(path)
+        path = tmp_path / "dup.rlof"
+        mat.save(path)
+        loaded = MaterializationDB.load(path)
         np.testing.assert_allclose(loaded.lof(4), mat.lof(4), rtol=1e-15)
         np.testing.assert_allclose(loaded.lof(5), mat.lof(5), rtol=1e-15)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import duplicate_groups, has_min_pts_duplicates, k_distinct_distance
+from repro.core.duplicates import k_distinct_radius
 from repro.exceptions import ValidationError
 
 
@@ -66,3 +67,32 @@ class TestKDistinctDistance:
     def test_bad_index(self, random_points):
         with pytest.raises(IndexError):
             k_distinct_distance(random_points, 999, k=1)
+
+
+def loop_k_distinct_radius(ids, dists, coord_keys, k):
+    """The per-candidate walk, kept as the reference for the helper."""
+    seen = set()
+    for pid, dist in zip(ids, dists):
+        if dist <= 0.0 or not np.isfinite(dist):
+            continue
+        seen.add(int(coord_keys[pid]))
+        if len(seen) == k:
+            return dist
+    return None
+
+
+class TestKDistinctRadius:
+    def test_matches_the_candidate_walk(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            n = int(rng.integers(2, 30))
+            coord_keys = rng.integers(0, 6, size=n)
+            dists = rng.integers(0, 4, size=n).astype(np.float64)
+            dists[rng.random(n) < 0.1] = np.inf  # excluded ids
+            ids = rng.permutation(n)
+            order = np.lexsort((ids, dists))
+            ids, dists = ids[order], dists[order]
+            for k in range(1, 8):
+                want = loop_k_distinct_radius(ids, dists, coord_keys, k)
+                got = k_distinct_radius(ids, dists, coord_keys, k)
+                assert got == want

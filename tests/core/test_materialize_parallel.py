@@ -1,21 +1,24 @@
-"""Cross-path and parallel equivalence of the materialization engine.
+"""Cross-path equivalence of the materialization builders, and the
+forked-worker primitives of the serving fleet.
 
-One database, four ways to build it — per-query loop, batched front
-door, blocked fast path, and any of them sharded across a process pool.
+One database, three ways to build it — per-query loop (the one path
+the estimator and the CLI use), batched front door, blocked fast path.
 Equivalence is the contract (docs/performance.md): identical neighbor
 ids and (distance, id) order everywhere; bit-identical distances within
-the vectorized family and under ``n_jobs``; and the batched paths must
-cost O(n / block_size) distance-kernel invocations, asserted on
-repro.obs counters (never the clock).
+the vectorized family; and the batched paths must cost O(n / block_size)
+distance-kernel invocations, asserted on repro.obs counters (never the
+clock).
 """
 
 import numpy as np
 import pytest
 
-from repro import materialize, materialize_batched, obs
+from repro import MaterializationDB, materialize, obs
 from repro.core import fast_materialize
-from repro.core.parallel import fork_available, map_sharded, resolve_n_jobs
+from repro.core.parallel import fork_available
 from repro.exceptions import ValidationError
+
+materialize_batched = MaterializationDB.materialize_batched
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -81,24 +84,6 @@ class TestCrossPathEquivalence:
         batched = materialize_batched(X, self.UB, index="kdtree", block_size=7)
         assert_same_db(std, batched, exact=True)
 
-    @needs_fork
-    def test_parallel_fast_bit_identical(
-        self, data_name, tie_ring, duplicate_heavy, random_points
-    ):
-        X = dataset(data_name, tie_ring, duplicate_heavy, random_points)
-        serial = fast_materialize(X, self.UB, block_size=5, n_jobs=1)
-        parallel = fast_materialize(X, self.UB, block_size=5, n_jobs=2)
-        assert_same_db(serial, parallel, exact=True)
-
-    @needs_fork
-    def test_parallel_query_loop_bit_identical(
-        self, data_name, tie_ring, duplicate_heavy, random_points
-    ):
-        X = dataset(data_name, tie_ring, duplicate_heavy, random_points)
-        serial = materialize(X, self.UB, n_jobs=1)
-        parallel = materialize(X, self.UB, n_jobs=2)
-        assert_same_db(serial, parallel, exact=True)
-
     def test_lof_scores_agree_across_paths(
         self, data_name, tie_ring, duplicate_heavy, random_points
     ):
@@ -133,22 +118,6 @@ class TestKernelCallCounters:
             == n * n
         )
 
-    @needs_fork
-    def test_parallel_counters_match_serial(self, random_points):
-        with obs.collect() as serial:
-            fast_materialize(random_points, 5, block_size=16, n_jobs=1)
-        with obs.collect() as parallel:
-            fast_materialize(random_points, 5, block_size=16, n_jobs=2)
-        assert serial["counters"] == parallel["counters"]
-
-    @needs_fork
-    def test_parallel_query_loop_counters_match_serial(self, random_points):
-        with obs.collect() as serial:
-            materialize(random_points, 5, n_jobs=1)
-        with obs.collect() as parallel:
-            materialize(random_points, 5, n_jobs=2)
-        assert serial["counters"] == parallel["counters"]
-
 
 class TestEdgeCases:
     def test_n2_ub1_every_block_size(self):
@@ -182,31 +151,6 @@ class TestEdgeCases:
             materialize_batched(random_points, 5, block_size=0)
 
 
-class TestNJobsResolution:
-    def test_none_and_one_are_serial(self):
-        assert resolve_n_jobs(None) == 1
-        assert resolve_n_jobs(1) == 1
-
-    def test_minus_one_uses_cpus(self):
-        assert resolve_n_jobs(-1) >= 1
-
-    @pytest.mark.parametrize("bad", [0, -2, 1.5, True, "2"])
-    def test_rejects_bad_values(self, bad):
-        with pytest.raises(ValidationError):
-            resolve_n_jobs(bad)
-
-    def test_map_sharded_preserves_order(self):
-        assert map_sharded(lambda x: x * x, range(7), 1) == [
-            0, 1, 4, 9, 16, 25, 36
-        ]
-
-    @needs_fork
-    def test_map_sharded_parallel_preserves_order(self):
-        assert map_sharded(lambda x: x * x, range(7), 3) == [
-            0, 1, 4, 9, 16, 25, 36
-        ]
-
-
 class TestLOFCache:
     def test_repeated_lof_costs_no_extra_scans(self, random_points):
         db = materialize(random_points, 8)
@@ -231,16 +175,6 @@ class TestLOFCache:
         assert a is db.lof(4)
         assert b is db.lof(5)
         assert not np.array_equal(a, b)
-
-
-class TestEstimatorAndSurface:
-    @needs_fork
-    def test_estimator_n_jobs_identical_scores(self, random_points):
-        from repro import LocalOutlierFactor
-
-        serial = LocalOutlierFactor(min_pts=(4, 6)).fit(random_points)
-        parallel = LocalOutlierFactor(min_pts=(4, 6), n_jobs=2).fit(random_points)
-        np.testing.assert_array_equal(serial.scores_, parallel.scores_)
 
 
 class TestForkWorkers:

@@ -177,7 +177,7 @@ class TestRL002ImportLayering:
             from ..exceptions import ValidationError
             from ..index import make_index
             from ..index.batch import scatter_padded
-            from .parallel import map_sharded
+            from .parallel import fork_available
             """,
             "src/repro/core/graph.py",
             "RL002",

@@ -34,10 +34,15 @@ class TestTopN:
         # Both name object 30 with the same score.
         assert "object 30" in topn_out and "object 30" in rank_out
 
+    def test_rejects_aggregate_it_would_ignore(self, dataset_csv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["topn", str(dataset_csv), "--min-pts", "5", "--aggregate", "mean"])
+        assert exit_info.value.code == EXIT_USER_ERROR
+
 
 class TestMaterializeSweep:
     def test_two_step_pipeline(self, dataset_csv, tmp_path, capsys):
-        mat_path = tmp_path / "m.mat"
+        mat_path = tmp_path / "m.rlof"
         code = main(
             ["materialize", str(dataset_csv), "--min-pts-ub", "10",
              "--out", str(mat_path)]
@@ -53,7 +58,7 @@ class TestMaterializeSweep:
         assert len(lines) == 8  # MinPts 3..10
 
     def test_sweep_respects_ub(self, dataset_csv, tmp_path, capsys):
-        mat_path = tmp_path / "m.mat"
+        mat_path = tmp_path / "m.rlof"
         main(["materialize", str(dataset_csv), "--min-pts-ub", "5",
               "--out", str(mat_path)])
         capsys.readouterr()
@@ -66,12 +71,78 @@ class TestMaterializeSweep:
         )
         data = tmp_path / "dup.csv"
         save_dataset(data, X)
-        mat_path = tmp_path / "m.mat"
+        mat_path = tmp_path / "m.rlof"
         code = main(
             ["materialize", str(data), "--min-pts-ub", "5",
              "--out", str(mat_path), "--duplicate-mode", "distinct"]
         )
         assert code == 0
+
+    def test_materialize_writes_a_store_matching_fit(
+        self, dataset_csv, tmp_path, capsys
+    ):
+        from repro import LocalOutlierFactor, MaterializationDB
+
+        mat_path = tmp_path / "m.rlof"
+        fit_path = tmp_path / "fit.rlof"
+        main(["materialize", str(dataset_csv), "--min-pts-ub", "8",
+              "--out", str(mat_path)])
+        main(["fit", str(dataset_csv), "--min-pts", "4", "8",
+              "--out", str(fit_path)])
+        mat = MaterializationDB.load(mat_path)
+        est = LocalOutlierFactor.load(fit_path)
+        np.testing.assert_array_equal(mat.padded_ids, est.graph_.padded_ids)
+        np.testing.assert_array_equal(mat.padded_dists, est.graph_.padded_dists)
+
+    def test_sweep_reads_a_fit_store(self, dataset_csv, tmp_path, capsys):
+        store = tmp_path / "fit.rlof"
+        main(["fit", str(dataset_csv), "--min-pts", "4", "8", "--out", str(store)])
+        capsys.readouterr()
+        code = main(["sweep", str(store), "--min-pts", "4", "8"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(lines) == 5  # MinPts 4..8
+
+    def test_sweep_corrupt_store_is_3(self, dataset_csv, tmp_path, capsys):
+        mat_path = tmp_path / "m.rlof"
+        main(["materialize", str(dataset_csv), "--min-pts-ub", "5",
+              "--out", str(mat_path)])
+        blob = bytearray(mat_path.read_bytes())
+        blob[-2] ^= 0xFF
+        mat_path.write_bytes(bytes(blob))
+        code = main(["sweep", str(mat_path), "--min-pts", "3", "5"])
+        assert code == EXIT_STORE_ERROR
+
+
+class TestRemovedFlags:
+    """One way to build M: the builder and fan-out switches are gone."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--engine", "chunked"], ["--n-jobs", "2"]],
+        ids=["engine", "n-jobs"],
+    )
+    @pytest.mark.parametrize("command", ["score", "fit", "rank"])
+    def test_fit_commands_reject(self, dataset_csv, tmp_path, command, flags):
+        argv = [command, str(dataset_csv), "--min-pts", "5", *flags]
+        if command != "rank":
+            argv += ["--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_USER_ERROR
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--batched"], ["--chunked"], ["--block-size", "64"],
+         ["--tile-bytes", "65536"], ["--n-jobs", "2"], ["--engine", "loop"]],
+        ids=["batched", "chunked", "block-size", "tile-bytes", "n-jobs", "engine"],
+    )
+    def test_materialize_rejects(self, dataset_csv, tmp_path, flags):
+        argv = ["materialize", str(dataset_csv), "--min-pts-ub", "5",
+                "--out", str(tmp_path / "m.rlof"), *flags]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_USER_ERROR
 
 
 @pytest.fixture

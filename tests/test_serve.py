@@ -19,6 +19,7 @@ Three contracts:
 
 import http.client
 import json
+import socket
 import subprocess
 import sys
 import threading
@@ -355,6 +356,29 @@ class TestHTTPServer:
         assert status == 400 and "features" in body["error"]
         status, body = self._request(srv, "/score", {"wrong": 1})
         assert status == 400
+
+    @pytest.mark.parametrize("length", [b"-1", b"abc"], ids=["negative", "non-integer"])
+    def test_bad_content_length_gets_400_and_worker_survives(self, server, length):
+        srv, _ = server
+        port = srv.server_address[1]
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /score HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                b"Content-Length: " + length + b"\r\n\r\n"
+            )
+            # The server answers and closes: a body of unknown extent
+            # leaves nothing to keep alive. A read that blocked on the
+            # body would time out here instead.
+            reply = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Content-Length must be a non-negative integer" in reply
+        status, _ = self._request(srv, "/score", {"points": [[40.0, 10.0]]})
+        assert status == 200
 
     def test_unknown_path_404(self, server):
         srv, _ = server
