@@ -7,13 +7,17 @@ that seeds the repo's performance trajectory (one file per engine; later
 PRs append runs next to it and compare):
 
 ``query_loop``
-    :func:`repro.core.materialize` — one ``query_with_ties`` per object
-    through the index front door (the paper's literal step 1, and the
-    only path ``LocalOutlierFactor`` and the CLI use).
+    :func:`repro.core.materialize` — the default step 1, the only path
+    ``LocalOutlierFactor`` and the CLI use: one ``query_batch_with_ties``
+    over all objects where the brute backend's box-pruned scan prunes
+    (``NNIndex.fast_batch``; n >= 544 at d = 3), one ``query_with_ties``
+    per object otherwise, with the same bits either way (the name is
+    kept for the trajectory).
 ``batched``
     :meth:`repro.core.MaterializationDB.materialize_batched` — one
-    ``query_batch_with_ties`` per block of queries; on the brute backend
-    one distance-kernel invocation per block.
+    ``query_batch_with_ties`` per block of queries. The pruned scan's
+    work per row does not depend on the block, so it evaluates exactly
+    as many distances as ``query_loop``.
 ``fast``
     :func:`repro.core.fast_materialize` — the chunked argkmin engine
     with ``strategy="auto"``: whole ``block_size × n`` slabs while they
@@ -32,8 +36,9 @@ deterministic :mod:`repro.obs` counters and span timers (the actual
 contract: ``distance.kernel_calls``, ``distance.evaluations``,
 ``knn.queries``, ``knn.batch_queries``, ``materialize.blocks``,
 ``argkmin.tiles``, ``argkmin.tile_bytes``). A ``derived`` section
-reports the kernel-call ratio of ``query_loop`` over ``batched`` per
-size — the acceptance trajectory number — plus, for the ``fast`` and
+reports, per size, the ``distance.evaluations`` of ``query_loop`` and
+``batched`` against the ``n^2`` of a full scan — how many pairs the box
+pruning skips, the acceptance trajectory number — plus, for the ``fast`` and
 ``chunked`` engine paths, the wall-clock speedup over ``query_loop``
 and the peak-RSS ratio, so the engine win is a recorded
 number instead of raw-row archaeology. (RSS is the OS high-water mark
@@ -85,6 +90,10 @@ RESULT_FIELDS = {
 }
 
 
+#: integer fields of every ``derived.evaluations_vs_query_loop`` record.
+EVALUATION_FIELDS = ("query_loop_evaluations", "batched_evaluations", "all_pairs")
+
+
 def _run_one(path, X, ub, block_size, index_name, tile_bytes):
     from repro import obs
     from repro.core import MaterializationDB, fast_materialize, materialize
@@ -125,7 +134,7 @@ def run(args) -> dict:
             if path in ("query_loop", "batched") and n > args.max_loop_n:
                 print(
                     f"n={n:>6} path={path:<10} skipped (> --max-loop-n "
-                    f"{args.max_loop_n}; per-object front door)",
+                    f"{args.max_loop_n}; index front door)",
                     file=sys.stderr,
                 )
                 continue
@@ -158,21 +167,23 @@ def run(args) -> dict:
                 f"wall={wall:8.4f}s peak_rss={peak_rss_kb / 1024:7.1f}MB "
                 f"kernel_calls="
                 f"{counters.get('distance.kernel_calls', 0)} "
+                f"evaluations={counters.get('distance.evaluations', 0)} "
                 f"tile_bytes={counters.get('argkmin.tile_bytes', 0)}",
                 file=sys.stderr,
             )
 
-    derived = {}
+    evaluations = {}
     for n in args.sizes:
         loop = [r for r in results if r["n"] == n and r["path"] == "query_loop"]
         batched = [r for r in results if r["n"] == n and r["path"] == "batched"]
         if loop and batched:
-            lc = loop[0]["counters"].get("distance.kernel_calls", 0)
-            bc = batched[0]["counters"].get("distance.kernel_calls", 0)
-            derived[str(n)] = {
-                "query_loop_kernel_calls": lc,
-                "batched_kernel_calls": bc,
-                "kernel_call_ratio": round(lc / bc, 2) if bc else None,
+            le = loop[0]["counters"].get("distance.evaluations", 0)
+            be = batched[0]["counters"].get("distance.evaluations", 0)
+            evaluations[str(n)] = {
+                "query_loop_evaluations": le,
+                "batched_evaluations": be,
+                "all_pairs": n * n,
+                "evaluation_ratio": round(n * n / le, 2) if le else None,
             }
 
     speedups = {}
@@ -219,7 +230,7 @@ def run(args) -> dict:
         },
         "results": results,
         "derived": {
-            "kernel_calls_vs_query_loop": derived,
+            "evaluations_vs_query_loop": evaluations,
             "speedup_vs_query_loop": speedups,
         },
     }
@@ -233,6 +244,19 @@ def validate(payload) -> list:
     for section in ("config", "environment", "derived"):
         if not isinstance(payload.get(section), dict):
             problems.append(f"missing or non-dict section {section!r}")
+    evaluations = (payload.get("derived") or {}).get("evaluations_vs_query_loop")
+    if not isinstance(evaluations, dict):
+        problems.append("derived.evaluations_vs_query_loop must be a dict")
+    else:
+        for n, rec in evaluations.items():
+            if not isinstance(rec, dict) or not all(
+                isinstance(rec.get(key), int) and not isinstance(rec.get(key), bool)
+                for key in EVALUATION_FIELDS
+            ):
+                problems.append(
+                    f"derived.evaluations_vs_query_loop[{n!r}] must hold "
+                    f"integer {', '.join(EVALUATION_FIELDS)}"
+                )
     results = payload.get("results")
     if not isinstance(results, list) or not results:
         problems.append("results must be a non-empty list")
@@ -285,9 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-loop-n", type=int, default=5000, metavar="N",
-        help="skip the per-object paths (query_loop, batched) above this "
-             "size — they scale O(n) Python calls and teach nothing at "
-             "100k (default: 5000)",
+        help="skip the index front-door paths (query_loop, batched) "
+             "above this size (default: 5000)",
     )
     parser.add_argument("--index", default="brute")
     parser.add_argument("--seed", type=int, default=0)

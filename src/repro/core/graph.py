@@ -11,8 +11,9 @@ neighborhood structure:
 * :class:`NeighborhoodGraph` — the static columnar graph: padded
   ``(n, width)`` id/distance arrays covering every ``k <= k_max``, with
   cached per-k slice views. Built from padded arrays, from ragged rows,
-  from an :class:`~repro.index.NNIndex` (per-object loop or batched
-  front door), or from CSR blocks (the blocked fast path);
+  from an :class:`~repro.index.NNIndex` (one batch call, one query per
+  object, or blocks of rows), or from CSR blocks (the blocked fast
+  path);
 * :class:`DynamicNeighborhoodGraph` — the mutable flavor for
   insert/delete workloads: per-row updates over a sparse integer handle
   space, and ``subview(handles)`` to hand any dirty subset to the same
@@ -32,7 +33,7 @@ handshake, estimator, CLI) compose the three — see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -206,21 +207,29 @@ class NeighborhoodGraph:
         index="brute",
         metric="euclidean",
     ) -> "NeighborhoodGraph":
-        """Build via one tie-inclusive query per object (step 1's loop).
+        """Build step 1: every object's tie-inclusive k_max-neighborhood.
 
-        ``index`` may be a registry name, an :class:`~repro.index.NNIndex`
-        class, or a fitted/unfitted instance.
+        Where the index's batch does less work than a query per object
+        (:attr:`~repro.index.NNIndex.fast_batch`: the brute backend's
+        box-pruned scan), one
+        :meth:`~repro.index.NNIndex.query_batch_with_ties` call over the
+        whole dataset, each object excluding itself; otherwise one
+        :meth:`~repro.index.NNIndex.query_with_ties` per object. Both
+        give the same rows bit for bit. ``index`` may be a registry
+        name, an :class:`~repro.index.NNIndex` class, or a fitted/unfitted
+        instance.
         """
         X = check_data(X, min_rows=2)
-        k_max = check_min_pts(k_max, X.shape[0], name="k_max")
+        n = X.shape[0]
+        k_max = check_min_pts(k_max, n, name="k_max")
         nn_index = _resolve_index(index, metric, X)
-        rows_ids: List[np.ndarray] = []
-        rows_dists: List[np.ndarray] = []
-        for i in range(X.shape[0]):
-            hood = nn_index.query_with_ties(X[i], k_max, exclude=i)
-            rows_ids.append(hood.ids.astype(np.int64))
-            rows_dists.append(hood.distances.astype(np.float64))
-        return cls.from_rows(rows_ids, rows_dists, k_max=k_max)
+        if nn_index.fast_batch:
+            padded_ids, padded_dists = nn_index.query_batch_with_ties(
+                X, k_max, exclude=np.arange(n)
+            )
+            return cls(padded_ids, padded_dists, k_max=k_max)
+        hoods = [nn_index.query_with_ties(X[i], k_max, exclude=i) for i in range(n)]
+        return cls.from_rows([h.ids for h in hoods], [h.distances for h in hoods], k_max=k_max)
 
     @classmethod
     def from_index_batched(

@@ -168,14 +168,16 @@ class MaterializationDB:
     ) -> "MaterializationDB":
         """Step 1 of the two-step algorithm: build M from dataset ``X``.
 
-        One tie-inclusive :meth:`~repro.index.NNIndex.query_with_ties`
-        per object, the paper's literal step 1. ``index`` may be a
-        registry name ('brute', 'grid', 'kdtree', 'balltree', 'rstar',
-        'xtree', 'vafile'), an :class:`NNIndex` class, or a
-        fitted/unfitted instance. On 'brute' each row's distances come
-        from the same ``Metric.pairwise_to_point`` kernel the online
-        scorer uses for novel points, so served and fitted values agree
-        bit for bit.
+        Every object's tie-inclusive MinPtsUB-neighborhood, the paper's
+        step 1, from one :meth:`~repro.index.NNIndex.query_batch_with_ties`
+        call (:meth:`NeighborhoodGraph.from_index`); its rows equal one
+        :meth:`~repro.index.NNIndex.query_with_ties` per object. ``index``
+        may be a registry name ('brute', 'grid', 'kdtree', 'balltree',
+        'rstar', 'xtree', 'vafile'), an :class:`NNIndex` class, or a
+        fitted/unfitted instance. On 'brute' the box-pruned scan computes
+        each distance with the same subtraction and row kernel as the
+        ``Metric.pairwise_to_point`` the online scorer uses for novel
+        points, so served and fitted values agree bit for bit.
         """
         X = check_data(X, min_rows=2)
         n = X.shape[0]
@@ -209,14 +211,16 @@ class MaterializationDB:
         """Step 1 through the batched index front door.
 
         Issues one :meth:`~repro.index.NNIndex.query_batch_with_ties`
-        call per block of ``block_size`` query rows instead of one
-        Python-level query per object — O(n / block_size) front-door
-        crossings, and on the brute backend O(n / block_size) distance
-        kernel invocations. Neighbor sets, tie handling and the
-        (distance, id) order are identical to :meth:`materialize`; on
-        the brute backend distances match
-        :func:`~repro.core.blocked.fast_materialize` bit-for-bit at equal
-        ``block_size``. ``duplicate_mode='distinct'`` post-extends the
+        call per block of ``block_size`` query rows instead of one over
+        all objects — O(n / block_size) front-door crossings, and on the
+        brute backend a few distance kernel invocations per block. On
+        every backend the graph is identical to :meth:`materialize`'s,
+        distances included, bit for bit: each block runs the same batch
+        query, and the brute backend's pruned scan evaluates the same
+        pairs for a row whatever block it is in. (It is not bit-identical
+        to :func:`~repro.core.blocked.fast_materialize`, whose expanded
+        BLAS distances differ by ulps on non-integer data.)
+        ``duplicate_mode='distinct'`` post-extends the
         few rows whose plain neighborhoods do not cover MinPtsUB
         distinct locations (see :func:`ensure_distinct_coverage`).
         Library code only: the estimator and the CLI build M with

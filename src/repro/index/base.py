@@ -192,6 +192,13 @@ class NNIndex(ABC):
         self._require_fitted()
         return self._X.shape[1]
 
+    @property
+    def fast_batch(self) -> bool:
+        """Whether :meth:`query_batch_with_ties` over the fitted points
+        does less work than one :meth:`query_with_ties` per row. False
+        here: the generic batch is that per-row loop."""
+        return False
+
     def _require_fitted(self) -> None:
         if self._X is None:
             raise NotFittedError(f"{type(self).__name__} is not fitted; call fit(X)")

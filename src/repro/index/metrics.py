@@ -2,7 +2,7 @@
 
 The paper writes ``d(p, q)`` abstractly; its experiments use Euclidean
 distance. We provide the Minkowski family plus Chebyshev, each exposed
-through a small object with three capabilities:
+through a small object with these capabilities:
 
 ``pairwise_to_point(X, q)``
     distances from every row of ``X`` to the single point ``q``
@@ -11,9 +11,22 @@ through a small object with three capabilities:
 ``distance(p, q)``
     a single distance;
 
-``min_distance_to_rect(q, lo, hi)`` / ``max_distance_to_rect``
-    lower/upper bounds between a point and an axis-aligned rectangle,
-    which is what tree indexes (kd-tree, R*-tree, X-tree) need to prune.
+``paired_distances(A, B)``
+    the distance between ``A[i]`` and ``B[i]`` for every row ``i``, each
+    bit-identical to the matching ``pairwise_to_point`` entry (the
+    pruned brute scan's stacked candidate pairs);
+
+``gap_norms(gaps)`` / ``min_distance_to_rect(q, lo, hi)``
+    lower bounds between boxes (or a point and a box) from per-axis
+    gaps, for many rows at once or for one point, which is what tree
+    indexes (kd-tree, R*-tree, X-tree) and the pruned brute scan need
+    to prune; ``max_distance_to_rect`` is the matching upper bound.
+
+Every built-in metric is the norm of a difference, computed by one row
+kernel ``_row_norms(diff)``: ``pairwise_to_point`` and
+``paired_distances`` both subtract first and then reduce each row with
+it, and the lower bounds reduce gaps with it. The reduction is row-local, so a distance does not depend on which
+other rows share its block.
 """
 
 from __future__ import annotations
@@ -93,6 +106,27 @@ class Metric:
         obs.record_kernel(len(X))
         return self._pairwise_to_point(X, q)
 
+    def paired_distances(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """``d(A[i], B[i])`` for every row ``i`` of two equal-shape blocks.
+
+        Entry ``i`` equals ``pairwise_to_point(X, B[i])`` at the row of
+        ``X`` holding ``A[i]``, bit for bit: both subtract elementwise,
+        then run the same row kernel.
+        """
+        obs.record_kernel(len(A))
+        return self._row_norms(A - B)
+
+    def gap_norms(self, gaps: np.ndarray) -> np.ndarray:
+        """The row kernel applied to non-negative per-axis box gaps.
+
+        Row ``i`` of ``gaps`` holds, per axis, how far apart two boxes
+        (or a point and a box) are at least. Rounding is monotone and
+        the kernel is the one that computes distances, so the result
+        never exceeds any computed distance between points of the two
+        boxes. A bound, not a distance evaluation: not counted.
+        """
+        return self._row_norms(gaps)
+
     def pairwise(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Full (n, m) distance matrix between rows of X and rows of Y."""
         obs.record_kernel(X.shape[0] * Y.shape[0])
@@ -123,8 +157,12 @@ class Metric:
     def _distance(self, p: np.ndarray, q: np.ndarray) -> float:
         raise NotImplementedError
 
-    def _pairwise_to_point(self, X: np.ndarray, q: np.ndarray) -> np.ndarray:
+    def _row_norms(self, diff: np.ndarray) -> np.ndarray:
+        """The row kernel: the norm of every row of a difference block."""
         raise NotImplementedError
+
+    def _pairwise_to_point(self, X: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return self._row_norms(X - q)
 
     def _pairwise(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         out = np.empty((X.shape[0], Y.shape[0]))
@@ -138,8 +176,11 @@ class Metric:
     def min_distance_to_rect(
         self, q: np.ndarray, lo: np.ndarray, hi: np.ndarray
     ) -> float:
-        """Smallest possible distance from q to any point in [lo, hi]."""
-        raise NotImplementedError
+        """Smallest possible distance from q to any point in [lo, hi]:
+        :meth:`gap_norms` of q's per-axis gaps to the box, so it never
+        exceeds a distance computed to a point of the box."""
+        gaps = np.maximum(np.maximum(lo - q, q - hi), 0.0)
+        return float(self.gap_norms(gaps[None, :])[0])
 
     def max_distance_to_rect(
         self, q: np.ndarray, lo: np.ndarray, hi: np.ndarray
@@ -160,8 +201,7 @@ class EuclideanMetric(Metric):
         diff = np.asarray(p, dtype=np.float64) - np.asarray(q, dtype=np.float64)
         return float(np.sqrt(np.dot(diff, diff)))
 
-    def _pairwise_to_point(self, X, q):
-        diff = X - q
+    def _row_norms(self, diff):
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
     def _pairwise(self, X, Y):
@@ -189,11 +229,6 @@ class EuclideanMetric(Metric):
 
         return tile
 
-    def min_distance_to_rect(self, q, lo, hi):
-        clipped = np.minimum(np.maximum(q, lo), hi)
-        diff = q - clipped
-        return float(np.sqrt(np.dot(diff, diff)))
-
     def max_distance_to_rect(self, q, lo, hi):
         far = np.where(np.abs(q - lo) > np.abs(q - hi), lo, hi)
         diff = q - far
@@ -208,12 +243,8 @@ class ManhattanMetric(Metric):
     def _distance(self, p, q):
         return float(np.sum(np.abs(np.asarray(p, dtype=np.float64) - q)))
 
-    def _pairwise_to_point(self, X, q):
-        return np.sum(np.abs(X - q), axis=1)
-
-    def min_distance_to_rect(self, q, lo, hi):
-        clipped = np.minimum(np.maximum(q, lo), hi)
-        return float(np.sum(np.abs(q - clipped)))
+    def _row_norms(self, diff):
+        return np.sum(np.abs(diff), axis=1)
 
     def max_distance_to_rect(self, q, lo, hi):
         far = np.where(np.abs(q - lo) > np.abs(q - hi), lo, hi)
@@ -228,12 +259,8 @@ class ChebyshevMetric(Metric):
     def _distance(self, p, q):
         return float(np.max(np.abs(np.asarray(p, dtype=np.float64) - q)))
 
-    def _pairwise_to_point(self, X, q):
-        return np.max(np.abs(X - q), axis=1)
-
-    def min_distance_to_rect(self, q, lo, hi):
-        clipped = np.minimum(np.maximum(q, lo), hi)
-        return float(np.max(np.abs(q - clipped)))
+    def _row_norms(self, diff):
+        return np.max(np.abs(diff), axis=1)
 
     def max_distance_to_rect(self, q, lo, hi):
         far = np.where(np.abs(q - lo) > np.abs(q - hi), lo, hi)
@@ -255,12 +282,8 @@ class MinkowskiMetric(Metric):
         diff = np.abs(np.asarray(p, dtype=np.float64) - q)
         return float(np.sum(diff ** self.p) ** (1.0 / self.p))
 
-    def _pairwise_to_point(self, X, q):
-        return np.sum(np.abs(X - q) ** self.p, axis=1) ** (1.0 / self.p)
-
-    def min_distance_to_rect(self, q, lo, hi):
-        clipped = np.minimum(np.maximum(q, lo), hi)
-        return float(np.sum(np.abs(q - clipped) ** self.p) ** (1.0 / self.p))
+    def _row_norms(self, diff):
+        return np.sum(np.abs(diff) ** self.p, axis=1) ** (1.0 / self.p)
 
     def max_distance_to_rect(self, q, lo, hi):
         far = np.where(np.abs(q - lo) > np.abs(q - hi), lo, hi)

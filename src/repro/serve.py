@@ -122,6 +122,11 @@ __all__ = [
 
 _MISSING = object()
 
+#: Largest request body a POST may declare. A larger ``Content-Length``
+#: is answered 413 before any of the body is read, and the connection
+#: is closed, since the unread body would otherwise follow as garbage.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
 
 class _PendingScore:
     """A score another thread is computing right now (single-flight).
@@ -1015,11 +1020,15 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._reply(404, {"error": f"unknown path {self.path!r}"})
 
-    def _read_json_body(self):
+    def _content_length(self) -> int:
+        """The declared body length; -1 when it is not an integer."""
         try:
-            length = int(self.headers.get("Content-Length", 0))
+            return int(self.headers.get("Content-Length", 0))
         except ValueError:
-            length = -1
+            return -1
+
+    def _read_json_body(self):
+        length = self._content_length()
         if length < 0:
             # rfile.read(-1) would block until the peer closes, and a
             # body of unknown extent leaves the connection unusable.
@@ -1031,6 +1040,15 @@ class _Handler(BaseHTTPRequestHandler):
         return json.loads(raw.decode("utf-8"))
 
     def _handle_post(self) -> None:
+        length = self._content_length()
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            self._reply(
+                413,
+                {"error": f"request body of {length} bytes exceeds the "
+                          f"{MAX_BODY_BYTES}-byte limit"},
+            )
+            return
         if self.path == "/admin/reload":
             self._handle_reload()
             return

@@ -67,6 +67,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Union
@@ -370,19 +372,33 @@ def _write(path: Path, header: Dict, sections: Dict[str, np.ndarray]) -> Path:
         if encoded == blob:
             break
         blob = encoded
-    with path.open("wb") as fh:
-        fh.write(MAGIC)
-        fh.write(int(FORMAT_VERSION).to_bytes(4, "little"))
-        fh.write(b"\x00\x00\x00\x00")
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        pos = _HEADER_FIXED + len(blob)
-        for entry, payload in zip(table, payloads):
-            fh.write(b"\x00" * (entry["offset"] - pos))
-            fh.write(payload)
-            pos = entry["offset"] + entry["nbytes"]
+    # Write a temp file beside the target, then rename it over the path:
+    # a reader sees the old store or the new one, never a torn one, and
+    # a server that memory-mapped the old file keeps its (unlinked)
+    # inode instead of having it truncated underneath.
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
+    try:
+        with tmp.open("xb") as fh:
+            _write_body(fh, blob, table, payloads)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     obs.incr("store.saves")
     return path
+
+
+def _write_body(fh, blob: bytes, table, payloads) -> None:
+    fh.write(MAGIC)
+    fh.write(int(FORMAT_VERSION).to_bytes(4, "little"))
+    fh.write(b"\x00\x00\x00\x00")
+    fh.write(len(blob).to_bytes(8, "little"))
+    fh.write(blob)
+    pos = _HEADER_FIXED + len(blob)
+    for entry, payload in zip(table, payloads):
+        fh.write(b"\x00" * (entry["offset"] - pos))
+        fh.write(payload)
+        pos = entry["offset"] + entry["nbytes"]
 
 
 def _align(offset: int) -> int:

@@ -73,3 +73,13 @@ def random_points():
     """120 unstructured points for equivalence/oracle testing."""
     rng = np.random.default_rng(123)
     return rng.normal(size=(120, 3))
+
+
+@pytest.fixture
+def clustered_points():
+    """1200 points in four tight clusters in d=3: enough kd leaves (128)
+    for the brute batch to run its box-pruned scan."""
+    rng = np.random.default_rng(7)
+    centers = rng.uniform(-10, 10, size=(4, 3))
+    labels = rng.integers(0, 4, 1200)
+    return centers[labels] + rng.normal(scale=0.5, size=(1200, 3))

@@ -4,8 +4,9 @@ forked-worker primitives of the serving fleet.
 One database, three ways to build it — per-query loop (the one path
 the estimator and the CLI use), batched front door, blocked fast path.
 Equivalence is the contract (docs/performance.md): identical neighbor
-ids and (distance, id) order everywhere; bit-identical distances within
-the vectorized family; and the batched paths must cost O(n / block_size)
+ids and (distance, id) order everywhere; bit-identical distances between
+the default build and the batched front door, which share the per-row
+distance kernel; and the batched paths must cost O(n / block_size)
 distance-kernel invocations, asserted on repro.obs counters (never the
 clock).
 """
@@ -67,14 +68,17 @@ class TestCrossPathEquivalence:
             # (the blocked kernel uses the expanded BLAS form).
             assert_same_db(std, fast, exact=False)
 
-    def test_batched_bit_identical_to_fast(
+    def test_batched_equals_loop(
         self, data_name, tie_ring, duplicate_heavy, random_points
     ):
+        # Every block of the batched path runs the same box-pruned brute
+        # scan, with the same per-row distance kernel, as the one-call
+        # default build.
         X = dataset(data_name, tie_ring, duplicate_heavy, random_points)
+        std = materialize(X, self.UB)
         for bs in (1, 7, len(X), len(X) + 13):
-            fast = fast_materialize(X, self.UB, block_size=bs)
             batched = materialize_batched(X, self.UB, block_size=bs)
-            assert_same_db(fast, batched, exact=True)
+            assert_same_db(std, batched, exact=True)
 
     def test_batched_matches_loop_on_tree_backend(
         self, data_name, tie_ring, duplicate_heavy, random_points
@@ -96,26 +100,33 @@ class TestCrossPathEquivalence:
 
 
 class TestKernelCallCounters:
-    def test_batched_brute_is_o_n_over_block(self, random_points):
-        n = len(random_points)  # 120
-        block = 32  # -> ceil(120/32) = 4 blocks
+    def test_batched_brute_is_o_n_over_block(self, clustered_points):
+        n = len(clustered_points)  # 1200
+        block = 300  # -> 4 blocks
         with obs.collect() as loop:
-            materialize(random_points, 5)
+            materialize(clustered_points, 5)
         with obs.collect() as batched:
-            materialize_batched(random_points, 5, block_size=block)
-        assert loop["counters"]["distance.kernel_calls"] == n
-        assert batched["counters"]["distance.kernel_calls"] == 4
+            materialize_batched(clustered_points, 5, block_size=block)
+        # The default build is one batch call over all n rows (1200
+        # points in d=3 are enough for the pruned scan); the batched path
+        # one per block. Each batch call makes a few kernel
+        # calls over stacked pairs, far fewer than one per row.
+        assert loop["counters"]["knn.batch_queries"] == 1
         assert batched["counters"]["knn.batch_queries"] == 4
-        # Both issue n logical queries and compute n^2 scalar distances.
+        assert loop["counters"]["distance.kernel_calls"] * 100 <= n
+        assert batched["counters"]["distance.kernel_calls"] * 25 <= n
         assert (
             loop["counters"]["knn.queries"]
             == batched["counters"]["knn.queries"]
             == n
         )
+        # Which pairs a row evaluates depends on that row alone, so both
+        # paths evaluate the same pairs, and the boxes skip most of the
+        # n^2 on clustered d=3 data.
         assert (
             loop["counters"]["distance.evaluations"]
             == batched["counters"]["distance.evaluations"]
-            == n * n
+            < n * n
         )
 
 

@@ -3,8 +3,9 @@
 Contract under test (docs/performance.md): every backend answers a
 batch exactly like the corresponding per-query calls — same ids, same
 deterministic (distance, id) order, Definition 4 tie inclusion — with
-rows padded to the widest neighborhood (-1 / inf), and the brute
-backend does it in one distance-kernel invocation per batch.
+rows padded to the widest neighborhood (-1 / inf). The brute backend
+answers with its box-pruned scan: bit-identical distances, a few
+distance-kernel invocations per batch, and exactly counted evaluations.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro import obs
 from repro.exceptions import NotFittedError, ValidationError
 from repro.index import make_index
 from repro.index.base import KBestHeap
+from repro.index.metrics import EuclideanMetric
 from repro.index.batch import pack_padded, select_tie_inclusive
 
 BACKENDS = ["brute", "grid", "kdtree", "balltree", "rstar", "xtree", "vafile"]
@@ -49,9 +51,13 @@ class TestBatchMatchesPerQuery:
             hood = idx.query_with_ties(tied_points[i], 3, exclude=i)
             L = len(hood)
             np.testing.assert_array_equal(ids[i, :L], hood.ids)
-            np.testing.assert_allclose(
-                dists[i, :L], hood.distances, rtol=1e-9, atol=1e-7
-            )
+            if backend == "brute":
+                # The pruned batch scan shares the per-row kernel.
+                np.testing.assert_array_equal(dists[i, :L], hood.distances)
+            else:
+                np.testing.assert_allclose(
+                    dists[i, :L], hood.distances, rtol=1e-9, atol=1e-7
+                )
             assert np.all(ids[i, L:] == -1)
             assert np.all(np.isinf(dists[i, L:]))
 
@@ -63,9 +69,12 @@ class TestBatchMatchesPerQuery:
         for i in range(9):
             hood = idx.query(Q[i], 5)
             np.testing.assert_array_equal(ids[i], hood.ids)
-            np.testing.assert_allclose(
-                dists[i], hood.distances, rtol=1e-9, atol=1e-7
-            )
+            if backend == "brute":
+                np.testing.assert_array_equal(dists[i], hood.distances)
+            else:
+                np.testing.assert_allclose(
+                    dists[i], hood.distances, rtol=1e-9, atol=1e-7
+                )
 
     def test_partial_exclusion_vector(self, backend, random_points):
         # -1 entries mean "no exclusion for this row".
@@ -77,16 +86,39 @@ class TestBatchMatchesPerQuery:
         assert 2 not in ids[2]
 
 
+class CountingEuclidean(EuclideanMetric):
+    """Counts the distances its row kernel actually computes."""
+
+    computed = 0
+
+    def _row_norms(self, diff):
+        self.computed += len(diff)
+        return super()._row_norms(diff)
+
+    def gap_norms(self, gaps):
+        # Box bounds run the same kernel but are not distances.
+        return super()._row_norms(gaps)
+
+
 class TestBruteVectorizedPath:
-    def test_one_kernel_call_per_batch(self, random_points):
-        idx = make_index("brute").fit(random_points)
-        n = len(random_points)
+    def test_one_kernel_call_per_batch(self, clustered_points):
+        # One batch crossing for the whole batch; the box-pruned scan
+        # makes a few kernel calls (first node, nearest leaves, the
+        # rest), each over many stacked pairs.
+        metric = CountingEuclidean()
+        idx = make_index("brute", metric=metric).fit(clustered_points)
+        n = len(clustered_points)
         with obs.collect() as snap:
-            idx.query_batch_with_ties(random_points, 5, exclude=np.arange(n))
-        assert snap["counters"]["distance.kernel_calls"] == 1
-        assert snap["counters"]["knn.batch_queries"] == 1
-        assert snap["counters"]["knn.queries"] == n
-        assert snap["counters"]["distance.evaluations"] == n * n
+            idx.query_batch_with_ties(clustered_points, 5, exclude=np.arange(n))
+        counters = snap["counters"]
+        assert counters["knn.batch_queries"] == 1
+        assert counters["knn.queries"] == n
+        assert counters["distance.kernel_calls"] * 100 <= n
+        # Evaluations are counted exactly, and the boxes skip most of
+        # the n^2 pairs on clustered low-dimensional data.
+        assert counters["distance.evaluations"] == metric.computed
+        assert counters["distance.evaluations"] == idx.stats.distance_evaluations
+        assert counters["distance.evaluations"] < n * n
 
     def test_per_index_stats_count_batch_rows(self, random_points):
         idx = make_index("brute").fit(random_points)

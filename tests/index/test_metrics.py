@@ -66,6 +66,29 @@ class TestVectorizedAgreement:
         for i in range(len(X)):
             assert batch[i] == pytest.approx(metric.distance(X[i], q))
 
+    @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    def test_paired_distances_bit_identical_to_pairwise_to_point(self, metric, d):
+        rng = np.random.default_rng(4)
+        A = np.round(rng.normal(size=(40, d)), 3)
+        B = rng.normal(size=(40, d))
+        paired = metric.paired_distances(A, B)
+        for i in range(len(A)):
+            assert paired[i] == metric.pairwise_to_point(A, B[i])[i]
+
+    @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
+    def test_gap_norms_never_exceed_computed_distances(self, metric):
+        rng = np.random.default_rng(5)
+        box = np.round(rng.normal(size=(30, 3)), 1)
+        lo, hi = box.min(axis=0), box.max(axis=0)
+        Q = np.round(rng.normal(scale=3.0, size=(50, 3)), 1)
+        gaps = np.maximum(np.maximum(lo - Q, Q - hi), 0.0)
+        bounds = metric.gap_norms(gaps)
+        for q, bound in zip(Q, bounds):
+            assert bound <= metric.pairwise_to_point(box, q).min()
+            # The trees' one-point bound is the same reduction.
+            assert metric.min_distance_to_rect(q, lo, hi) == bound
+
     def test_euclidean_full_pairwise(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(15, 3))

@@ -33,7 +33,7 @@ from repro import LocalOutlierFactor, MaterializationDB, obs
 from repro.core.parallel import fork_available
 from repro.core.range_lof import _AGGREGATES
 from repro.exceptions import ServeError, StoreMismatchError, ValidationError
-from repro.serve import LRUCache, OnlineScorer, ScoreBatcher, make_server
+from repro.serve import MAX_BODY_BYTES, LRUCache, OnlineScorer, ScoreBatcher, make_server
 from repro.store import load_model, save_model, store_fingerprint
 
 
@@ -377,6 +377,28 @@ class TestHTTPServer:
                 reply += chunk
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert b"Content-Length must be a non-negative integer" in reply
+        status, _ = self._request(srv, "/score", {"points": [[40.0, 10.0]]})
+        assert status == 200
+
+    def test_oversize_body_gets_413_and_worker_survives(self, server):
+        srv, _ = server
+        port = srv.server_address[1]
+        length = str(MAX_BODY_BYTES + 1).encode()
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            # Only the headers go out: a server that tried to read the
+            # declared body would block here until the timeout.
+            sock.sendall(
+                b"POST /score HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                b"Content-Length: " + length + b"\r\n\r\n"
+            )
+            reply = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert b"exceeds the" in reply
         status, _ = self._request(srv, "/score", {"points": [[40.0, 10.0]]})
         assert status == 200
 

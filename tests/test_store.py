@@ -214,6 +214,41 @@ class TestCorruption:
         assert MAGIC == b"REPROLOF" and len(MAGIC) == 8
 
 
+class TestAtomicWrites:
+    """Saves go to a temp file that is renamed over the target path."""
+
+    def test_memmapped_model_survives_overwrite(self, tmp_path, mixed_density):
+        path = tmp_path / "m.rlof"
+        old = MaterializationDB.materialize(mixed_density, 6)
+        old.save(path, X=mixed_density)
+        mapped = load_model(path, mmap=True)
+        before = np.array(mapped.mat.padded_dists)
+        # Refit to the same path while the first model is still mapped.
+        shifted = mixed_density * 3.0 + 1.0
+        MaterializationDB.materialize(shifted, 8).save(path, X=shifted)
+        assert np.array_equal(np.asarray(mapped.mat.padded_dists), before)
+        assert np.array_equal(np.asarray(mapped.X), mixed_density)
+        assert load_model(path).mat.min_pts_ub == 8
+
+    def test_failed_write_keeps_previous_store(self, tmp_path, mixed_density, monkeypatch):
+        import repro.store as store
+
+        path = tmp_path / "m.rlof"
+        MaterializationDB.materialize(mixed_density, 6).save(path, X=mixed_density)
+        original = path.read_bytes()
+
+        def torn(fh, blob, table, payloads):
+            fh.write(MAGIC)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store, "_write_body", torn)
+        with pytest.raises(OSError, match="disk full"):
+            MaterializationDB.materialize(mixed_density, 8).save(path, X=mixed_density)
+        assert path.read_bytes() == original
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.rlof"]
+        assert load_model(path).mat.min_pts_ub == 6
+
+
 class TestMetadata:
     def test_stored_model_properties(self, tmp_path, mixed_density):
         mat = MaterializationDB.materialize(mixed_density, 6)
