@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Benchmark harness for the step-1 materialization engine.
+"""Benchmark harness for step-1 materialization and the step-2 sweep.
 
 Measures the three materialization paths over a grid of dataset sizes,
 serially, and emits a machine-readable ``BENCH_materialize.json``
@@ -28,6 +28,16 @@ PRs append runs next to it and compare):
     ``--tile-bytes`` regardless of n. This is the only front-door path
     run at very large n (above ``--max-loop-n`` the per-object paths
     are skipped: a 100k query loop takes minutes and teaches nothing).
+``sweep``
+    Step 2, not step 1: the wall time and peak RSS of
+    :func:`repro.core.range_lof.score_range` over a prebuilt M
+    (``materialization=mat``) at the fixed :data:`SWEEP` shape — n=2000,
+    d=16, MinPts 10..200, the ``fit_wide`` shape of the repo benchmark
+    — whatever ``--sizes`` says. It runs once, in a fresh interpreter,
+    so its peak RSS is the sweep's own and not the high-water mark of
+    the rows before it; M is built there untimed. ``derived.step2_sweep``
+    repeats its numbers with the ``mscan.passes`` and ``graph.views``
+    counters (two scans per MinPts, and no CSR view built).
 
 Every run records wall-clock seconds and the process peak RSS
 (``resource.getrusage`` — the OS high-water mark, monotone across the
@@ -55,6 +65,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_materialize.py \
         --sizes 500 1000 2000 100000 --paths query_loop batched fast chunked
 
+    # the step-2 sweep alone:
+    PYTHONPATH=src python benchmarks/bench_materialize.py --paths sweep
+
     # CI schema check of an emitted file:
     python benchmarks/bench_materialize.py --validate BENCH_materialize.json
 """
@@ -63,8 +76,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import resource
+import subprocess
 import sys
 import time
 
@@ -92,6 +107,21 @@ RESULT_FIELDS = {
 
 #: integer fields of every ``derived.evaluations_vs_query_loop`` record.
 EVALUATION_FIELDS = ("query_loop_evaluations", "batched_evaluations", "all_pairs")
+
+#: The shape the ``sweep`` path times: the repo benchmark's fit_wide.
+SWEEP = {"n": 2000, "dim": 16, "min_pts_lb": 10, "min_pts_ub": 200}
+
+#: typed fields of ``derived.step2_sweep``.
+SWEEP_FIELDS = {
+    "n": int,
+    "dim": int,
+    "min_pts_lb": int,
+    "min_pts_ub": int,
+    "wall_s": float,
+    "peak_rss_kb": int,
+    "mscan_passes": int,
+    "graph_views": int,
+}
 
 
 def _run_one(path, X, ub, block_size, index_name, tile_bytes):
@@ -125,12 +155,84 @@ def _run_one(path, X, ub, block_size, index_name, tile_bytes):
     return wall, peak_rss_kb, snap["counters"], snap["timers"]
 
 
+def sweep_child(seed: int) -> None:
+    """Build M for :data:`SWEEP` untimed, time the step-2 sweep over it,
+    and print one JSON record (run in a fresh interpreter by
+    :func:`_run_sweep`)."""
+    from repro import obs
+    from repro.core import MaterializationDB
+    from repro.core.range_lof import score_range
+
+    X = np.random.default_rng(seed).normal(size=(SWEEP["n"], SWEEP["dim"]))
+    mat = MaterializationDB.materialize(X, SWEEP["min_pts_ub"])
+    t0 = time.perf_counter()
+    with obs.collect() as snap:
+        score_range(
+            materialization=mat,
+            min_pts_lb=SWEEP["min_pts_lb"],
+            min_pts_ub=SWEEP["min_pts_ub"],
+        )
+    wall = time.perf_counter() - t0
+    peak_rss_kb = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    print(json.dumps({
+        "wall_s": wall,
+        "peak_rss_kb": peak_rss_kb,
+        "counters": snap["counters"],
+        "timers": snap["timers"],
+    }))
+
+
+def _run_sweep(seed: int) -> dict:
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {here!r}); "
+        f"import bench_materialize; bench_materialize.sweep_child({seed})"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def run(args) -> dict:
     results = []
+    if "sweep" in args.paths:
+        child = _run_sweep(args.seed)
+        results.append(
+            {
+                "n": SWEEP["n"],
+                "dim": SWEEP["dim"],
+                "min_pts_lb": SWEEP["min_pts_lb"],
+                "min_pts_ub": SWEEP["min_pts_ub"],
+                "path": "sweep",
+                "index": "brute",
+                "block_size": 0,
+                "wall_s": round(child["wall_s"], 6),
+                "peak_rss_kb": child["peak_rss_kb"],
+                "counters": child["counters"],
+                "timers": {
+                    name: {
+                        "count": rec["count"],
+                        "total_s": round(rec["total_s"], 6),
+                    }
+                    for name, rec in child["timers"].items()
+                },
+            }
+        )
+        print(
+            f"step 2 n={SWEEP['n']} d={SWEEP['dim']} MinPts "
+            f"{SWEEP['min_pts_lb']}..{SWEEP['min_pts_ub']}: "
+            f"wall={child['wall_s']:8.4f}s "
+            f"peak_rss={child['peak_rss_kb'] / 1024:7.1f}MB "
+            f"views={child['counters'].get('graph.views', 0)}",
+            file=sys.stderr,
+        )
     for n in args.sizes:
         X = np.random.default_rng(args.seed).normal(size=(n, args.dim))
         ub = min(args.min_pts_ub, n - 1)
         for path in args.paths:
+            if path == "sweep":
+                continue
             if path in ("query_loop", "batched") and n > args.max_loop_n:
                 print(
                     f"n={n:>6} path={path:<10} skipped (> --max-loop-n "
@@ -210,6 +312,23 @@ def run(args) -> dict:
         if entry:
             speedups[str(n)] = entry
 
+    sweep = {}
+    for r in results:
+        if r["path"] == "sweep":
+            sweep = {
+                key: r[key]
+                for key in ("n", "dim", "min_pts_lb", "min_pts_ub", "wall_s",
+                            "peak_rss_kb")
+            }
+            sweep["mscan_passes"] = r["counters"].get("mscan.passes", 0)
+            sweep["graph_views"] = r["counters"].get("graph.views", 0)
+
+    derived = {
+        "evaluations_vs_query_loop": evaluations,
+        "speedup_vs_query_loop": speedups,
+    }
+    if sweep:
+        derived["step2_sweep"] = sweep
     return {
         "schema": SCHEMA,
         "config": {
@@ -229,11 +348,16 @@ def run(args) -> dict:
             "machine": platform.machine(),
         },
         "results": results,
-        "derived": {
-            "evaluations_vs_query_loop": evaluations,
-            "speedup_vs_query_loop": speedups,
-        },
+        "derived": derived,
     }
+
+
+def _typed(value, typ) -> bool:
+    if isinstance(value, bool):
+        return False
+    if typ is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, typ)
 
 
 def validate(payload) -> list:
@@ -261,18 +385,33 @@ def validate(payload) -> list:
     if not isinstance(results, list) or not results:
         problems.append("results must be a non-empty list")
         return problems
+    has_sweep = any(
+        isinstance(r, dict) and r.get("path") == "sweep" for r in results
+    )
+    sweep = (payload.get("derived") or {}).get("step2_sweep")
+    if has_sweep or sweep is not None:
+        if not isinstance(sweep, dict) or not has_sweep:
+            problems.append(
+                "a sweep record and derived.step2_sweep must come together"
+            )
+        else:
+            for field, typ in SWEEP_FIELDS.items():
+                if not _typed(sweep.get(field), typ):
+                    problems.append(
+                        f"derived.step2_sweep.{field} must be {typ.__name__}, "
+                        f"got {sweep.get(field)!r}"
+                    )
     for i, record in enumerate(results):
         for field, typ in RESULT_FIELDS.items():
             value = record.get(field)
-            ok = isinstance(value, typ) and not (
-                typ in (int, float) and isinstance(value, bool)
-            )
-            if typ is float:
-                ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not ok:
+            if not _typed(value, typ):
                 problems.append(
                     f"results[{i}].{field} must be {typ.__name__}, got {value!r}"
                 )
+        if record.get("path") == "sweep" and not _typed(
+            record.get("min_pts_lb"), int
+        ):
+            problems.append(f"results[{i}].min_pts_lb must be int for a sweep")
         counters = record.get("counters")
         if isinstance(counters, dict) and not all(
             isinstance(v, int) for v in counters.values()
@@ -301,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--block-size", type=int, default=512)
     parser.add_argument(
         "--paths", nargs="+", default=["query_loop", "batched", "fast"],
-        choices=["query_loop", "batched", "fast", "chunked"],
+        choices=["query_loop", "batched", "fast", "chunked", "sweep"],
     )
     parser.add_argument(
         "--tile-bytes", type=int, default=None, metavar="BYTES",

@@ -8,12 +8,16 @@ neighborhood structure:
 * :class:`NeighborhoodView` — an immutable CSR slice (flat ids, flat
   distances, row offsets, per-row k-distances) that the scoring kernels
   of :mod:`repro.core.scoring` consume directly;
+* :class:`RowPrefixes` — the same neighborhoods read in place: rows are
+  sorted, so each k-distance neighborhood is a prefix of its padded
+  row. The step-2 sweep and single-row lookups use it, copying nothing
+  into a view;
 * :class:`NeighborhoodGraph` — the static columnar graph: padded
   ``(n, width)`` id/distance arrays covering every ``k <= k_max``, with
-  cached per-k slice views. Built from padded arrays, from ragged rows,
-  from an :class:`~repro.index.NNIndex` (one batch call, one query per
-  object, or blocks of rows), or from CSR blocks (the blocked fast
-  path);
+  cached per-k slice views for the scorers and bounds that need CSR.
+  Built from padded arrays, from ragged rows, from an
+  :class:`~repro.index.NNIndex` (one batch call, one query per object,
+  or blocks of rows), or from CSR blocks (the blocked fast path);
 * :class:`DynamicNeighborhoodGraph` — the mutable flavor for
   insert/delete workloads: per-row updates over a sparse integer handle
   space, and ``subview(handles)`` to hand any dirty subset to the same
@@ -21,7 +25,8 @@ neighborhood structure:
 
 Every construction of a static graph increments the ``graph.builds``
 obs counter, so pipelines can assert they share one graph instead of
-silently rebuilding per surface.
+silently rebuilding per surface; every CSR view built increments
+``graph.views``.
 
 Layering: ``index`` produces neighbor candidates, ``graph`` stores
 them, ``scoring`` turns views into densities, and the user surfaces
@@ -69,6 +74,16 @@ class NeighborhoodView:
         """Neighborhood cardinality per row (``>= k`` by Definition 4)."""
         return np.diff(self.offsets)
 
+    @property
+    def starts(self) -> np.ndarray:
+        """Segment starts for the scoring kernels (``offsets[:-1]``)."""
+        return self.offsets[:-1]
+
+    @property
+    def stops(self) -> np.ndarray:
+        """Segment stops for the scoring kernels (``offsets[1:]``)."""
+        return self.offsets[1:]
+
     def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
         """(ids, dists) of view row ``i`` (positional, not global id)."""
         sl = slice(self.offsets[i], self.offsets[i + 1])
@@ -115,6 +130,76 @@ class NeighborhoodView:
         )
 
 
+@dataclass(frozen=True)
+class RowPrefixes:
+    """Tie-inclusive k-distance neighborhoods of every object, read in place.
+
+    Graph rows are sorted by ``(distance, id)``, so object i's
+    Definition-4 neighborhood at any ``k`` is the prefix
+    ``ids[i, :counts[i]]`` / ``dists[i, :counts[i]]`` of its padded row.
+    ``ids`` is a contiguous copy of the graph's first ``w = max(counts)``
+    id columns (pads stay -1; entries past a row's prefix are outside
+    its segment); ``dists`` is the matching column slice of the graph.
+    Over the raveled ``(n, w)`` block row i's segment is
+    ``starts[i]:stops[i]`` — the layout the scoring kernels take.
+    """
+
+    ids: np.ndarray
+    dists: np.ndarray
+    counts: np.ndarray
+    capacity: int
+
+    @property
+    def starts(self) -> np.ndarray:
+        return np.arange(len(self.counts), dtype=np.int64) * self.ids.shape[1]
+
+    @property
+    def stops(self) -> np.ndarray:
+        return self.starts + self.counts
+
+    def block(self) -> np.ndarray:
+        """A fresh float64 array shaped like ``ids`` for the scan's
+        gathers and ratios (see :func:`_carve`)."""
+        return _carve(self.ids.shape, self.capacity, np.float64)
+
+
+def _carve(shape: Tuple[int, int], capacity: int, dtype) -> np.ndarray:
+    """A fresh C-contiguous ``shape`` array cut from ``capacity`` elements.
+
+    Step 2 asks for the graph's full ``n × width`` at every MinPts, so
+    the allocator hands back the memory the previous MinPts freed; a
+    block sized to each (growing) prefix width would fault in fresh
+    pages every time, which costs as much as the scan itself.
+    """
+    return np.empty(capacity, dtype=dtype)[: shape[0] * shape[1]].reshape(shape)
+
+
+def _prefix_lengths(dists: np.ndarray, radii: np.ndarray, k: int) -> np.ndarray:
+    """``#{j : dists[i, j] <= radii[i]}`` per row of (distance, id)-sorted rows.
+
+    Every radius reaches at least column ``k - 1``, so rows start at k;
+    only rows whose tie run passes column ``k`` are binary-searched.
+    """
+    n, width = dists.shape
+    counts = np.full(n, k, dtype=np.int64)
+    if k == width:
+        return counts
+    rows = np.flatnonzero(dists[:, k] <= radii)
+    if len(rows):
+        row_dists = dists[rows]
+        row_radii = radii[rows]
+        pos = np.arange(len(rows))
+        lo = np.full(len(rows), k + 1, dtype=np.int64)  # dists[lo - 1] <= radius
+        hi = np.full(len(rows), width, dtype=np.int64)  # dists[hi] > radius, or end
+        while np.any(lo < hi):
+            mid = (lo + hi + 1) // 2
+            inside = row_dists[pos, mid - 1] <= row_radii
+            lo = np.where(inside, mid, lo)
+            hi = np.where(inside, hi, mid - 1)
+        counts[rows] = lo
+    return counts
+
+
 class NeighborhoodGraph:
     """Static columnar k-NN graph: one build, every ``k <= k_max`` view.
 
@@ -123,6 +208,9 @@ class NeighborhoodGraph:
     distances with inf), rows sorted by ``(distance, id)``. Per-k
     k-distance vectors and CSR views are computed lazily and cached, so
     a MinPts sweep re-reads the columnar storage instead of the dataset.
+    The step-2 sweep reads :meth:`prefixes` instead, which copies no
+    neighborhood into a view; CSR views serve the scorers and bounds
+    that need them.
     """
 
     def __init__(
@@ -291,6 +379,7 @@ class NeighborhoodGraph:
         return self._build_view(k, np.asarray(kdist, dtype=np.float64))
 
     def _build_view(self, k: int, kdist: np.ndarray) -> NeighborhoodView:
+        obs.incr("graph.views")
         mask = self.padded_dists <= kdist[:, None]
         counts = mask.sum(axis=1)
         offsets = np.zeros(self.n_points + 1, dtype=np.int64)
@@ -304,10 +393,42 @@ class NeighborhoodGraph:
             row_ids=np.arange(self.n_points, dtype=np.int64),
         )
 
-    def neighborhood_of(self, i: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Ids and distances of N_k(i), sorted by (distance, id)."""
-        view = self.view(k)
-        return view.row(int(i))
+    def prefixes(self, k: int, kdist: Optional[np.ndarray] = None) -> RowPrefixes:
+        """Every object's k-distance neighborhood as a prefix of its row.
+
+        ``kdist`` overrides the cutoff radii as in :meth:`view`. Nothing
+        is cached: each call allocates its own ``(n, w)`` id block,
+        never wider than the graph.
+        """
+        k = self._check_k(k)
+        radii = (
+            self.k_distances(k) if kdist is None
+            else np.asarray(kdist, dtype=np.float64)
+        )
+        counts = _prefix_lengths(self.padded_dists, radii, k)
+        width = int(counts.max())
+        capacity = self.padded_ids.size
+        ids = _carve((self.n_points, width), capacity, np.int64)
+        ids[...] = self.padded_ids[:, :width]
+        return RowPrefixes(
+            ids=ids,
+            dists=self.padded_dists[:, :width],
+            counts=counts,
+            capacity=capacity,
+        )
+
+    def neighborhood_of(
+        self, i: int, k: int, radius: Optional[float] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Ids and distances of N_k(i), sorted by (distance, id): the
+        prefix of row i within ``radius`` (default: its k-distance)."""
+        i = int(i)
+        k = self._check_k(k)
+        if radius is None:
+            radius = self.padded_dists[i, k - 1]
+        dists = self.padded_dists[i : i + 1]
+        count = _prefix_lengths(dists, np.array([radius], dtype=np.float64), k)[0]
+        return self.padded_ids[i, :count], self.padded_dists[i, :count]
 
     # -- dirty-subset protocol (shared with DynamicNeighborhoodGraph) ---------
 

@@ -15,11 +15,13 @@ Section 7.4 of the paper describes the production algorithm:
     O(n).
 
 :class:`MaterializationDB` is that database M — since the columnar
-refactor, a thin *policy layer*: neighborhood storage and per-k slice
-views live in :class:`~repro.core.graph.NeighborhoodGraph`, all lrd/LOF
-arithmetic in the :mod:`~repro.core.scoring` kernels, and this class
-adds the duplicate-mode policy, per-MinPts caching and persistence
-metadata on top.
+refactor, a thin *policy layer*: neighborhood storage lives in
+:class:`~repro.core.graph.NeighborhoodGraph`, all lrd/LOF arithmetic in
+the :mod:`~repro.core.scoring` kernels, and this class adds the
+duplicate-mode policy, per-MinPts caching and persistence metadata on
+top. Each step-2 scan reads the graph's rows in place: a MinPts
+neighborhood is a prefix of its (distance, id)-sorted row, so no
+per-MinPts copy of M is built or kept.
 
 Tie semantics follow Definition 4: the k-distance neighborhood contains
 *every* object at distance not greater than the k-distance, so rows can
@@ -326,7 +328,9 @@ class MaterializationDB:
         """The per-MinPts :class:`~repro.core.graph.NeighborhoodView`.
 
         Under the 'distinct' policy the cutoff radii are the
-        k-distinct-distances rather than the plain k-distances.
+        k-distinct-distances rather than the plain k-distances. Step 2
+        (:meth:`lrd`, :meth:`lof`) and serving never build one; the CSR
+        views are for LDOF, LoOP, top-n and the Theorem-1 bounds.
         """
         k = self._check_k(min_pts)
         if self.duplicate_mode == "distinct":
@@ -343,8 +347,11 @@ class MaterializationDB:
         return view.ids, view.dists, view.offsets
 
     def neighborhood_of(self, i: int, min_pts: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Ids and distances of N_MinPts(i), sorted by (distance, id)."""
-        return self.view(min_pts).row(int(i))
+        """Ids and distances of N_MinPts(i), sorted by (distance, id):
+        the prefix of row i, read without building a view."""
+        k = self._check_k(min_pts)
+        i = int(i)
+        return self.graph.neighborhood_of(i, k, radius=self.k_distances(k)[i])
 
     # -- Definition 5/6: reachability distances and lrd -------------------------
 
@@ -359,28 +366,50 @@ class MaterializationDB:
         kdist = self.k_distances(k)
         return scoring.reach_dist_values(view.dists, kdist[view.ids]), view.offsets
 
+    def _prefixes(self, k: int):
+        """Step 2's input at MinPts=k: the neighborhoods as row prefixes
+        (k-distinct radii under the 'distinct' policy)."""
+        return self.graph.prefixes(k, kdist=self.k_distances(k))
+
+    def _lrd_scan(self, k: int, rows, block: np.ndarray) -> np.ndarray:
+        """Scan 1 at MinPts=k over the row prefixes, working in ``block``.
+
+        Pads (-1) gather with ``mode='clip'`` and sit outside every
+        segment, so their values never reach a sum.
+        """
+        obs.incr("mscan.passes")
+        np.take(self.k_distances(k), rows.ids, out=block, mode="clip")
+        reach = scoring.reach_dist_values(rows.dists, block, out=block)
+        lrd = scoring.lrd_values(
+            reach.reshape(-1),
+            rows.starts,
+            rows.stops,
+            duplicate_mode=self.duplicate_mode,
+        )
+        self._lrd_cache[k] = lrd
+        return lrd
+
     def lrd(self, min_pts: int) -> np.ndarray:
         """Local reachability density of every object (Definition 6).
 
         This is the first O(n) scan of step 2, one
-        :func:`repro.core.scoring.lrd_values` kernel pass.
+        :func:`repro.core.scoring.lrd_values` kernel pass over the row
+        prefixes of M.
         """
         k = self._check_k(min_pts)
         if k not in self._lrd_cache:
-            obs.incr("mscan.passes")
-            flat_reach, offsets = self.reach_dists(k)
-            self._lrd_cache[k] = scoring.lrd_values(
-                flat_reach, offsets, duplicate_mode=self.duplicate_mode
-            )
+            rows = self._prefixes(k)
+            self._lrd_scan(k, rows, rows.block())
         return self._lrd_cache[k]
 
     def lof(self, min_pts: int) -> np.ndarray:
         """Local outlier factor of every object (Definition 7).
 
         This is the second O(n) scan of step 2, one
-        :func:`repro.core.scoring.lof_values` kernel pass. Ratio
-        convention for duplicate-heavy data in mode 'inf':
-        inf/inf := 1, finite/inf := 0.
+        :func:`repro.core.scoring.lof_values` kernel pass over the same
+        row prefixes as :meth:`lrd`. Ratio convention for
+        duplicate-heavy data in mode 'inf': inf/inf := 1,
+        finite/inf := 0.
 
         Results are cached per ``min_pts`` (like k-distances and lrd), so
         a repeated call — e.g. the Section 6.2 max-LOF sweep revisiting a
@@ -389,10 +418,16 @@ class MaterializationDB:
         """
         k = self._check_k(min_pts)
         if k not in self._lof_cache:
-            lrd = self.lrd(k)
+            rows = self._prefixes(k)
+            block = rows.block()
+            lrd = self._lrd_cache.get(k)
+            if lrd is None:
+                lrd = self._lrd_scan(k, rows, block)
             obs.incr("mscan.passes")
-            view = self.view(k)
-            self._lof_cache[k] = scoring.lof_values(lrd, lrd[view.ids], view.offsets)
+            np.take(lrd, rows.ids, out=block, mode="clip")
+            self._lof_cache[k] = scoring.lof_values(
+                lrd, block, rows.starts, rows.stops, ratio_out=block
+            )
         return self._lof_cache[k]
 
     def lof_range(self, min_pts_lb: int, min_pts_ub: int) -> Dict[int, np.ndarray]:

@@ -1,4 +1,4 @@
-"""THE scoring kernel: reach-dist, lrd and LOF over a neighborhood view.
+"""THE scoring kernel: reach-dist, lrd and LOF over neighborhood segments.
 
 This module is the single vectorized implementation of Definitions 5-7
 and of the duplicate conventions (the remark after Definition 6). Every
@@ -12,10 +12,25 @@ oracle kept independent for differential testing.
 
 Kernel contract
 ---------------
-All kernels are pure array transforms over the CSR layout of
-:class:`~repro.core.graph.NeighborhoodView` (``offsets[i]:offsets[i+1]``
-delimits row i's neighborhood) and use ``np.add.reduceat`` for row sums,
-so every caller — batch, subset, or single-object — produces
+All kernels are pure array transforms over *segments* of a flat array:
+segment i is ``values[starts[i]:stops[i]]``, and every row sum is one
+``np.add.reduceat`` over the interleaved indices
+``[starts[0], stops[0], starts[1], stops[1], ...]`` keeping the even
+outputs. Two layouts feed them:
+
+* CSR — a :class:`~repro.core.graph.NeighborhoodView`'s
+  ``offsets[:-1], offsets[1:]`` (query views, the dirty-subset API,
+  the scorers' :func:`row_means`);
+* row prefixes — the step-2 sweep of
+  :class:`~repro.core.materialization.MaterializationDB` reads the
+  padded graph directly: over the raveled ``(n, w)`` block, segment i
+  is ``i*w .. i*w + counts[i]``, the Definition-4 neighborhood that
+  prefixes row i (see :class:`~repro.core.graph.RowPrefixes`). Values
+  between segments are ignored.
+
+A segment holds the same values in the same order whichever layout
+carries it, and ``reduceat`` reduces each segment on its own, so every
+caller — batch, prefix, subset, or single-object — produces
 bit-identical floating-point results for identical neighborhoods.
 
 Conventions (duplicate-heavy data, ``'inf'`` mode):
@@ -50,64 +65,80 @@ __all__ = [
 ]
 
 
-# -- generic CSR reductions ---------------------------------------------------
+# -- generic segment reductions -----------------------------------------------
 #
 # ``np.add.reduceat`` lives only in this module; every scorer that needs
 # a per-neighborhood sum or mean (LOF's lrd, LDOF's mean neighbor
 # distance, LoOP's squared-distance averages) routes through these two
 # helpers so each segment is reduced by the same sequential kernel —
-# the invariant behind batch/subset/single-row bit-identity.
+# the invariant behind batch/prefix/subset/single-row bit-identity.
 
 
-def row_sums(flat_values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-row sums of a CSR-flat array (one reduceat pass)."""
-    if len(offsets) <= 1:
+def row_sums(
+    flat_values: np.ndarray, starts: np.ndarray, stops: np.ndarray
+) -> np.ndarray:
+    """Per-segment sums of ``flat_values[starts[i]:stops[i]]`` (one
+    reduceat pass; segments are never empty)."""
+    n = len(starts)
+    if n == 0:
         return np.empty(0, dtype=np.float64)
-    return np.add.reduceat(flat_values, offsets[:-1])
+    bounds = np.empty(2 * n, dtype=np.intp)
+    bounds[0::2] = starts
+    bounds[1::2] = stops
+    if bounds[-1] == len(flat_values):
+        # reduceat's last segment runs to the end of the array anyway.
+        bounds = bounds[:-1]
+    return np.add.reduceat(flat_values, bounds)[0::2]
 
 
-def row_means(flat_values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-row means of a CSR-flat array.
+def row_means(
+    flat_values: np.ndarray, starts: np.ndarray, stops: np.ndarray
+) -> np.ndarray:
+    """Per-segment means of ``flat_values``.
 
-    Rows are Definition-4 neighborhoods (never empty), so the division
-    is always well-defined.
+    Segments are Definition-4 neighborhoods (never empty), so the
+    division is always well-defined.
     """
-    counts = np.diff(offsets).astype(np.float64)
-    if len(counts) == 0:
-        return np.empty(0, dtype=np.float64)
-    return row_sums(flat_values, offsets) / counts
+    counts = (stops - starts).astype(np.float64)
+    return row_sums(flat_values, starts, stops) / counts
 
 
 def reach_dist_values(
-    flat_dists: np.ndarray, neighbor_kdist: np.ndarray
+    flat_dists: np.ndarray,
+    neighbor_kdist: np.ndarray,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Definition 5, flat: ``reach-dist(p, o) = max(k-distance(o), d(p, o))``.
+    """Definition 5, elementwise: ``reach-dist(p, o) = max(k-distance(o), d(p, o))``.
 
-    ``flat_dists`` holds d(p, o) for every neighborhood pair in CSR
-    order; ``neighbor_kdist`` the k-distance of each pair's *neighbor* o
-    (i.e. ``kdist[flat_ids]``).
+    ``flat_dists`` holds d(p, o) for every neighborhood pair (CSR-flat,
+    or an ``(n, w)`` prefix block); ``neighbor_kdist`` the k-distance
+    of each pair's *neighbor* o (i.e. ``kdist[ids]``), in the same
+    shape. ``out`` (which may be ``neighbor_kdist``) receives the
+    result instead of a new array.
     """
-    return np.maximum(neighbor_kdist, flat_dists)
+    return np.maximum(neighbor_kdist, flat_dists, out=out)
 
 
 def lrd_values(
     flat_reach: np.ndarray,
-    offsets: np.ndarray,
+    starts: np.ndarray,
+    stops: np.ndarray,
     duplicate_mode: str = "inf",
 ) -> np.ndarray:
-    """Definition 6, one CSR pass: ``lrd(p) = |N(p)| / sum reach-dist``.
+    """Definition 6, one pass: ``lrd(p) = |N(p)| / sum reach-dist``.
 
-    The only division producing local reachability densities in the
+    Row p's reach-dists are ``flat_reach[starts[p]:stops[p]]``. The
+    only division producing local reachability densities in the
     repository. ``duplicate_mode='inf'`` keeps the paper's plain
     definition (MinPts-fold duplicates give ``lrd = inf``);
     ``'error'`` raises :class:`DuplicatePointsError` instead;
     ``'distinct'`` neighborhoods never produce a zero sum, so the mode
     needs no special handling here.
     """
-    counts = np.diff(offsets).astype(np.float64)
+    counts = (stops - starts).astype(np.float64)
     if len(counts) == 0:
         return np.empty(0, dtype=np.float64)
-    sums = np.add.reduceat(flat_reach, offsets[:-1])
+    sums = row_sums(flat_reach, starts, stops)
     with np.errstate(divide="ignore"):
         lrd = counts / sums
     if duplicate_mode == "error" and np.any(np.isinf(lrd)):
@@ -122,27 +153,39 @@ def lrd_values(
 
 def lof_values(
     lrd_self: np.ndarray,
-    flat_neighbor_lrd: np.ndarray,
-    offsets: np.ndarray,
+    neighbor_lrd: np.ndarray,
+    starts: np.ndarray,
+    stops: np.ndarray,
+    ratio_out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Definition 7, one CSR pass: the mean lrd(o)/lrd(p) ratio.
+    """Definition 7, one pass: the mean lrd(o)/lrd(p) ratio.
 
     The only division producing LOF ratios in the repository.
-    ``lrd_self`` is per row; ``flat_neighbor_lrd`` is ``lrd[flat_ids]``.
-    Ratio conventions: ``inf/inf := 1``; ``finite/inf`` is 0 by IEEE
-    arithmetic; ``inf/finite`` stays inf (a finite-density point whose
-    neighbors are infinitely dense).
+    ``lrd_self`` is per row; ``neighbor_lrd`` is ``lrd[ids]``, either
+    CSR-flat (segments back to back) or the ``(n, w)`` prefix block,
+    whose row i holds segment i. ``ratio_out`` (shaped like
+    ``neighbor_lrd``, and which may be ``neighbor_lrd`` itself)
+    receives the ratios instead of a new array. Ratio conventions:
+    ``inf/inf := 1``; ``finite/inf`` is 0 by IEEE arithmetic;
+    ``inf/finite`` stays inf (a finite-density point whose neighbors
+    are infinitely dense).
     """
-    counts = np.diff(offsets).astype(np.float64)
+    counts = stops - starts
     if len(counts) == 0:
         return np.empty(0, dtype=np.float64)
-    lrd_rep = np.repeat(lrd_self, np.diff(offsets))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = flat_neighbor_lrd / lrd_rep
+    if neighbor_lrd.ndim == 2:
+        lrd_rep = lrd_self[:, None]
+    else:
+        lrd_rep = np.repeat(lrd_self, counts)
     # inf/inf produces NaN; the convention for co-located points is 1.
-    both_inf = np.isinf(flat_neighbor_lrd) & np.isinf(lrd_rep)
-    ratios[both_inf] = 1.0
-    return np.add.reduceat(ratios, offsets[:-1]) / counts
+    both_inf = None
+    if np.isinf(lrd_self).any():
+        both_inf = np.isinf(neighbor_lrd) & np.isinf(lrd_rep)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.divide(neighbor_lrd, lrd_rep, out=ratio_out)
+    if both_inf is not None:
+        ratios[both_inf] = 1.0
+    return row_sums(ratios.reshape(-1), starts, stops) / counts.astype(np.float64)
 
 
 # -- dirty-subset API ---------------------------------------------------------
@@ -162,7 +205,7 @@ def lrd_of(graph, rows, duplicate_mode: str = "inf") -> np.ndarray:
     if view.n_rows == 0:
         return np.empty(0, dtype=np.float64)
     reach = reach_dist_values(view.dists, graph.kdist_values(view.ids))
-    return lrd_values(reach, view.offsets, duplicate_mode=duplicate_mode)
+    return lrd_values(reach, view.starts, view.stops, duplicate_mode=duplicate_mode)
 
 
 def lof_of(
@@ -182,4 +225,4 @@ def lof_of(
         return np.empty(0, dtype=np.float64)
     if lrd_self is None:
         lrd_self = lrd_by_id[view.row_ids]
-    return lof_values(lrd_self, lrd_by_id[view.ids], view.offsets)
+    return lof_values(lrd_self, lrd_by_id[view.ids], view.starts, view.stops)

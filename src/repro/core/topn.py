@@ -88,8 +88,9 @@ def _exact_lof_of(mat: MaterializationDB, lrd: np.ndarray, i: int, min_pts: int)
     # as MaterializationDB.lof(), so near-tied LOF values compare
     # bit-for-bit with the batch path.
     ids, _ = mat.neighborhood_of(i, min_pts)
-    offsets = np.array([0, len(ids)], dtype=np.int64)
-    return float(scoring.lof_values(lrd[[i]], lrd[ids], offsets)[0])
+    return float(
+        scoring.lof_values(lrd[[i]], lrd[ids], np.array([0]), np.array([len(ids)]))[0]
+    )
 
 
 def top_n_lof(

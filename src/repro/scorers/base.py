@@ -125,8 +125,8 @@ class Scorer:
 
     def warm(self, ctx: ScorerContext) -> None:
         """Populate every frozen per-k cache the query path will read,
-        so scoring itself can run lock-free (see OnlineScorer)."""
-        ctx.mat.view(ctx.k)
+        so scoring itself can run lock-free (see OnlineScorer). Stored
+        rows are read as prefixes of the graph, so no view is built."""
         ctx.mat.k_distances(ctx.k)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -79,14 +79,14 @@ class LDOFScorer(Scorer):
     def fit(self, ctx: ScorerContext):
         X, metric = ctx.require_data(self.name)
         view = ctx.view
-        dbar = scoring.row_means(view.dists, view.offsets)
+        dbar = scoring.row_means(view.dists, view.starts, view.stops)
         inner = _inner_means(view, X, metric)
         obs.incr("scorer.ldof.points", int(ctx.mat.n_points))
         return _ldof_values(dbar, inner, ctx.duplicate_mode), {}
 
     def score_query(self, ctx: ScorerContext, qview, qkdist: np.ndarray) -> np.ndarray:
         X, metric = ctx.require_data(self.name)
-        dbar = scoring.row_means(qview.dists, qview.offsets)
+        dbar = scoring.row_means(qview.dists, qview.starts, qview.stops)
         inner = _inner_means(qview, X, metric)
         obs.incr("scorer.ldof.points", int(qview.n_rows))
         return _ldof_values(dbar, inner, ctx.duplicate_mode)

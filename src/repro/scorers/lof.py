@@ -41,10 +41,12 @@ class LOFScorer(Scorer):
             qview.dists, mat.k_distances(k)[qview.ids]
         )
         lrd_q = scoring.lrd_values(
-            reach, qview.offsets, duplicate_mode=mat.duplicate_mode
+            reach, qview.starts, qview.stops, duplicate_mode=mat.duplicate_mode
         )
         obs.incr("scorer.lof.points", int(qview.n_rows))
-        return scoring.lof_values(lrd_q, lrd_train[qview.ids], qview.offsets)
+        return scoring.lof_values(
+            lrd_q, lrd_train[qview.ids], qview.starts, qview.stops
+        )
 
     def warm(self, ctx: ScorerContext) -> None:
         super().warm(ctx)

@@ -46,7 +46,7 @@ _erf = np.vectorize(math.erf, otypes=[np.float64])
 def _prob_set_dists(view) -> np.ndarray:
     """pdist per row: lambda * sqrt(mean squared neighbor distance)."""
     squared = view.dists * view.dists
-    return _LAMBDA * np.sqrt(scoring.row_means(squared, view.offsets))
+    return _LAMBDA * np.sqrt(scoring.row_means(squared, view.starts, view.stops))
 
 
 def _plof_values(
@@ -93,7 +93,7 @@ class LoOPScorer(Scorer):
     def fit(self, ctx: ScorerContext):
         view = ctx.view
         pdist = _prob_set_dists(view)
-        expected = scoring.row_means(pdist[view.ids], view.offsets)
+        expected = scoring.row_means(pdist[view.ids], view.starts, view.stops)
         plof = _plof_values(pdist, expected, ctx.duplicate_mode)
         finite = np.isfinite(plof)
         if np.any(finite):
@@ -112,7 +112,9 @@ class LoOPScorer(Scorer):
         pdist_train = aux["pdist"]
         nplof = float(aux["nplof"][0])
         pdist_q = _prob_set_dists(qview)
-        expected = scoring.row_means(pdist_train[qview.ids], qview.offsets)
+        expected = scoring.row_means(
+            pdist_train[qview.ids], qview.starts, qview.stops
+        )
         plof_q = _plof_values(pdist_q, expected, ctx.duplicate_mode)
         obs.incr("scorer.loop.points", int(qview.n_rows))
         return _probabilities(plof_q, nplof)

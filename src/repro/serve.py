@@ -535,7 +535,7 @@ class OnlineScorer:
     def _ensure_ks(self, ks, scorer) -> None:
         """Warm the frozen per-(scorer, MinPts) inputs once, under the lock.
 
-        The materialization's per-k caches (view, k-distances, and
+        The materialization's per-k caches (k-distances, and
         whatever the scorer's ``warm`` adds — lrd for LOF, the
         pdist/nPLOF aux state for LoOP) fill lazily on first touch;
         serializing that first touch here keeps the step-2 scan counters
@@ -572,8 +572,9 @@ class OnlineScorer:
         """The per-query NeighborhoodView at MinPts=k.
 
         Rows whose ``exclude`` id is a stored object with bitwise equal
-        coordinates reuse that object's stored neighborhood row — the
-        self-consistent path that reproduces fitted values exactly.
+        coordinates reuse that object's stored neighborhood — the prefix
+        of its graph row, the self-consistent path that reproduces
+        fitted values exactly.
         Novel rows run the same tie kernels as the batch builders over a
         fresh distance block. Pure frozen-model reads: no lock.
         """
@@ -582,12 +583,11 @@ class OnlineScorer:
         rows_dists = [None] * m
         kdist_q = np.empty(m, dtype=np.float64)
         kd_train = self.mat.k_distances(k)
-        stored_view = self.mat.view(k)
         novel = []
         for i in range(m):
             j = int(exclude[i])
             if j >= 0 and Xq[i].tobytes() == self.X[j].tobytes():
-                ids, dists = stored_view.row(j)
+                ids, dists = self.mat.neighborhood_of(j, k)
                 rows_ids[i] = ids
                 rows_dists[i] = dists
                 kdist_q[i] = kd_train[j]

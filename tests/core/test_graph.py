@@ -131,7 +131,7 @@ class TestDirtySubset:
         view = g.view(5)
         kdist = g.k_distances(5)
         reach = scoring.reach_dist_values(view.dists, kdist[view.ids])
-        full_lrd = scoring.lrd_values(reach, view.offsets)
+        full_lrd = scoring.lrd_values(reach, view.starts, view.stops)
         rows = np.arange(g.n_points)
         sub_lrd = scoring.lrd_of(g, rows)
         np.testing.assert_array_equal(full_lrd, sub_lrd)
