@@ -11,7 +11,7 @@ argument of the LOF entry points.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,42 +43,65 @@ def has_min_pts_duplicates(X, min_pts: int) -> bool:
     return bool(np.any(counts >= min_pts + 1))
 
 
-def k_distinct_radius(
-    ids: np.ndarray, dists: np.ndarray, coord_keys: np.ndarray, k: int
-) -> Optional[float]:
-    """The k-distinct-distance of one neighbor row, or None if it falls short.
+def k_distinct_radii(
+    ids: np.ndarray, dists: np.ndarray, coord_keys: np.ndarray, ks: Sequence[int]
+) -> List[Optional[float]]:
+    """The k-distinct-distance of one neighbor row for every k of ``ks``.
 
     ``ids`` / ``dists`` are one query's candidates sorted by (distance,
     id). Walking the row, skip candidates at distance <= 0 (co-located
     duplicates of the query) or at a non-finite distance (an excluded
-    id), and return the distance at which the ``k``-th new coordinate
-    group key of ``coord_keys`` is reached. Every k-distinct-distance in
-    the package is computed here, so the batch, incremental and online
-    paths agree bit for bit.
+    id); the radius for k is the distance at which the ``k``-th new
+    coordinate group key of ``coord_keys`` is reached, or None when the
+    row holds fewer than ``k`` groups. The groups are found once for all
+    of ``ks``. Every k-distinct-distance in the package is computed
+    here, so the batch, incremental and online paths agree bit for bit.
     """
     keep = (dists > 0.0) & np.isfinite(dists)
     kept = dists[keep]
     _, first = np.unique(coord_keys[ids[keep]], return_index=True)
-    if len(first) < k:
-        return None
-    return kept[np.sort(first)[k - 1]]
+    first = np.sort(first)
+    return [kept[first[k - 1]] if k <= len(first) else None for k in ks]
+
+
+def k_distinct_radius(
+    ids: np.ndarray, dists: np.ndarray, coord_keys: np.ndarray, k: int
+) -> Optional[float]:
+    """The k-distinct-distance of one neighbor row, or None if it falls
+    short: :func:`k_distinct_radii` at the single ``k``."""
+    return k_distinct_radii(ids, dists, coord_keys, (k,))[0]
+
+
+def k_distinct_balls(drow: np.ndarray, coord_keys: np.ndarray, ks: Sequence[int]):
+    """The closed ball at the k-distinct-distance over one distance row,
+    for every k of ``ks``.
+
+    ``drow[j]`` is the query's distance to object ``j`` (inf for an
+    excluded id). The row is sorted by (distance, id) once; entry ``i``
+    of the result is ``(ids, dists, radius)`` for ``ks[i]`` — the
+    members in that order, duplicates of the query inside the ball
+    included (the analog of Definition 4) — or None when fewer than
+    ``ks[i]`` distinct locations are reachable. Each ball is a prefix of
+    the sorted row: every entry up to the last one ``<= radius``.
+    """
+    order = np.lexsort((np.arange(len(drow)), drow))
+    sorted_d = drow[order]
+    balls = []
+    for radius in k_distinct_radii(order, sorted_d, coord_keys, ks):
+        if radius is None:
+            balls.append(None)
+            continue
+        count = np.searchsorted(sorted_d, radius, side="right")
+        # Copies: a ball kept by the caller must not pin the whole row.
+        balls.append((order[:count].copy(), sorted_d[:count].copy(), radius))
+    return balls
 
 
 def k_distinct_ball(drow: np.ndarray, coord_keys: np.ndarray, k: int):
-    """The closed ball at the k-distinct-distance over one distance row.
-
-    ``drow[j]`` is the query's distance to object ``j`` (inf for an
-    excluded id). Returns ``(ids, dists, radius)`` with the members
-    sorted by (distance, id) — duplicates of the query inside the ball
-    included, the analog of Definition 4 — or None when fewer than
-    ``k`` distinct locations are reachable.
-    """
-    order = np.lexsort((np.arange(len(drow)), drow))
-    radius = k_distinct_radius(order, drow[order], coord_keys, k)
-    if radius is None:
-        return None
-    members = order[drow[order] <= radius]
-    return members, drow[members], radius
+    """:func:`k_distinct_balls` at the single ``k``: ``(ids, dists,
+    radius)``, or None when fewer than ``k`` distinct locations are
+    reachable."""
+    return k_distinct_balls(drow, coord_keys, (k,))[0]
 
 
 def k_distinct_distance(X, i: int, k: int, metric="euclidean") -> float:

@@ -12,7 +12,9 @@ about the training objects:
 
 1. find q's tie-inclusive MinPts-distance neighborhood N(q) among the
    stored vectors (Definition 4, same ``(distance, id)`` order and the
-   same tie kernels as the batch builders — :mod:`repro.index.batch`);
+   same tie kernels as the batch builders — :mod:`repro.index.batch`).
+   As in Section 7.4, this k-NN runs once per query, at the largest
+   MinPts of the request; every smaller MinPts reads a prefix of it;
 2. hand the per-query :class:`~repro.core.graph.NeighborhoodView` to
    the active registry scorer's ``score_query`` (:mod:`repro.scorers`)
    — for LOF that is ``reach-dist(q, o) = max(k-distance(o), d(q, o))``
@@ -96,12 +98,12 @@ from . import obs
 from ._validation import check_data
 from .core import scoring
 from .core.bounds import reach_extrema
-from .core.duplicates import k_distinct_ball
+from .core.duplicates import k_distinct_balls
 from .core.graph import NeighborhoodView
 from .core.parallel import fork_available, fork_workers, wait_workers
 from .core.range_lof import _AGGREGATES
 from .exceptions import ReproError, ServeError, ValidationError
-from .index.batch import apply_exclusions, select_tie_inclusive, tie_threshold
+from .index.batch import apply_exclusions, select_tie_inclusive
 from .scorers import ScorerContext, get_scorer, list_scorers
 from .store import StoredModel, load_model, store_fingerprint
 
@@ -255,12 +257,18 @@ class OnlineScorer:
 
     The MinPts grid and aggregate default to what the stored estimator
     was fitted with; a bare materialization store scores at its
-    ``min_pts_ub``. All public methods are thread-safe. The frozen
-    model is read without locking (it is immutable once the per-k
-    caches are warmed); only the LRU cache and the Theorem-1 extrema
-    memo take the lock, and in-flight misses are single-flight, so N
-    concurrent threads produce bit-identical scores and exactly the
-    serial cache/obs counters.
+    ``min_pts_ub``. A scored batch costs one distance row over the n
+    stored points per novel query, whatever the size of the grid: one
+    tie-inclusive selection at the largest MinPts, read as a prefix at
+    every other one. Stored objects scored with ``exclude=i`` read their
+    graph rows and cost no distance evaluation.
+
+    All public methods are thread-safe. The frozen model is read
+    without locking (it is immutable once the per-k caches are warmed);
+    only the LRU cache and the Theorem-1 extrema memo take the lock,
+    and in-flight misses are single-flight, so N concurrent threads
+    produce bit-identical scores and exactly the serial cache/obs
+    counters.
     """
 
     def __init__(self, model: StoredModel, cache_size: int = 1024, scorer=None):
@@ -436,8 +444,8 @@ class OnlineScorer:
             )
         lowers = np.empty((len(ks), m))
         uppers = np.empty((len(ks), m))
-        for row_k, k in enumerate(ks):
-            view, kdist_q = self._query_view(Xq, exclude, k)
+        views = self._query_view(Xq, exclude, ks)
+        for row_k, (k, (view, _)) in enumerate(zip(ks, views)):
             reach = scoring.reach_dist_values(
                 view.dists, self.mat.k_distances(k)[view.ids]
             )
@@ -561,95 +569,122 @@ class OnlineScorer:
 
     def _score_rows(self, Xq, exclude, ks, scorer) -> np.ndarray:
         matrix = np.empty((len(ks), Xq.shape[0]))
-        for row_k, k in enumerate(ks):
-            view, kdist_q = self._query_view(Xq, exclude, k)
+        views = self._query_view(Xq, exclude, ks)
+        for row_k, (k, (view, kdist_q)) in enumerate(zip(ks, views)):
             matrix[row_k] = scorer.score_query(self._scorer_context(k), view, kdist_q)
         if len(ks) == 1:
             return matrix[0]
         return _AGGREGATES[self.aggregate](matrix)
 
-    def _query_view(self, Xq, exclude, k):
-        """The per-query NeighborhoodView at MinPts=k.
+    def _query_view(self, Xq, exclude, ks):
+        """The per-query NeighborhoodView at every MinPts of ``ks``.
 
+        Returns one ``(view, kdist_q)`` pair per k, in ``ks`` order, from
+        a single k-NN per query row (Section 7.4: step 1 runs once, at
+        the largest MinPts, and every smaller MinPts reads a prefix).
         Rows whose ``exclude`` id is a stored object with bitwise equal
         coordinates reuse that object's stored neighborhood — the prefix
         of its graph row, the self-consistent path that reproduces
-        fitted values exactly.
-        Novel rows run the same tie kernels as the batch builders over a
-        fresh distance block. Pure frozen-model reads: no lock.
+        fitted values exactly; they evaluate no distance.
+        Novel rows get one distance row each and one tie-inclusive
+        selection at ``max(ks)`` (see :meth:`_novel_rows`). Pure
+        frozen-model reads: no lock.
         """
         m = Xq.shape[0]
-        rows_ids = [None] * m
-        rows_dists = [None] * m
-        kdist_q = np.empty(m, dtype=np.float64)
-        kd_train = self.mat.k_distances(k)
+        stored: Dict[int, int] = {}
         novel = []
         for i in range(m):
             j = int(exclude[i])
             if j >= 0 and Xq[i].tobytes() == self.X[j].tobytes():
-                ids, dists = self.mat.neighborhood_of(j, k)
-                rows_ids[i] = ids
-                rows_dists[i] = dists
-                kdist_q[i] = kd_train[j]
+                stored[i] = j
             else:
                 novel.append(i)
-        if novel:
-            # One row-local kernel per novel query rather than one GEMM
-            # over the stacked block: BLAS picks different kernels for
-            # different block shapes (GEMV for one row, GEMM for many),
-            # which perturbs last-ulp distances — so a block kernel
-            # would make a query's score depend on how many neighbors it
-            # shared a coalesced batch with. The row kernel is
-            # shape-independent, which is what makes batched scoring
-            # bit-identical to per-request scoring by construction.
-            D = np.stack(
-                [self.metric.pairwise_to_point(self.X, Xq[i]) for i in novel]
-            )
-            apply_exclusions(D, exclude[novel])
-            if self.mat.duplicate_mode == "distinct":
-                for pos, i in enumerate(novel):
-                    ids, dists, radius = self._distinct_query_row(D[pos], k)
-                    rows_ids[i] = ids
-                    rows_dists[i] = dists
-                    kdist_q[i] = radius
-            else:
-                self._check_row_budget(D, k)
-                kth = tie_threshold(D, k)
-                flat_ids, flat_dists, counts = select_tie_inclusive(D, k)
-                offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-                np.cumsum(counts, out=offsets[1:])
-                for pos, i in enumerate(novel):
-                    sl = slice(offsets[pos], offsets[pos + 1])
-                    rows_ids[i] = flat_ids[sl]
-                    rows_dists[i] = flat_dists[sl]
-                    kdist_q[i] = kth[pos]
-        return NeighborhoodView.from_ragged(k, rows_ids, rows_dists, kdist_q), kdist_q
+        novel_rows = (
+            self._novel_rows(Xq[novel], exclude[novel], ks) if novel else [()] * len(ks)
+        )
+        out = []
+        for row_k, k in enumerate(ks):
+            rows_ids = [None] * m
+            rows_dists = [None] * m
+            kdist_q = np.empty(m, dtype=np.float64)
+            kd_train = self.mat.k_distances(k)
+            for i, j in stored.items():
+                rows_ids[i], rows_dists[i] = self.mat.neighborhood_of(j, k)
+                kdist_q[i] = kd_train[j]
+            for i, (ids, dists, radius) in zip(novel, novel_rows[row_k]):
+                rows_ids[i] = ids
+                rows_dists[i] = dists
+                kdist_q[i] = radius
+            view = NeighborhoodView.from_ragged(k, rows_ids, rows_dists, kdist_q)
+            out.append((view, kdist_q))
+        return out
 
-    def _check_row_budget(self, D: np.ndarray, k: int) -> None:
+    def _novel_rows(self, Xq, exclude, ks):
+        """Each novel query's neighborhood at every k of ``ks``.
+
+        Returns, per k, one ``(ids, dists, kdist)`` per query row. One
+        row-local kernel per novel query rather than one GEMM over the
+        stacked block: BLAS picks different kernels for different block
+        shapes (GEMV for one row, GEMM for many), which perturbs
+        last-ulp distances — so a block kernel would make a query's
+        score depend on how many neighbors it shared a coalesced batch
+        with. The row kernel is shape-independent, which is what makes
+        batched scoring bit-identical to per-request scoring by
+        construction.
+
+        The selection at ``max(ks)`` holds each row's floats in
+        (distance, id) order, so the k-distance at any smaller k is the
+        row's ``k``-th entry and its tie-inclusive neighborhood — every
+        entry ``<=`` that distance — is a prefix of the row: the same
+        bits a selection at k would give.
+        """
+        D = np.stack([self.metric.pairwise_to_point(self.X, q) for q in Xq])
+        apply_exclusions(D, exclude)
+        if self.mat.duplicate_mode == "distinct":
+            return self._distinct_rows(D, ks)
         finite = np.isfinite(D).sum(axis=1)
-        if np.any(finite < k):
-            bad = int(np.flatnonzero(finite < k)[0])
-            raise ValidationError(
-                f"query row {bad} has only {int(finite[bad])} candidate "
-                f"neighbors but MinPts={k}"
-            )
+        for k in ks:
+            if np.any(finite < k):
+                bad = int(np.flatnonzero(finite < k)[0])
+                raise ValidationError(
+                    f"query row {bad} has only {int(finite[bad])} candidate "
+                    f"neighbors but MinPts={k}"
+                )
+        flat_ids, flat_dists, counts = select_tie_inclusive(D, max(ks))
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        segments = [
+            (flat_ids[a:b], flat_dists[a:b]) for a, b in zip(offsets[:-1], offsets[1:])
+        ]
+        per_k = []
+        for k in ks:
+            rows = []
+            for ids, seg in segments:
+                kth = seg[k - 1]
+                count = np.searchsorted(seg, kth, side="right")
+                rows.append((ids[:count], seg[:count], kth))
+            per_k.append(rows)
+        return per_k
 
-    def _distinct_query_row(self, drow: np.ndarray, k: int):
-        """One query's k-distinct-distance neighborhood (closed ball).
+    def _distinct_rows(self, D: np.ndarray, ks):
+        """Each row's k-distinct-distance neighborhood (closed ball) at
+        every k of ``ks``, from one sort of the row.
 
-        The same :func:`~repro.core.duplicates.k_distinct_ball` the
+        The same :func:`~repro.core.duplicates.k_distinct_balls` the
         materialization uses: the radius is the distance at which the
         k-th distinct coordinate location (at positive distance —
         co-located duplicates of the query do not count) is reached.
+        The first k in ``ks`` that some row falls short of raises.
         """
-        ball = k_distinct_ball(drow, self.mat.coord_keys, k)
-        if ball is None:
-            raise ValidationError(
-                f"fewer than k={k} distinct coordinate locations are "
-                "reachable from the query point"
-            )
-        ids, dists, radius = ball
-        return ids.astype(np.int64), dists, float(radius)
+        balls = [k_distinct_balls(drow, self.mat.coord_keys, ks) for drow in D]
+        per_k = [[row[row_k] for row in balls] for row_k in range(len(ks))]
+        for k, rows in zip(ks, per_k):
+            if any(ball is None for ball in rows):
+                raise ValidationError(
+                    f"fewer than k={k} distinct coordinate locations are "
+                    "reachable from the query point"
+                )
+        return per_k
 
     def _reach_extrema(self, k: int):
         with self._lock:

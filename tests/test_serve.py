@@ -143,7 +143,7 @@ class TestScoreNew:
         # Degenerate distance row (all zeros): too few distinct
         # positive-distance locations for the radius to exist.
         with pytest.raises(ValidationError, match="distinct coordinate"):
-            sc._distinct_query_row(np.zeros(len(X)), 4)
+            sc._distinct_rows(np.zeros((1, len(X))), (4,))
 
     def test_exclude_validation(self, scorer):
         sc, _ = scorer
