@@ -2,7 +2,7 @@
 """Closed-loop load benchmark for the online scoring service.
 
 Fits a deterministic synthetic model once, then sweeps a grid of
-serving configurations — ``workers × batch_window_ms × cache_size`` —
+serving configurations — ``workers × batch × cache_size`` —
 starting a real ``repro-lof serve`` subprocess for each cell and
 hammering it with ``--concurrency`` closed-loop client threads over
 persistent HTTP/1.1 connections (each thread sends its next request the
@@ -19,9 +19,11 @@ service's, not the generator's). Emits a schema-validated
   coalesced), so the coalescing rate behind a throughput number is
   recorded next to it.
 
-A ``batch_window_ms`` of ``0`` in the grid means batching *disabled*
-(``--no-batch``: the pre-fleet request-at-a-time behavior) — the
-baseline the coalesced configurations are measured against. A
+A ``batch`` of ``0`` in the grid means the batcher is *off*
+(``--no-batch``: every request scores alone on its handler thread) —
+the baseline the batched configurations are measured against; ``1`` is
+the default server (an idle worker scores a request inline, requests
+that arrive during a score are coalesced behind it). A
 ``cache_size`` of ``0`` disables the LRU result cache: those cells
 exercise the pure scoring path, which is where the batching speedup is
 architectural (per-request, per-MinPts fixed costs amortize across the
@@ -32,7 +34,7 @@ path and are recorded alongside for the trajectory.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_serve.py \
-        --grid-workers 1 2 --grid-window-ms 0 2 --concurrency 8 \
+        --grid-workers 1 2 --grid-batch 0 1 --concurrency 8 \
         --requests 400 --out BENCH_serve.json
 
     # CI schema check of an emitted file:
@@ -66,7 +68,6 @@ SCHEMA = "repro.bench.serve/v1"
 #: validates emitted files against this.
 RESULT_FIELDS = {
     "workers": int,
-    "batch_window_ms": float,
     "batched": bool,
     "cache_size": int,
     "concurrency": int,
@@ -92,7 +93,7 @@ def fit_store(path: Path, n: int, dim: int, min_pts, seed: int) -> None:
     LocalOutlierFactor(min_pts=tuple(min_pts)).fit(X).save(path)
 
 
-def start_server(store, workers, window_ms, cache_size, max_batch):
+def start_server(store, workers, batched, cache_size, max_batch):
     """Launch ``repro-lof serve`` and return (process, port)."""
     cmd = [
         sys.executable, "-m", "repro", "serve", str(store),
@@ -104,9 +105,7 @@ def start_server(store, workers, window_ms, cache_size, max_batch):
         cmd += ["--workers", str(workers)]
     else:
         cmd += ["--mmap"]
-    if window_ms > 0:
-        cmd += ["--batch-window-ms", str(window_ms)]
-    else:
+    if not batched:
         cmd += ["--no-batch"]
     proc = subprocess.Popen(
         cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
@@ -271,9 +270,9 @@ def run(args) -> dict:
     ]
 
     cells = [
-        (workers, window_ms, cache_size)
+        (workers, bool(batch), cache_size)
         for workers in args.grid_workers
-        for window_ms in args.grid_window_ms
+        for batch in args.grid_batch
         for cache_size in args.grid_cache
     ]
     # Best-of-N repeats, interleaved round-robin over the grid: on a
@@ -289,9 +288,9 @@ def run(args) -> dict:
     samples = {cell: ({}, {}) for cell in cells}
     for round_i in range(max(1, args.repeats)):
         for cell in cells:
-            workers, window_ms, cache_size = cell
+            workers, batched, cache_size = cell
             proc, port = start_server(
-                store, workers, window_ms, cache_size, args.max_batch
+                store, workers, batched, cache_size, args.max_batch
             )
             try:
                 # Warmup: fill caches and fault the memmap in.
@@ -315,15 +314,14 @@ def run(args) -> dict:
 
     results = []
     for cell in cells:
-        workers, window_ms, cache_size = cell
+        workers, batched, cache_size = cell
         _, wall, lat_ms = max(runs[cell], key=lambda r: r[0])
         rss, batcher = samples[cell]
         errors = errors_of[cell]
         done = len(lat_ms)
         record = {
             "workers": workers,
-            "batch_window_ms": float(window_ms),
-            "batched": window_ms > 0,
+            "batched": batched,
             "cache_size": cache_size,
             "concurrency": args.concurrency,
             "requests": done,
@@ -344,7 +342,7 @@ def run(args) -> dict:
         }
         results.append(record)
         print(
-            f"workers={workers} window={window_ms:>4}ms "
+            f"workers={workers} batched={int(batched)} "
             f"cache={cache_size:<5} -> "
             f"{record['req_per_s']:8.1f} req/s  "
             f"p50={record['p50_ms']:6.2f}ms "
@@ -368,7 +366,7 @@ def run(args) -> dict:
             "points_per_request": args.points_per_request,
             "max_batch": args.max_batch,
             "grid_workers": args.grid_workers,
-            "grid_window_ms": args.grid_window_ms,
+            "grid_batch": args.grid_batch,
             "grid_cache": args.grid_cache,
         },
         "environment": {
@@ -407,7 +405,6 @@ def derive(results) -> dict:
             best = max(batched, key=lambda r: r["req_per_s"])
             entry["best_batched_req_per_s"] = best["req_per_s"]
             entry["best_batched_workers"] = best["workers"]
-            entry["best_batched_window_ms"] = best["batch_window_ms"]
             if base["req_per_s"]:
                 entry["batched_over_unbatched"] = round(
                     best["req_per_s"] / base["req_per_s"], 3
@@ -427,7 +424,6 @@ def derive(results) -> dict:
             "unbatched_single_worker_req_per_s",
             "best_batched_req_per_s",
             "best_batched_workers",
-            "best_batched_window_ms",
             "batched_over_unbatched",
             "multiworker_batched_req_per_s",
             "multiworker_batched_over_unbatched",
@@ -521,15 +517,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--points-per-request", type=int, default=1, metavar="N")
     parser.add_argument(
         "--max-batch", type=int, default=8, metavar="N",
-        help="server-side batch cap (default: 8 = --concurrency; with a "
-             "closed-loop generator the batch then closes the moment "
-             "every in-flight request has queued instead of idling out "
-             "the rest of the window)",
+        help="server-side batch cap (default: 8 = --concurrency, the "
+             "most requests a closed-loop generator can have queued)",
     )
     parser.add_argument("--grid-workers", nargs="+", type=int, default=[1, 2])
     parser.add_argument(
-        "--grid-window-ms", nargs="+", type=float, default=[0.0, 2.0],
-        help="batch windows to sweep; 0 disables batching (the baseline)",
+        "--grid-batch", nargs="+", type=int, choices=(0, 1), default=[0, 1],
+        help="batcher settings to sweep: 0 is --no-batch (the baseline), "
+             "1 the default server",
     )
     parser.add_argument(
         "--grid-cache", nargs="+", type=int, default=[0, 1024],

@@ -25,7 +25,7 @@ def check_data(X, *, name: str = "X", min_rows: int = 1) -> np.ndarray:
     """
     try:
         arr = np.asarray(X, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} must be numeric array-like: {exc}") from exc
     if arr.ndim == 1:
         # A single feature column is accepted as a convenience.

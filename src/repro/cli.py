@@ -171,7 +171,6 @@ def _cmd_fit(args) -> int:
 def _cmd_serve(args) -> int:
     from .serve import run_fleet, run_server
 
-    batch_window_ms = None if args.no_batch else args.batch_window_ms
     stream = None
     if args.stream:
         stream = {
@@ -195,7 +194,7 @@ def _cmd_serve(args) -> int:
             workers=args.workers,
             max_requests=args.max_requests,
             cache_size=args.cache_size,
-            batch_window_ms=batch_window_ms,
+            batch=not args.no_batch,
             max_batch=args.max_batch,
             max_queue=args.max_queue,
             scorer=args.scorer,
@@ -208,7 +207,7 @@ def _cmd_serve(args) -> int:
         mmap=args.mmap,
         max_requests=args.max_requests,
         cache_size=args.cache_size,
-        batch_window_ms=batch_window_ms,
+        batch=not args.no_batch,
         max_batch=args.max_batch,
         max_queue=args.max_queue,
         scorer=args.scorer,
@@ -391,14 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
              "memmapped store (implies --mmap; default: 1, in-process)",
     )
     p_serve.add_argument(
-        "--batch-window-ms", type=float, default=2.0, metavar="MS",
-        help="coalesce concurrent /score requests for up to MS "
-             "milliseconds into one kernel call (default: 2.0)",
-    )
-    p_serve.add_argument(
         "--max-batch", type=int, default=64, metavar="N",
-        help="flush a coalesced batch once it holds N points "
-             "(default: 64)",
+        help="cap a coalesced batch of /score requests, which queued "
+             "behind a running score, at N points (default: 64)",
     )
     p_serve.add_argument(
         "--max-queue", type=int, default=1024, metavar="N",
@@ -407,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--no-batch", action="store_true",
-        help="disable request coalescing (score each request alone)",
+        help="disable the batcher: every request scores alone on its "
+             "own handler thread",
     )
     _add_scorer_option(
         p_serve,

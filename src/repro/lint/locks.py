@@ -268,6 +268,23 @@ class _LockRegistry:
 # local analysis
 
 
+def _acquire_in_test(test) -> Optional[ast.Call]:
+    """The ``x.acquire(...)`` call an ``if`` test must pass for its body
+    to run: the whole test, or one operand of an ``and`` chain."""
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+        operands = test.values
+    else:
+        operands = [test]
+    for operand in operands:
+        if (
+            isinstance(operand, ast.Call)
+            and isinstance(operand.func, ast.Attribute)
+            and operand.func.attr == "acquire"
+        ):
+            return operand
+    return None
+
+
 class _LocalAnalyzer:
     """Block-structured walk producing :class:`FunctionFacts`."""
 
@@ -301,6 +318,19 @@ class _LocalAnalyzer:
                         entered.append(lock)
                 self._walk_block(stmt.body, frozenset(held) | set(entered))
                 continue
+            if isinstance(stmt, ast.If):
+                call = _acquire_in_test(stmt.test)
+                lock = None if call is None else self._resolve_lock(call)
+                if lock is not None:
+                    # The body runs only once the acquire succeeded.
+                    self._record(stmt.test, frozenset(held))
+                    self.facts.acquires.append(
+                        AcquireEvent(lock, call, frozenset(held))
+                    )
+                    self._walk_block(stmt.body, frozenset(held) | {lock})
+                    if stmt.orelse:
+                        self._walk_block(stmt.orelse, frozenset(held))
+                    continue
             if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
                 call = stmt.value
                 func = call.func

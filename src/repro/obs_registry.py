@@ -27,6 +27,7 @@ COUNTERS = (
     'scorer.loop.points',
     'serve.batch.batches',
     'serve.batch.coalesced',
+    'serve.batch.inline',
     'serve.batch.requests',
     'serve.bounds.exact',
     'serve.bounds.pruned',

@@ -46,10 +46,12 @@ the placeholder instead of recomputing — which keeps the hit/miss
 counters exactly the serial values under any interleaving.
 
 Scoring is embarrassingly batchable (each query row is independent in
-every kernel), which :class:`ScoreBatcher` exploits on the HTTP path:
-concurrent ``/score`` requests are coalesced for up to
-``batch_window_ms`` (or ``max_batch`` points) into one stacked
-``score_new`` call and demultiplexed back — bit-identical to
+every kernel), which :class:`ScoreBatcher` exploits on the HTTP path.
+Each worker runs one score at a time: a request that finds the worker
+idle is scored on its own handler thread at once, with no timer and no
+hand-off; requests that arrive while a score runs queue up and are
+scored together, as one stacked ``score_new`` call (up to
+``max_batch`` points), as soon as it ends — bit-identical to
 per-request scoring by construction and by test.
 
 The HTTP surface (``repro-lof serve``) is a stdlib
@@ -698,23 +700,37 @@ class OnlineScorer:
 
 
 class ScoreBatcher:
-    """Coalesce concurrent ``/score`` requests into stacked kernel calls.
+    """Run each worker's ``/score`` requests one score at a time, and
+    coalesce whatever queues behind a running score.
 
-    Requests enter a bounded queue (backpressure: a full queue blocks
-    the submitting HTTP thread rather than growing without bound). One
-    batcher thread drains it: starting from the first waiting request it
-    accumulates more for up to ``batch_window_ms`` (or until
-    ``max_batch`` points are gathered), groups compatible requests
-    (same ``min_pts`` selector and same requested scorer), stacks each
-    group's points into one ``Xq`` and runs a **single** ``score_new``
-    per group, then demultiplexes the score slices back to the
-    per-request futures.
+    One scoring lock per worker: at most one ``score_new`` runs at a
+    time. :meth:`score` is the HTTP handler's entry point. When nothing
+    is queued (or held by the batcher thread) and the lock is free, the
+    calling thread takes the lock and runs ``score_new`` itself — an
+    idle worker answers a lone request with no hand-off and no wait.
+    Otherwise the request goes through :meth:`submit` into a bounded
+    queue (backpressure: a full queue blocks the submitting thread
+    rather than growing without bound) and its caller waits. The
+    batcher thread takes a queued request, then the scoring lock, then
+    everything else that queued meanwhile (up to ``max_batch`` points),
+    groups compatible requests (same ``min_pts`` selector and same
+    requested scorer), stacks each group's points into one ``Xq``, runs
+    a **single** ``score_new`` per group and demultiplexes the score
+    slices back to the per-request futures. Batches therefore form
+    from the requests that arrived while a score was running, with no
+    timer. An inline run counts as a one-request batch (``inline``
+    counts those), so the counters account for every request.
 
     Every query row is independent in every kernel on the scoring path
     (pairwise block rows, tie selection, reach/lrd/LOF row reductions),
-    so batched results are bit-identical to per-request scoring —
-    guaranteed by construction here and pinned by
+    so batched and inline results are bit-identical to per-request
+    scoring — guaranteed by construction here and pinned by
     ``tests/test_serve.py::TestBatcher``.
+
+    ``batch_window_ms`` (default 0) makes the batcher thread wait up to
+    that long for more requests after the first, before it takes the
+    lock. The server never sets it; tests use a long window to force a
+    coalesce deterministically.
 
     ``scorer_ref`` is a callable returning the *current* scorer, so a
     hot-swap (``/admin/reload``) between enqueue and execution scores
@@ -724,7 +740,7 @@ class ScoreBatcher:
     def __init__(
         self,
         scorer_ref: Callable[[], OnlineScorer],
-        batch_window_ms: float = 2.0,
+        batch_window_ms: float = 0.0,
         max_batch: int = 64,
         max_queue: int = 1024,
     ):
@@ -733,16 +749,33 @@ class ScoreBatcher:
         self.max_batch = max(int(max_batch), 1)
         self._queue: "queue.Queue" = queue.Queue(maxsize=max(int(max_queue), 1))
         self._closed = False
-        # Batch statistics: written only by the single batcher thread,
-        # read (atomically, CPython int loads) by /stats.
-        self.requests = 0
-        self.batches = 0
-        self.coalesced = 0
-        self.points = 0
+        # Held by whichever thread is scoring: an inline caller or the
+        # batcher thread. The batch statistics are written only under it.
+        self._score_lock = threading.Lock()
+        self.requests = 0  # reprolint: lock-guarded
+        self.batches = 0  # reprolint: lock-guarded
+        self.coalesced = 0  # reprolint: lock-guarded
+        self.points = 0  # reprolint: lock-guarded
+        self.inline = 0  # reprolint: lock-guarded
         self._thread = threading.Thread(
             target=self._run, name="repro-serve-batcher", daemon=True
         )
         self._thread.start()
+
+    def score(self, points, min_pts: Optional[int], scorer=None) -> np.ndarray:
+        """Score one request: on the calling thread when the worker is
+        idle, else through the queue (see the class docstring)."""
+        if self._closed:
+            raise ServeError("the scoring service is shutting down")
+        # unfinished_tasks counts requests queued or still held by the
+        # batcher thread, so an inline score never jumps ahead of them.
+        idle = not self._queue.unfinished_tasks
+        if idle and self._score_lock.acquire(blocking=False):
+            try:
+                return self._score_inline(points, min_pts, scorer)
+            finally:
+                self._score_lock.release()
+        return self.submit(points, min_pts, scorer=scorer).result()
 
     def submit(self, points, min_pts: Optional[int], scorer=None) -> _PendingScore:
         """Validate and enqueue one request; returns its future.
@@ -755,10 +788,7 @@ class ScoreBatcher:
         """
         if self._closed:
             raise ServeError("the scoring service is shutting down")
-        online = self._scorer_ref()
-        if scorer is not None:
-            scorer = get_scorer(scorer).name
-        Xq, _, _ = online._check_query(points, None, min_pts)
+        _, Xq, scorer = self._checked(points, min_pts, scorer)
         pending = _PendingScore()
         obs.incr("serve.batch.requests")
         self._queue.put((Xq, min_pts, scorer, pending))
@@ -768,15 +798,19 @@ class ScoreBatcher:
         return self._queue.qsize()
 
     def stats(self) -> Dict:
+        with self._score_lock:
+            counts = {
+                "requests": self.requests,
+                "batches": self.batches,
+                "coalesced": self.coalesced,
+                "points": self.points,
+                "inline": self.inline,
+            }
         return {
-            "window_ms": self.batch_window_s * 1000.0,
             "max_batch": self.max_batch,
             "queue_depth": self.queue_depth(),
             "queue_capacity": self._queue.maxsize,
-            "requests": self.requests,
-            "batches": self.batches,
-            "coalesced": self.coalesced,
-            "points": self.points,
+            **counts,
         }
 
     def close(self, timeout: float = 5.0) -> None:
@@ -787,6 +821,33 @@ class ScoreBatcher:
         self._queue.put(None)
         self._thread.join(timeout=timeout)
 
+    def _checked(self, points, min_pts, scorer):
+        """``(current scorer, validated Xq, resolved scorer name)``."""
+        online = self._scorer_ref()
+        if scorer is not None:
+            scorer = get_scorer(scorer).name
+        Xq, _, _ = online._check_query(points, None, min_pts)
+        return online, Xq, scorer
+
+    # -- scoring, under the scoring lock --------------------------------------
+
+    def _score_inline(self, points, min_pts, scorer) -> np.ndarray:  # reprolint: holds-lock
+        online, Xq, scorer = self._checked(points, min_pts, scorer)
+        obs.incr("serve.batch.requests")
+        obs.incr("serve.batch.inline")
+        self.inline += 1
+        self._count(1, Xq.shape[0])
+        return online.score_new(Xq, min_pts=min_pts, scorer=scorer)
+
+    def _count(self, requests: int, points: int) -> None:  # reprolint: holds-lock
+        """Account one stacked ``score_new`` over ``requests`` requests."""
+        obs.incr("serve.batch.batches")
+        obs.incr("serve.batch.coalesced", requests - 1)
+        self.requests += requests
+        self.batches += 1
+        self.coalesced += requests - 1
+        self.points += points
+
     # -- batcher thread -------------------------------------------------------
 
     def _run(self) -> None:
@@ -795,25 +856,56 @@ class ScoreBatcher:
             if item is None:
                 return
             batch = [item]
-            rows = item[0].shape[0]
-            deadline = time.monotonic() + self.batch_window_s
-            while rows < self.max_batch:
-                remaining = deadline - time.monotonic()
-                try:
-                    if remaining > 0:
-                        nxt = self._queue.get(timeout=remaining)
-                    else:
-                        nxt = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if nxt is None:
+            closing = self.batch_window_s > 0 and self._wait_for_more(batch)
+            try:
+                with self._score_lock:
+                    closing = closing or self._drain(batch)
                     self._execute(batch)
-                    return
-                batch.append(nxt)
-                rows += nxt[0].shape[0]
-            self._execute(batch)
+            finally:
+                for _ in batch:
+                    self._queue.task_done()
+            if closing:
+                return
+            # Yield the GIL: the handlers this batch answered need it to
+            # reply, and a batch already queued would otherwise keep it
+            # for up to the interpreter's switch interval (5 ms).
+            time.sleep(0)
 
-    def _execute(self, batch) -> None:
+    @staticmethod
+    def _rows(batch) -> int:
+        return sum(entry[0].shape[0] for entry in batch)
+
+    def _wait_for_more(self, batch) -> bool:
+        """Add requests arriving within the window to ``batch``, outside
+        the scoring lock; True when the close sentinel arrived."""
+        deadline = time.monotonic() + self.batch_window_s
+        while self._rows(batch) < self.max_batch:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return False
+            try:
+                item = self._queue.get(timeout=remaining)
+            except queue.Empty:
+                return False
+            if item is None:
+                return True
+            batch.append(item)
+        return False
+
+    def _drain(self, batch) -> bool:
+        """Add everything already queued to ``batch``, up to
+        ``max_batch`` points; True when the close sentinel was taken."""
+        while self._rows(batch) < self.max_batch:
+            try:
+                item = self._queue.get_nowait()
+            except queue.Empty:
+                return False
+            if item is None:
+                return True
+            batch.append(item)
+        return False
+
+    def _execute(self, batch) -> None:  # reprolint: holds-lock
         online = self._scorer_ref()
         groups: "OrderedDict" = OrderedDict()
         for entry in batch:
@@ -824,12 +916,7 @@ class ScoreBatcher:
                 if len(group) == 1
                 else np.concatenate([e[0] for e in group], axis=0)
             )
-            obs.incr("serve.batch.batches")
-            obs.incr("serve.batch.coalesced", len(group) - 1)
-            self.requests += len(group)
-            self.batches += 1
-            self.coalesced += len(group) - 1
-            self.points += stacked.shape[0]
+            self._count(len(group), stacked.shape[0])
             try:
                 scores = online.score_new(
                     stacked, min_pts=min_pts, scorer=scorer_name
@@ -870,7 +957,7 @@ class _ModelHTTPServer(ThreadingHTTPServer):
         scorer: OnlineScorer,
         max_requests=None,
         sock: Optional[socket.socket] = None,
-        batch_window_ms: Optional[float] = 2.0,
+        batch: bool = True,
         max_batch: int = 64,
         max_queue: int = 1024,
         worker_index: int = 0,
@@ -901,12 +988,9 @@ class _ModelHTTPServer(ThreadingHTTPServer):
         self._served = 0  # reprolint: lock-guarded
         self._active = 0  # reprolint: lock-guarded
         self.batcher: Optional[ScoreBatcher] = None
-        if batch_window_ms is not None:
+        if batch:
             self.batcher = ScoreBatcher(
-                lambda: self.scorer,
-                batch_window_ms=batch_window_ms,
-                max_batch=max_batch,
-                max_queue=max_queue,
+                lambda: self.scorer, max_batch=max_batch, max_queue=max_queue
             )
         # The online lifecycle (repro.stream.StreamingDetector), attached
         # by make_server when --stream is on: /score feeds served points
@@ -1093,7 +1177,7 @@ class _Handler(BaseHTTPRequestHandler):
         scorer = self.server.scorer
         try:
             request = self._read_json_body()
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
             self._reply(400, {"error": f"bad request body: {exc}"})
             return
         if not isinstance(request, dict) or "points" not in request:
@@ -1102,8 +1186,10 @@ class _Handler(BaseHTTPRequestHandler):
         min_pts = request.get("min_pts")
         scorer_name = request.get("scorer")
         try:
-            if min_pts is not None:
-                min_pts = int(min_pts)
+            if min_pts is not None and (
+                isinstance(min_pts, bool) or not isinstance(min_pts, int)
+            ):
+                raise ValidationError("min_pts must be an integer")
             if scorer_name is not None and not isinstance(scorer_name, str):
                 raise ValidationError("scorer must be a registered scorer name")
             if scorer_name is not None:
@@ -1112,9 +1198,7 @@ class _Handler(BaseHTTPRequestHandler):
                 scorer_name = get_scorer(scorer_name).name
             batcher = self.server.batcher
             if batcher is not None:
-                scores = batcher.submit(
-                    request["points"], min_pts, scorer=scorer_name
-                ).result()
+                scores = batcher.score(request["points"], min_pts, scorer=scorer_name)
             else:
                 scores = scorer.score_new(
                     request["points"], min_pts=min_pts, scorer=scorer_name
@@ -1160,7 +1244,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle_reload(self) -> None:
         try:
             request = self._read_json_body()
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
             self._reply(400, {"error": f"bad request body: {exc}"})
             return
         if not isinstance(request, dict):
@@ -1200,7 +1284,7 @@ def make_server(
     max_requests=None,
     cache_size: int = 1024,
     sock: Optional[socket.socket] = None,
-    batch_window_ms: Optional[float] = 2.0,
+    batch: bool = True,
     max_batch: int = 64,
     max_queue: int = 1024,
     worker_index: int = 0,
@@ -1210,9 +1294,10 @@ def make_server(
 ) -> _ModelHTTPServer:
     """Build (but do not start) the scoring server; ``port=0`` binds an
     ephemeral port, readable from ``server.server_address``.
-    ``batch_window_ms=None`` disables request coalescing (each request
-    scores by itself, the pre-fleet behavior). ``scorer`` overrides the
-    store's fitted scorer as the service default.
+    ``batch=False`` turns the :class:`ScoreBatcher` off: every request
+    scores by itself on its handler thread, concurrently with the others
+    (the speedup gate's baseline). ``scorer`` overrides the store's
+    fitted scorer as the service default.
 
     ``stream``, when given (a dict, possibly empty), attaches a
     :class:`repro.stream.StreamingDetector` wired to this server: every
@@ -1230,7 +1315,7 @@ def make_server(
         scorer,
         max_requests=max_requests,
         sock=sock,
-        batch_window_ms=batch_window_ms,
+        batch=batch,
         max_batch=max_batch,
         max_queue=max_queue,
         worker_index=worker_index,
@@ -1294,7 +1379,7 @@ def run_server(
     mmap: bool = False,
     max_requests=None,
     cache_size: int = 1024,
-    batch_window_ms: Optional[float] = 2.0,
+    batch: bool = True,
     max_batch: int = 64,
     max_queue: int = 1024,
     scorer=None,
@@ -1311,7 +1396,7 @@ def run_server(
         mmap=mmap,
         max_requests=max_requests,
         cache_size=cache_size,
-        batch_window_ms=batch_window_ms,
+        batch=batch,
         max_batch=max_batch,
         max_queue=max_queue,
         scorer=scorer,
@@ -1343,7 +1428,7 @@ def run_fleet(
     workers: int = 1,
     max_requests=None,
     cache_size: int = 1024,
-    batch_window_ms: Optional[float] = 2.0,
+    batch: bool = True,
     max_batch: int = 64,
     max_queue: int = 1024,
     scorer=None,
@@ -1379,7 +1464,7 @@ def run_fleet(
             mmap=True,
             max_requests=max_requests,
             cache_size=cache_size,
-            batch_window_ms=batch_window_ms,
+            batch=batch,
             max_batch=max_batch,
             max_queue=max_queue,
             scorer=scorer,
@@ -1402,7 +1487,7 @@ def run_fleet(
             max_requests=max_requests,
             cache_size=cache_size,
             sock=sock,
-            batch_window_ms=batch_window_ms,
+            batch=batch,
             max_batch=max_batch,
             max_queue=max_queue,
             worker_index=index,

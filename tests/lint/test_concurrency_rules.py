@@ -297,6 +297,46 @@ class C:
             elif name == "unlocked":
                 assert not facts.held(site.node)
 
+    def test_acquire_in_if_test_holds_in_body_only(self):
+        model = self._model(
+            """
+import threading
+
+class C:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.idle = True
+
+    def m(self):
+        if self.idle and self._lock.acquire(blocking=False):
+            try:
+                self.locked()
+            finally:
+                self._lock.release()
+        else:
+            self.fallback()
+        self.after()
+
+    def locked(self):
+        pass
+
+    def fallback(self):
+        pass
+
+    def after(self):
+        pass
+"""
+        )
+        facts = model.facts["repro._snippet.C.m"]
+        held = {
+            site.callee.rsplit(".", 1)[-1]: facts.held(site.node)
+            for site in model.graph.calls["repro._snippet.C.m"]
+        }
+        assert len(held["locked"]) == 1
+        assert not held["fallback"]
+        assert not held["after"]
+        assert len(facts.acquires) == 1
+
     def test_must_held_is_intersection_over_paths(self):
         model = self._model(
             """
@@ -451,6 +491,38 @@ class Worker:
     def entry_b(self):
         with self._lock:
             self._bump()
+
+    def _bump(self):  # reprolint: holds-lock
+        self.count += 1
+
+def start():
+    w = Worker()
+    threading.Thread(target=w.entry_a).start()
+    threading.Thread(target=w.entry_b).start()
+""",
+        )
+
+    def test_non_blocking_acquire_in_if_test_discharges(self):
+        assert_clean(
+            "RL009",
+            """
+import threading
+
+class Worker:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.count = 0  # reprolint: lock-guarded
+
+    def entry_a(self):
+        with self._lock:
+            self._bump()
+
+    def entry_b(self):
+        if self._lock.acquire(blocking=False):
+            try:
+                self._bump()
+            finally:
+                self._lock.release()
 
     def _bump(self):  # reprolint: holds-lock
         self.count += 1
@@ -669,6 +741,19 @@ class TestRL011:
             ),
         )
 
+    def test_join_under_if_acquired_lock_flagged(self):
+        findings = assert_flags(
+            "RL011",
+            HOT.replace(
+                "        with self._lock:\n            self.worker.join()",
+                "        if self._lock.acquire(blocking=False):\n"
+                "            self.worker.join()\n"
+                "            self._lock.release()",
+            ),
+            count=1,
+        )
+        assert "joins a thread" in findings[0].message
+
     def test_lock_not_touched_by_handlers_is_cold(self):
         # same blocking-under-lock shape, but no handler ever takes the
         # lock -> not hot, no finding
@@ -815,6 +900,17 @@ class TestRealTreeResolution:
         hot = {lock.render() for lock in model.hot_locks()}
         assert "OnlineScorer._lock" in hot
         assert "_ModelHTTPServer._state_lock" in hot
+        assert "ScoreBatcher._score_lock" in hot
+
+    def test_inline_score_runs_under_the_scoring_lock(self, model):
+        # The handler's inline score takes the lock with a non-blocking
+        # acquire in an if test; the analyzer must see it held there.
+        sites = model.graph.callers["repro.serve.ScoreBatcher._score_inline"]
+        assert sites, "annotation now unverifiable"
+        for site in sites:
+            assert {lock.render() for lock in model.site_held(site)} == {
+                "ScoreBatcher._score_lock"
+            }
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ Three contracts:
   under concurrent hammering: the frozen-model read path is lock-free
   and cache misses are single-flight, so N threads produce bit-identical
   scores and exactly the serial counters;
-* *coalescing* — batching concurrent requests into one stacked kernel
-  call (:class:`~repro.serve.ScoreBatcher`) is bit-identical to scoring
-  each request alone, and a hot-swap (``/admin/reload``) mid-hammer
+* *coalescing* — an idle worker scores a request on the caller's
+  thread, requests queued behind a running score are stacked into one
+  kernel call (:class:`~repro.serve.ScoreBatcher`), both bit-identical
+  to scoring each request alone, and a hot-swap (``/admin/reload``) mid-hammer
   never drops, corrupts, or double-counts a request.
 """
 
@@ -495,6 +496,155 @@ class TestBatcher:
         batcher.close()
         with pytest.raises(ServeError):
             batcher.submit([[0.0, 0.0]], None)
+        # score() refuses on both of its paths: an idle worker (would
+        # have run inline) and a busy one (would have queued).
+        assert not batcher._score_lock.locked()
+        with pytest.raises(ServeError):
+            batcher.score([[0.0, 0.0]], None)
+        running = threading.Lock()
+        running.acquire()  # a score in progress
+        batcher._score_lock = running
+        with pytest.raises(ServeError):
+            batcher.score([[0.0, 0.0]], None)
+        running.release()
+        assert batcher.requests == 0
+
+    def test_close_flushes_a_batch_still_in_its_window(self, scorer):
+        sc, _ = scorer
+        q = np.asarray([[40.0, 10.0], [3.0, 4.0]])
+        want = sc.score_new(q, use_cache=False)
+        batcher = ScoreBatcher(lambda: sc, batch_window_ms=5000.0, max_batch=64)
+        pending = batcher.submit(q, None)
+        batcher.close()  # the sentinel ends the window early
+        assert not batcher._thread.is_alive()
+        assert np.array_equal(pending.result(), want)
+        batcher.close()  # idempotent
+        assert (batcher.requests, batcher.batches) == (1, 1)
+
+    def test_idle_score_runs_inline_on_the_callers_thread(self, scorer):
+        sc, _ = scorer
+        q = np.random.default_rng(23).uniform(0.0, 40.0, size=(2, 2))
+        want = sc.score_new(q, use_cache=False)
+        resolved_on = []
+
+        def scorer_ref():
+            resolved_on.append(threading.get_ident())
+            return sc
+
+        batcher = ScoreBatcher(scorer_ref, max_batch=8)
+        queued = []
+        put = batcher._queue.put
+
+        def noting_put(item, *args, **kwargs):
+            queued.append(item)
+            return put(item, *args, **kwargs)
+
+        batcher._queue.put = noting_put
+        obs.enable()
+        obs.reset()
+        try:
+            got = batcher.score(q, None)
+        finally:
+            batcher.close()
+        assert np.array_equal(got, want)  # bit-identical
+        # Scored on this thread; only close()'s sentinel was ever queued.
+        assert resolved_on == [threading.get_ident()]
+        assert queued == [None]
+        assert (batcher.requests, batcher.batches, batcher.coalesced) == (1, 1, 0)
+        assert (batcher.points, batcher.inline) == (2, 1)
+        assert batcher.stats()["inline"] == 1
+        assert obs.counter("serve.batch.requests") == 1
+        assert obs.counter("serve.batch.batches") == 1
+        assert obs.counter("serve.batch.inline") == 1
+
+    def test_requests_behind_a_running_score_coalesce(self, scorer):
+        sc, _ = scorer
+        rng = np.random.default_rng(24)
+        chunks = [rng.uniform(0.0, 40.0, size=(m, 2)) for m in (1, 2, 1)]
+        want = [sc.score_new(c, use_cache=False) for c in chunks]
+        batcher = ScoreBatcher(lambda: sc, max_batch=8)
+        queued = threading.Semaphore(0)
+        put = batcher._queue.put
+
+        def noting_put(item, *args, **kwargs):
+            put(item, *args, **kwargs)
+            queued.release()
+
+        batcher._queue.put = noting_put
+        got = [None] * len(chunks)
+
+        def call(i):
+            got[i] = batcher.score(chunks[i], None)
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(3)]
+        # The test holds the scoring lock, standing in for a running
+        # score: every call must queue, and all three are queued before
+        # the lock is let go.
+        with batcher._score_lock:
+            for t in callers:
+                t.start()
+            for _ in callers:
+                assert queued.acquire(timeout=30)
+        for t in callers:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        batcher.close()
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)  # bit-identical
+        assert (batcher.requests, batcher.batches, batcher.coalesced) == (3, 1, 2)
+        assert (batcher.points, batcher.inline) == (4, 0)
+
+    def test_inline_failure_releases_the_lock(self, scorer, monkeypatch):
+        sc, _ = scorer
+        q = np.asarray([[40.0, 10.0]])
+        want = sc.score_new(q, use_cache=False)
+
+        class Boom(Exception):
+            pass
+
+        real = sc.score_new
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise Boom("kernel failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sc, "score_new", fails_once)
+        batcher = ScoreBatcher(lambda: sc, max_batch=8)
+        try:
+            with pytest.raises(Boom):
+                batcher.score(q, None)
+            assert not batcher._score_lock.locked()
+            got = batcher.score(q, None)
+        finally:
+            batcher.close()
+        assert np.array_equal(got, want)
+        # Both calls ran inline: the failure left the worker idle.
+        assert (batcher.inline, batcher.batches) == (2, 2)
+
+    def test_hot_swap_between_inline_calls_is_seen(self, scorer, tmp_path):
+        sc, _ = scorer
+        other_path = tmp_path / "other.rlof"
+        X = np.random.default_rng(25).normal(loc=20.0, scale=4.0, size=(80, 2))
+        LocalOutlierFactor(min_pts=(4, 10)).fit(X).save(other_path)
+        other = OnlineScorer.from_path(other_path)
+        q = np.asarray([[20.0, 10.0]])
+        want_before = sc.score_new(q, use_cache=False)
+        want_after = other.score_new(q, use_cache=False)
+        assert not np.array_equal(want_before, want_after)
+        current = [sc]
+        batcher = ScoreBatcher(lambda: current[0], max_batch=8)
+        try:
+            before = batcher.score(q, None)
+            current[0] = other
+            after = batcher.score(q, None)
+        finally:
+            batcher.close()
+        assert np.array_equal(before, want_before)
+        assert np.array_equal(after, want_after)
+        assert batcher.inline == 2
 
     def test_batch_counters_registered(self, scorer):
         sc, _ = scorer
@@ -513,6 +663,7 @@ class TestBatcher:
         assert obs.counter("serve.batch.requests") == 2
         assert obs.counter("serve.batch.batches") == 1
         assert obs.counter("serve.batch.coalesced") == 1
+        assert obs.counter("serve.batch.inline") == 0
 
 
 class TestKeepAliveAndAdmin:
@@ -548,6 +699,8 @@ class TestKeepAliveAndAdmin:
 
     def test_stats_surfaces_server_and_batcher(self, server):
         srv, _ = server
+        status, _ = _http_request(srv, "/score", {"points": [[40.0, 10.0]]})
+        assert status == 200
         status, body = _http_request(srv, "/stats")
         assert status == 200
         assert set(body["cache"]) == {"hits", "misses", "size", "capacity"}
@@ -556,6 +709,10 @@ class TestKeepAliveAndAdmin:
         assert info["reloads"] == 0 and info["active_requests"] >= 0
         assert info["batcher"]["max_batch"] == 64
         assert info["batcher"]["queue_depth"] >= 0
+        # A lone request on an idle worker is scored inline, and counts
+        # as a one-request batch.
+        counts = {k: info["batcher"][k] for k in ("requests", "batches", "inline", "points")}
+        assert counts == {"requests": 1, "batches": 1, "inline": 1, "points": 1}
 
     def test_model_reports_fingerprint(self, server):
         srv, _ = server
@@ -592,7 +749,7 @@ class TestKeepAliveAndAdmin:
 class TestHotSwapStress:
     def test_hammer_with_reload_bit_identical_and_counted(self, fitted_store):
         path, _ = fitted_store
-        srv = make_server(path, port=0, batch_window_ms=2.0, max_batch=16)
+        srv = make_server(path, port=0, max_batch=16)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         port = srv.server_address[1]
@@ -659,6 +816,11 @@ class TestHotSwapStress:
             obs.counter("serve.cache.hits") + obs.counter("serve.cache.misses")
         ) == total_points
         assert obs.counter("serve.batch.requests") == len(requests)
+        # Each stacked call (inline ones included) answers one request
+        # plus the ones that rode along with it.
+        assert obs.counter("serve.batch.requests") == (
+            obs.counter("serve.batch.batches") + obs.counter("serve.batch.coalesced")
+        )
         assert obs.counter("serve.reloads") == n_reloads
 
     def test_stream_refit_reloads_race_scores_with_exact_counters(
@@ -675,7 +837,7 @@ class TestHotSwapStress:
         srv = make_server(
             path,
             port=0,
-            batch_window_ms=None,
+            batch=False,
             stream={
                 "window": window,
                 "check_every": 1,
