@@ -33,11 +33,14 @@ PRs append runs next to it and compare):
     :func:`repro.core.range_lof.score_range` over a prebuilt M
     (``materialization=mat``) at the fixed :data:`SWEEP` shape — n=2000,
     d=16, MinPts 10..200, the ``fit_wide`` shape of the repo benchmark
-    — whatever ``--sizes`` says. It runs once, in a fresh interpreter,
-    so its peak RSS is the sweep's own and not the high-water mark of
-    the rows before it; M is built there untimed. ``derived.step2_sweep``
-    repeats its numbers with the ``mscan.passes`` and ``graph.views``
-    counters (two scans per MinPts, and no CSR view built).
+    — whatever ``--sizes`` says, once per case of :data:`SWEEP_CASES`:
+    LOF, LoOP, and LOF under ``duplicate_mode='distinct'`` (whose
+    k-distinct-distances are computed inside the timed sweep). Each case
+    runs in a fresh interpreter, so its peak RSS is its own and not the
+    high-water mark of the rows before it; M is built there untimed,
+    but its counters are kept. ``derived.step2_sweep`` lists each case
+    with its ``mscan.passes`` (two scans per MinPts for LOF) and
+    ``graph.builds`` (one graph for the build and the whole sweep).
 
 Every run records wall-clock seconds and the process peak RSS
 (``resource.getrusage`` — the OS high-water mark, monotone across the
@@ -111,8 +114,14 @@ EVALUATION_FIELDS = ("query_loop_evaluations", "batched_evaluations", "all_pairs
 #: The shape the ``sweep`` path times: the repo benchmark's fit_wide.
 SWEEP = {"n": 2000, "dim": 16, "min_pts_lb": 10, "min_pts_ub": 200}
 
-#: typed fields of ``derived.step2_sweep``.
+#: (scorer, duplicate_mode) of every ``sweep`` row. LDOF stays out: its
+#: per-row pairwise block dominates its sweep.
+SWEEP_CASES = (("lof", "inf"), ("loop", "inf"), ("lof", "distinct"))
+
+#: typed fields of every ``derived.step2_sweep`` entry.
 SWEEP_FIELDS = {
+    "scorer": str,
+    "duplicate_mode": str,
     "n": int,
     "dim": int,
     "min_pts_lb": int,
@@ -120,7 +129,7 @@ SWEEP_FIELDS = {
     "wall_s": float,
     "peak_rss_kb": int,
     "mscan_passes": int,
-    "graph_views": int,
+    "graph_builds": int,
 }
 
 
@@ -155,24 +164,28 @@ def _run_one(path, X, ub, block_size, index_name, tile_bytes):
     return wall, peak_rss_kb, snap["counters"], snap["timers"]
 
 
-def sweep_child(seed: int) -> None:
-    """Build M for :data:`SWEEP` untimed, time the step-2 sweep over it,
-    and print one JSON record (run in a fresh interpreter by
-    :func:`_run_sweep`)."""
+def sweep_child(seed: int, scorer: str, duplicate_mode: str) -> None:
+    """Build M for :data:`SWEEP` untimed, time the step-2 sweep of
+    ``scorer`` over it, and print one JSON record (run in a fresh
+    interpreter by :func:`_run_sweep`). The counters cover the build
+    and the sweep."""
     from repro import obs
     from repro.core import MaterializationDB
     from repro.core.range_lof import score_range
 
     X = np.random.default_rng(seed).normal(size=(SWEEP["n"], SWEEP["dim"]))
-    mat = MaterializationDB.materialize(X, SWEEP["min_pts_ub"])
-    t0 = time.perf_counter()
     with obs.collect() as snap:
+        mat = MaterializationDB.materialize(
+            X, SWEEP["min_pts_ub"], duplicate_mode=duplicate_mode
+        )
+        t0 = time.perf_counter()
         score_range(
             materialization=mat,
             min_pts_lb=SWEEP["min_pts_lb"],
             min_pts_ub=SWEEP["min_pts_ub"],
+            scorer=scorer,
         )
-    wall = time.perf_counter() - t0
+        wall = time.perf_counter() - t0
     peak_rss_kb = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     print(json.dumps({
         "wall_s": wall,
@@ -182,11 +195,12 @@ def sweep_child(seed: int) -> None:
     }))
 
 
-def _run_sweep(seed: int) -> dict:
+def _run_sweep(seed: int, scorer: str, duplicate_mode: str) -> dict:
     here = os.path.dirname(os.path.abspath(__file__))
     code = (
         f"import sys; sys.path.insert(0, {here!r}); "
-        f"import bench_materialize; bench_materialize.sweep_child({seed})"
+        f"import bench_materialize; "
+        f"bench_materialize.sweep_child({seed}, {scorer!r}, {duplicate_mode!r})"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
@@ -196,10 +210,13 @@ def _run_sweep(seed: int) -> dict:
 
 def run(args) -> dict:
     results = []
-    if "sweep" in args.paths:
-        child = _run_sweep(args.seed)
+    sweep_cases = SWEEP_CASES if "sweep" in args.paths else ()
+    for scorer, duplicate_mode in sweep_cases:
+        child = _run_sweep(args.seed, scorer, duplicate_mode)
         results.append(
             {
+                "scorer": scorer,
+                "duplicate_mode": duplicate_mode,
                 "n": SWEEP["n"],
                 "dim": SWEEP["dim"],
                 "min_pts_lb": SWEEP["min_pts_lb"],
@@ -220,11 +237,11 @@ def run(args) -> dict:
             }
         )
         print(
-            f"step 2 n={SWEEP['n']} d={SWEEP['dim']} MinPts "
-            f"{SWEEP['min_pts_lb']}..{SWEEP['min_pts_ub']}: "
+            f"step 2 {scorer}/{duplicate_mode} n={SWEEP['n']} d={SWEEP['dim']} "
+            f"MinPts {SWEEP['min_pts_lb']}..{SWEEP['min_pts_ub']}: "
             f"wall={child['wall_s']:8.4f}s "
             f"peak_rss={child['peak_rss_kb'] / 1024:7.1f}MB "
-            f"views={child['counters'].get('graph.views', 0)}",
+            f"graph_builds={child['counters'].get('graph.builds', 0)}",
             file=sys.stderr,
         )
     for n in args.sizes:
@@ -312,16 +329,19 @@ def run(args) -> dict:
         if entry:
             speedups[str(n)] = entry
 
-    sweep = {}
-    for r in results:
-        if r["path"] == "sweep":
-            sweep = {
+    sweep = [
+        {
+            **{
                 key: r[key]
-                for key in ("n", "dim", "min_pts_lb", "min_pts_ub", "wall_s",
-                            "peak_rss_kb")
-            }
-            sweep["mscan_passes"] = r["counters"].get("mscan.passes", 0)
-            sweep["graph_views"] = r["counters"].get("graph.views", 0)
+                for key in ("scorer", "duplicate_mode", "n", "dim", "min_pts_lb",
+                            "min_pts_ub", "wall_s", "peak_rss_kb")
+            },
+            "mscan_passes": r["counters"].get("mscan.passes", 0),
+            "graph_builds": r["counters"].get("graph.builds", 0),
+        }
+        for r in results
+        if r["path"] == "sweep"
+    ]
 
     derived = {
         "evaluations_vs_query_loop": evaluations,
@@ -385,22 +405,24 @@ def validate(payload) -> list:
     if not isinstance(results, list) or not results:
         problems.append("results must be a non-empty list")
         return problems
-    has_sweep = any(
-        isinstance(r, dict) and r.get("path") == "sweep" for r in results
+    n_sweeps = sum(
+        1 for r in results if isinstance(r, dict) and r.get("path") == "sweep"
     )
     sweep = (payload.get("derived") or {}).get("step2_sweep")
-    if has_sweep or sweep is not None:
-        if not isinstance(sweep, dict) or not has_sweep:
+    if n_sweeps or sweep is not None:
+        if not isinstance(sweep, list) or len(sweep) != n_sweeps:
             problems.append(
-                "a sweep record and derived.step2_sweep must come together"
+                "derived.step2_sweep must list one entry per sweep record"
             )
         else:
-            for field, typ in SWEEP_FIELDS.items():
-                if not _typed(sweep.get(field), typ):
-                    problems.append(
-                        f"derived.step2_sweep.{field} must be {typ.__name__}, "
-                        f"got {sweep.get(field)!r}"
-                    )
+            for i, entry in enumerate(sweep):
+                for field, typ in SWEEP_FIELDS.items():
+                    value = entry.get(field) if isinstance(entry, dict) else None
+                    if not _typed(value, typ):
+                        problems.append(
+                            f"derived.step2_sweep[{i}].{field} must be "
+                            f"{typ.__name__}, got {value!r}"
+                        )
     for i, record in enumerate(results):
         for field, typ in RESULT_FIELDS.items():
             value = record.get(field)

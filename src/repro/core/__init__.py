@@ -5,7 +5,7 @@ The package layers as index → graph → kernel → surfaces (see
 
 * :mod:`~repro.core.graph` — THE columnar neighborhood representation
   (static :class:`~repro.core.graph.NeighborhoodGraph`, dynamic
-  :class:`~repro.core.graph.DynamicNeighborhoodGraph`, per-k views)
+  :class:`~repro.core.graph.DynamicNeighborhoodGraph`, per-k row prefixes)
 * :mod:`~repro.core.scoring` — THE vectorized reach-dist/lrd/LOF kernel
   (the only ratio math outside the naive reference oracle)
 
@@ -43,7 +43,7 @@ from .bounds import (
 )
 from .duplicates import duplicate_groups, has_min_pts_duplicates, k_distinct_distance
 from .estimator import LocalOutlierFactor
-from .graph import DynamicNeighborhoodGraph, NeighborhoodGraph, NeighborhoodView
+from .graph import DynamicNeighborhoodGraph, NeighborhoodGraph, RowPrefixes
 from .handshake import HandshakeResult, lof_optics_handshake
 from .incremental import IncrementalLOF, UpdateReport
 from .streaming import SlidingWindowLOF, StreamEvent, StreamingLOFDetector
@@ -75,7 +75,7 @@ __all__ = [
     "LocalOutlierFactor",
     "DynamicNeighborhoodGraph",
     "NeighborhoodGraph",
-    "NeighborhoodView",
+    "RowPrefixes",
     "HandshakeResult",
     "lof_optics_handshake",
     "IncrementalLOF",

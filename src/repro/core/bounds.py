@@ -26,9 +26,10 @@ import numpy as np
 
 from .._validation import check_data, check_min_pts
 from ..exceptions import ValidationError
+from .graph import RowPrefixes
 from .materialization import MaterializationDB
 from .reachability import reachability_matrix
-from .scoring import reach_dist_values
+from .scoring import reach_dist_values, segment_bounds
 
 
 @dataclass
@@ -93,28 +94,54 @@ def indirect_bounds(
     return lo, hi
 
 
+def _segment_extrema(lo_values, hi_values, starts, stops):
+    """Per-segment min of ``lo_values`` and max of ``hi_values``."""
+    bounds = segment_bounds(starts, stops, lo_values.size)
+    return (
+        np.minimum.reduceat(lo_values.reshape(-1), bounds)[0::2],
+        np.maximum.reduceat(hi_values.reshape(-1), bounds)[0::2],
+    )
+
+
+def theorem1_ratios(
+    reach: np.ndarray, hoods: RowPrefixes, extrema=None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Theorem 1's ``direct_min / indirect_max`` and ``direct_max /
+    indirect_min`` for every row of ``hoods``, vectorized.
+
+    ``reach`` holds the rows' reach-dists in the block shape of
+    ``hoods``. The indirect bounds gather per-object ``(reach-min,
+    reach-max)`` ``extrema`` (:func:`reach_extrema`) over each row's
+    neighbor ids; ``None`` means the rows are the objects themselves,
+    so their own direct extrema serve. The ratios are IEEE results:
+    each caller maps the NaN/inf of duplicate-heavy data its own way.
+    """
+    direct_min, direct_max = _segment_extrema(reach, reach, hoods.starts, hoods.stops)
+    rmin, rmax = (direct_min, direct_max) if extrema is None else extrema
+    indirect_min, indirect_max = _segment_extrema(
+        rmin[hoods.ids], rmax[hoods.ids], hoods.starts, hoods.stops
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return direct_min / indirect_max, direct_max / indirect_min
+
+
 def reach_extrema(
     mat: MaterializationDB, min_pts: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-object (reach-min, reach-max) over every object at once.
 
     One vectorized pass instead of n calls to :func:`direct_bounds`:
-    row i of the per-MinPts view contributes
+    row i of M's MinPts prefixes contributes
     ``min/max reach-dist(i, o) for o in N_MinPts(i)`` via segmented
     reductions. These are the direct_min/direct_max of Theorem 1 for
     every object — and, gathered over a neighborhood's member ids, the
-    ingredients of its indirect bounds. The online scoring service
-    (:mod:`repro.serve`) uses them to bracket a query's LOF without
-    running the lrd/LOF kernels.
+    ingredients of its indirect bounds (:func:`theorem1_ratios`). The
+    online scoring service (:mod:`repro.serve`) uses them to bracket a
+    query's LOF without running the lrd/LOF kernels.
     """
-    view = mat.view(min_pts)
-    kdist = mat.k_distances(min_pts)
-    reach = reach_dist_values(view.dists, kdist[view.ids])
-    starts = view.offsets[:-1]
-    return (
-        np.minimum.reduceat(reach, starts),
-        np.maximum.reduceat(reach, starts),
-    )
+    hoods = mat.prefixes(min_pts)
+    reach = reach_dist_values(hoods.dists, mat.k_distances(min_pts)[hoods.ids])
+    return _segment_extrema(reach, reach, hoods.starts, hoods.stops)
 
 
 def theorem1_bounds(

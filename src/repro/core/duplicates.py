@@ -64,6 +64,30 @@ def k_distinct_radii(
     return [kept[first[k - 1]] if k <= len(first) else None for k in ks]
 
 
+def distinct_steps(
+    ids: np.ndarray, dists: np.ndarray, coord_keys: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Where every row of a padded block reaches each new location.
+
+    ``ids`` / ``dists`` are ``(n, w)`` rows sorted by (distance, id),
+    padded with -1 / inf. Returns ``(steps, offsets)``:
+    ``steps[offsets[i] + j]`` is the distance at which row i reaches its
+    ``(j+1)``-th distinct coordinate group, so its k-distinct-distance
+    is ``steps[offsets[i] + k - 1]`` when ``offsets[i+1] - offsets[i]
+    >= k``. One pass over the block, with the candidates and the
+    first-occurrence rule of :func:`k_distinct_radii`, so it picks the
+    same element bit for bit.
+    """
+    keep = (dists > 0.0) & np.isfinite(dists)
+    rows, cols = np.nonzero(keep)
+    groups = rows * (int(coord_keys.max()) + 1) + coord_keys[ids[rows, cols]]
+    _, first = np.unique(groups, return_index=True)
+    first.sort()
+    offsets = np.zeros(len(dists) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[first], minlength=len(dists)), out=offsets[1:])
+    return dists[rows[first], cols[first]], offsets
+
+
 def k_distinct_radius(
     ids: np.ndarray, dists: np.ndarray, coord_keys: np.ndarray, k: int
 ) -> Optional[float]:

@@ -60,7 +60,7 @@ class LocalOutlierFactor:
     materialization_ : the underlying :class:`MaterializationDB`.
     graph_ : the shared :class:`~repro.core.graph.NeighborhoodGraph`
         behind it — built once per fit; every MinPts in the sweep reads
-        per-k views of this one structure.
+        row prefixes of this one structure.
     profile_ : instrumentation snapshot of the fit (None unless
         ``profile=True``).
     X_ : the validated dataset snapshot, kept so the fitted model can be

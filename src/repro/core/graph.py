@@ -3,41 +3,40 @@
 Section 7.4 separates *neighborhood materialization* from *scoring*;
 this module is the materialized side of that split, factored out of the
 individual surfaces so the whole repository shares ONE tie-inclusive
-neighborhood structure:
+neighborhood layout:
 
-* :class:`NeighborhoodView` — an immutable CSR slice (flat ids, flat
-  distances, row offsets, per-row k-distances) that the scoring kernels
-  of :mod:`repro.core.scoring` consume directly;
-* :class:`RowPrefixes` — the same neighborhoods read in place: rows are
-  sorted, so each k-distance neighborhood is a prefix of its padded
-  row. The step-2 sweep and single-row lookups use it, copying nothing
-  into a view;
+* :class:`RowPrefixes` — rows sorted by ``(distance, id)`` in a padded
+  ``(r, w)`` id/distance block, plus each row's neighborhood size: the
+  Definition-4 neighborhood at any ``k`` is a prefix of its row. Every
+  scoring kernel of :mod:`repro.core.scoring`, every scorer, the
+  Theorem-1 bounds, top-n mining, online queries and the dirty-subset
+  API read neighborhoods in this form;
 * :class:`NeighborhoodGraph` — the static columnar graph: padded
-  ``(n, width)`` id/distance arrays covering every ``k <= k_max``, with
-  cached per-k slice views for the scorers and bounds that need CSR.
-  Built from padded arrays, from ragged rows, from an
+  ``(n, width)`` id/distance arrays covering every ``k <= k_max``,
+  handing out :meth:`NeighborhoodGraph.prefixes` per ``k``. Built from
+  padded arrays, from ragged rows, from an
   :class:`~repro.index.NNIndex` (one batch call, one query per object,
   or blocks of rows), or from CSR blocks (the blocked fast path);
 * :class:`DynamicNeighborhoodGraph` — the mutable flavor for
   insert/delete workloads: per-row updates over a sparse integer handle
-  space, and ``subview(handles)`` to hand any dirty subset to the same
-  scoring kernels.
+  space, and ``subview(handles)`` to pad any dirty subset into the same
+  :class:`RowPrefixes` for the scoring kernels.
 
 Every construction of a static graph increments the ``graph.builds``
 obs counter, so pipelines can assert they share one graph instead of
-silently rebuilding per surface; every CSR view built increments
-``graph.views``.
+silently rebuilding per surface.
 
 Layering: ``index`` produces neighbor candidates, ``graph`` stores
-them, ``scoring`` turns views into densities, and the user surfaces
-(materialization, blocked, topn, range, incremental, streaming,
-handshake, estimator, CLI) compose the three — see
+them, ``scoring`` turns row prefixes into densities, and the user
+surfaces (materialization, blocked, topn, range, incremental,
+streaming, handshake, estimator, CLI) compose the three — see
 ``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,121 +45,50 @@ from .. import obs
 from .._validation import check_data, check_min_pts
 from ..exceptions import ValidationError
 from ..index import make_index
-from ..index.batch import scatter_padded
-
-
-@dataclass(frozen=True)
-class NeighborhoodView:
-    """Tie-inclusive k-distance neighborhoods of a row set, in CSR form.
-
-    Row ``i`` of the view (an object with global id ``row_ids[i]``) owns
-    the slice ``offsets[i]:offsets[i+1]`` of ``ids`` / ``dists``, sorted
-    by ``(distance, id)``; ``kdist[i]`` is its k-distance.
-    """
-
-    k: int
-    ids: np.ndarray
-    dists: np.ndarray
-    offsets: np.ndarray
-    kdist: np.ndarray
-    row_ids: np.ndarray
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.row_ids)
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Neighborhood cardinality per row (``>= k`` by Definition 4)."""
-        return np.diff(self.offsets)
-
-    @property
-    def starts(self) -> np.ndarray:
-        """Segment starts for the scoring kernels (``offsets[:-1]``)."""
-        return self.offsets[:-1]
-
-    @property
-    def stops(self) -> np.ndarray:
-        """Segment stops for the scoring kernels (``offsets[1:]``)."""
-        return self.offsets[1:]
-
-    def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(ids, dists) of view row ``i`` (positional, not global id)."""
-        sl = slice(self.offsets[i], self.offsets[i + 1])
-        return self.ids[sl], self.dists[sl]
-
-    @classmethod
-    def from_ragged(
-        cls,
-        k: int,
-        rows_ids: Sequence[np.ndarray],
-        rows_dists: Sequence[np.ndarray],
-        kdist: np.ndarray,
-        row_ids: Optional[np.ndarray] = None,
-    ) -> "NeighborhoodView":
-        """Pack ragged per-row (ids, dists) neighborhoods into one CSR view.
-
-        The external-row entry point to the scoring kernels: online
-        scoring (:mod:`repro.serve`) packs *query* neighborhoods — rows
-        that are not objects of the graph — into the same
-        ``NeighborhoodView`` the kernels consume, so new points are
-        scored by the exact arithmetic that scored the training set.
-        ``row_ids`` defaults to ``-1`` per row ("not a stored object").
-        """
-        counts = np.array([len(r) for r in rows_ids], dtype=np.int64)
-        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        if len(counts) and counts.sum():
-            ids = np.concatenate([np.asarray(r, dtype=np.int64) for r in rows_ids])
-            dists = np.concatenate(
-                [np.asarray(r, dtype=np.float64) for r in rows_dists]
-            )
-        else:
-            ids = np.empty(0, dtype=np.int64)
-            dists = np.empty(0, dtype=np.float64)
-        if row_ids is None:
-            row_ids = np.full(len(counts), -1, dtype=np.int64)
-        return cls(
-            k=int(k),
-            ids=ids,
-            dists=dists,
-            offsets=offsets,
-            kdist=np.asarray(kdist, dtype=np.float64),
-            row_ids=np.asarray(row_ids, dtype=np.int64),
-        )
+from ..index.batch import pack_padded, scatter_padded
 
 
 @dataclass(frozen=True)
 class RowPrefixes:
-    """Tie-inclusive k-distance neighborhoods of every object, read in place.
+    """Tie-inclusive k-distance neighborhoods of a row set, read as prefixes.
 
-    Graph rows are sorted by ``(distance, id)``, so object i's
-    Definition-4 neighborhood at any ``k`` is the prefix
-    ``ids[i, :counts[i]]`` / ``dists[i, :counts[i]]`` of its padded row.
-    ``ids`` is a contiguous copy of the graph's first ``w = max(counts)``
-    id columns (pads stay -1; entries past a row's prefix are outside
-    its segment); ``dists`` is the matching column slice of the graph.
-    Over the raveled ``(n, w)`` block row i's segment is
-    ``starts[i]:stops[i]`` — the layout the scoring kernels take.
+    Rows are sorted by ``(distance, id)``, so row i's Definition-4
+    neighborhood is the prefix ``ids[i, :counts[i]]`` /
+    ``dists[i, :counts[i]]`` of its padded ``(r, w)`` row (pads are -1 /
+    inf; entries past a prefix lie outside its segment and never reach
+    a kernel's result). Over the raveled block row i's segment is
+    ``starts[i]:stops[i]`` — the layout the scoring kernels take. The
+    rows are a graph's objects (:meth:`NeighborhoodGraph.prefixes`),
+    query points (online scoring) or a dirty subset
+    (:meth:`DynamicNeighborhoodGraph.subview`). ``capacity`` sizes the
+    scratch :meth:`block` (at least ``ids.size``).
     """
 
     ids: np.ndarray
     dists: np.ndarray
     counts: np.ndarray
-    capacity: int
+    capacity: int = 0
 
     @property
+    def n_rows(self) -> int:
+        return len(self.counts)
+
+    @cached_property
     def starts(self) -> np.ndarray:
         return np.arange(len(self.counts), dtype=np.int64) * self.ids.shape[1]
 
-    @property
+    @cached_property
     def stops(self) -> np.ndarray:
         return self.starts + self.counts
+
+    def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(ids, dists) of row ``i``'s neighborhood."""
+        return self.ids[i, : self.counts[i]], self.dists[i, : self.counts[i]]
 
     def block(self) -> np.ndarray:
         """A fresh float64 array shaped like ``ids`` for the scan's
         gathers and ratios (see :func:`_carve`)."""
-        return _carve(self.ids.shape, self.capacity, np.float64)
+        return _carve(self.ids.shape, max(self.capacity, self.ids.size), np.float64)
 
 
 def _carve(shape: Tuple[int, int], capacity: int, dtype) -> np.ndarray:
@@ -201,16 +129,14 @@ def _prefix_lengths(dists: np.ndarray, radii: np.ndarray, k: int) -> np.ndarray:
 
 
 class NeighborhoodGraph:
-    """Static columnar k-NN graph: one build, every ``k <= k_max`` view.
+    """Static columnar k-NN graph: one build, every ``k <= k_max``.
 
     Stores the tie-inclusive ``k_max``-distance neighborhood of each of
     ``n`` objects as padded ``(n, width)`` arrays (ids padded with -1,
     distances with inf), rows sorted by ``(distance, id)``. Per-k
-    k-distance vectors and CSR views are computed lazily and cached, so
-    a MinPts sweep re-reads the columnar storage instead of the dataset.
-    The step-2 sweep reads :meth:`prefixes` instead, which copies no
-    neighborhood into a view; CSR views serve the scorers and bounds
-    that need them.
+    k-distance vectors are cached; every consumer reads the per-k
+    neighborhoods as :meth:`prefixes` of the rows, so a MinPts sweep
+    re-reads the columnar storage instead of the dataset.
     """
 
     def __init__(
@@ -239,7 +165,6 @@ class NeighborhoodGraph:
         self.width = padded_ids.shape[1]
         self.row_lengths = (padded_ids >= 0).sum(axis=1)
         self._kdist_cache: Dict[int, np.ndarray] = {}
-        self._view_cache: Dict[int, NeighborhoodView] = {}
         obs.incr("graph.builds")
 
     # -- construction --------------------------------------------------------
@@ -252,13 +177,7 @@ class NeighborhoodGraph:
         k_max: int,
     ) -> "NeighborhoodGraph":
         """Pack ragged per-object (ids, dists) rows into the padded layout."""
-        width = max((len(r) for r in rows_ids), default=0)
-        n = len(rows_ids)
-        padded_ids = np.full((n, width), -1, dtype=np.int64)
-        padded_dists = np.full((n, width), np.inf, dtype=np.float64)
-        for i, (ids, dists) in enumerate(zip(rows_ids, rows_dists)):
-            padded_ids[i, : len(ids)] = ids
-            padded_dists[i, : len(dists)] = dists
+        padded_ids, padded_dists, _ = _pad_rows(rows_ids, rows_dists)
         return cls(padded_ids, padded_dists, k_max=k_max)
 
     @classmethod
@@ -364,41 +283,13 @@ class NeighborhoodGraph:
             self._kdist_cache[k] = self.padded_dists[:, k - 1].copy()
         return self._kdist_cache[k]
 
-    def view(self, k: int, kdist: Optional[np.ndarray] = None) -> NeighborhoodView:
-        """The tie-inclusive k-distance neighborhoods of all objects.
-
-        ``kdist`` overrides the per-object cutoff radius (used by the
-        k-*distinct*-distance duplicate policy, whose radii exceed the
-        plain k-distances); overridden views are not cached.
-        """
-        k = self._check_k(k)
-        if kdist is None:
-            if k not in self._view_cache:
-                self._view_cache[k] = self._build_view(k, self.k_distances(k))
-            return self._view_cache[k]
-        return self._build_view(k, np.asarray(kdist, dtype=np.float64))
-
-    def _build_view(self, k: int, kdist: np.ndarray) -> NeighborhoodView:
-        obs.incr("graph.views")
-        mask = self.padded_dists <= kdist[:, None]
-        counts = mask.sum(axis=1)
-        offsets = np.zeros(self.n_points + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return NeighborhoodView(
-            k=k,
-            ids=self.padded_ids[mask],
-            dists=self.padded_dists[mask],
-            offsets=offsets,
-            kdist=kdist,
-            row_ids=np.arange(self.n_points, dtype=np.int64),
-        )
-
     def prefixes(self, k: int, kdist: Optional[np.ndarray] = None) -> RowPrefixes:
         """Every object's k-distance neighborhood as a prefix of its row.
 
-        ``kdist`` overrides the cutoff radii as in :meth:`view`. Nothing
-        is cached: each call allocates its own ``(n, w)`` id block,
-        never wider than the graph.
+        ``kdist`` overrides the per-object cutoff radii (the
+        k-*distinct*-distance duplicate policy's radii exceed the plain
+        k-distances). Nothing is cached: each call allocates its own
+        ``(n, w)`` id block, never wider than the graph.
         """
         k = self._check_k(k)
         radii = (
@@ -430,25 +321,6 @@ class NeighborhoodGraph:
         count = _prefix_lengths(dists, np.array([radius], dtype=np.float64), k)[0]
         return self.padded_ids[i, :count], self.padded_dists[i, :count]
 
-    # -- dirty-subset protocol (shared with DynamicNeighborhoodGraph) ---------
-
-    def kdist_values(self, ids: np.ndarray) -> np.ndarray:
-        """k_max-distance lookup by object id (kernel-facing)."""
-        return self.k_distances(self.k_max)[ids]
-
-    def subview(self, rows) -> NeighborhoodView:
-        """CSR view of just ``rows`` at ``k = k_max``.
-
-        With :func:`repro.core.scoring.lrd_of` / ``lof_of`` this is the
-        static half of the dirty-subset API; use :meth:`pin` for other
-        ``k`` values.
-        """
-        return self.pin(self.k_max).subview(rows)
-
-    def pin(self, k: int) -> "_PinnedGraph":
-        """A (graph, k) adapter satisfying the dirty-subset protocol."""
-        return _PinnedGraph(self, self._check_k(k))
-
     # -- misc -----------------------------------------------------------------
 
     def size_in_records(self) -> int:
@@ -471,61 +343,15 @@ class NeighborhoodGraph:
         )
 
 
-class _PinnedGraph:
-    """A static graph frozen at one ``k`` for the dirty-subset kernels."""
-
-    __slots__ = ("graph", "k")
-
-    def __init__(self, graph: NeighborhoodGraph, k: int):
-        self.graph = graph
-        self.k = k
-
-    def kdist_values(self, ids: np.ndarray) -> np.ndarray:
-        return self.graph.k_distances(self.k)[ids]
-
-    def subview(self, rows) -> NeighborhoodView:
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        full = self.graph.view(self.k)
-        starts = full.offsets[rows]
-        stops = full.offsets[rows + 1]
-        counts = stops - starts
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        if len(rows):
-            take = _flat_slices(starts, counts)
-            ids = full.ids[take]
-            dists = full.dists[take]
-        else:
-            ids = np.empty(0, dtype=np.int64)
-            dists = np.empty(0, dtype=np.float64)
-        return NeighborhoodView(
-            k=self.k,
-            ids=ids,
-            dists=dists,
-            offsets=offsets,
-            kdist=full.kdist[rows],
-            row_ids=rows,
-        )
-
-
-def _flat_slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Indices covering ``[starts[i], starts[i] + counts[i])`` for all i."""
-    total = int(counts.sum())
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    pos = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], counts)
-    return np.repeat(starts, counts) + pos
-
-
 class DynamicNeighborhoodGraph:
     """Mutable neighborhood rows over a sparse integer handle space.
 
     The incremental/streaming engines maintain one of these: each row is
     the tie-inclusive k-distance neighborhood of a live object (neighbor
     ids are handles), k-distances live in a dense array indexed by
-    handle, and ``subview(handles)`` packs any dirty subset into a
-    :class:`NeighborhoodView` for the vectorized scoring kernels —
-    replacing per-object Python dict math with the batch kernels.
+    handle, and ``subview(handles)`` pads any dirty subset into
+    :class:`RowPrefixes` for the vectorized scoring kernels — replacing
+    per-object Python dict math with the batch kernels.
     """
 
     def __init__(self, k: int):
@@ -582,30 +408,29 @@ class DynamicNeighborhoodGraph:
         """Dense k-distance lookup by handle (kernel-facing)."""
         return self._kdist[np.asarray(ids, dtype=np.int64)]
 
-    def subview(self, rows) -> NeighborhoodView:
-        """Pack the rows of ``handles`` into one CSR view, in order."""
-        rows = np.asarray(list(rows), dtype=np.int64).reshape(-1)
-        if len(rows) == 0:
-            return NeighborhoodView(
-                k=self.k,
-                ids=np.empty(0, dtype=np.int64),
-                dists=np.empty(0, dtype=np.float64),
-                offsets=np.zeros(1, dtype=np.int64),
-                kdist=np.empty(0, dtype=np.float64),
-                row_ids=rows,
+    def subview(self, rows) -> RowPrefixes:
+        """The rows of ``handles``, in order, padded into one block."""
+        handles = [int(h) for h in rows]
+        return RowPrefixes(
+            *_pad_rows(
+                [self._ids[h] for h in handles], [self._dists[h] for h in handles]
             )
-        id_rows = [self._ids[int(h)] for h in rows]
-        counts = np.array([len(r) for r in id_rows], dtype=np.int64)
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return NeighborhoodView(
-            k=self.k,
-            ids=np.concatenate(id_rows),
-            dists=np.concatenate([self._dists[int(h)] for h in rows]),
-            offsets=offsets,
-            kdist=self._kdist[rows],
-            row_ids=rows,
         )
+
+
+def _pad_rows(
+    rows_ids: Sequence[np.ndarray], rows_dists: Sequence[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ragged (ids, dists) rows as padded ``(len(rows), width)`` arrays
+    (ids padded with -1, distances with inf), plus the row lengths."""
+    counts = np.array([len(r) for r in rows_ids], dtype=np.int64)
+    if not len(counts):
+        empty = np.empty((0, 0))
+        return empty.astype(np.int64), empty, counts
+    ids, dists = pack_padded(
+        np.concatenate(rows_ids), np.concatenate(rows_dists), counts
+    )
+    return ids, dists, counts
 
 
 def _resolve_index(index, metric, X):

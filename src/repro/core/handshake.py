@@ -115,7 +115,7 @@ def lof_optics_handshake(
     n = X.shape[0]
 
     # ONE neighborhood graph is the entire shared computation: LOF scans
-    # it through the materialization layer, OPTICS reads the same views.
+    # it through the materialization layer, OPTICS reads the same rows.
     graph = NeighborhoodGraph.from_index(X, min_pts, index=index, metric=metric)
     lof = MaterializationDB.from_graph(graph).lof(min_pts)
 

@@ -45,6 +45,7 @@ mode:
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -54,8 +55,8 @@ from .._validation import check_data, check_min_pts
 from ..exceptions import ValidationError
 from ..index import NNIndex, make_index
 from . import scoring
-from .duplicates import k_distinct_ball, k_distinct_radius
-from .graph import NeighborhoodGraph
+from .duplicates import distinct_steps, k_distinct_ball, k_distinct_radius
+from .graph import NeighborhoodGraph, RowPrefixes
 
 _DUPLICATE_MODES = ("inf", "distinct", "error")
 
@@ -91,10 +92,10 @@ class MaterializationDB:
     ----------
     n_points, min_pts_ub, duplicate_mode : as constructed.
     graph : the underlying :class:`~repro.core.graph.NeighborhoodGraph`
-        holding the columnar neighborhood storage and per-k views.
+        holding the columnar neighborhood storage.
     padded_ids, padded_dists : (n, L) arrays padded with -1 / +inf; row i
         holds the tie-inclusive ``min_pts_ub``-distance neighborhood of
-        object i sorted by (distance, id). Views into ``graph``.
+        object i sorted by (distance, id). The arrays of ``graph``.
     """
 
     def __init__(
@@ -304,72 +305,38 @@ class MaterializationDB:
                 self._kdist_cache[k] = self.graph.k_distances(k)
         return self._kdist_cache[k]
 
+    @cached_property
+    def _distinct_steps(self) -> Tuple[np.ndarray, np.ndarray]:
+        return distinct_steps(self.padded_ids, self.padded_dists, self.coord_keys)
+
     def _distinct_k_distances(self, k: int) -> np.ndarray:
-        out = np.empty(self.n_points)
-        row_lengths = self.graph.row_lengths
-        for i in range(self.n_points):
-            kdist = k_distinct_radius(
-                self.padded_ids[i, : row_lengths[i]],
-                self.padded_dists[i, : row_lengths[i]],
-                self.coord_keys,
-                k,
+        steps, offsets = self._distinct_steps
+        short = np.flatnonzero(np.diff(offsets) < k)
+        if len(short):
+            raise ValidationError(
+                f"materialized rows do not cover {k} distinct locations "
+                f"for object {short[0]}; re-materialize with duplicate_mode='distinct'"
             )
-            if kdist is None:
-                raise ValidationError(
-                    f"materialized rows do not cover {k} distinct locations "
-                    f"for object {i}; re-materialize with duplicate_mode='distinct'"
-                )
-            out[i] = kdist
-        return out
+        return steps[offsets[:-1] + (k - 1)]
 
-    # -- Definition 4: neighborhoods (CSR layout for vectorized math) ----------
+    # -- Definition 4: neighborhoods (row prefixes of M) ------------------------
 
-    def view(self, min_pts: int):
-        """The per-MinPts :class:`~repro.core.graph.NeighborhoodView`.
-
-        Under the 'distinct' policy the cutoff radii are the
-        k-distinct-distances rather than the plain k-distances. Step 2
-        (:meth:`lrd`, :meth:`lof`) and serving never build one; the CSR
-        views are for LDOF, LoOP, top-n and the Theorem-1 bounds.
-        """
+    def prefixes(self, min_pts: int) -> RowPrefixes:
+        """Every object's MinPts-distance neighborhood as a prefix of its
+        row of M — step 2's input, and every scorer's. Under the
+        'distinct' policy the cutoff radii are the
+        k-distinct-distances rather than the plain k-distances."""
         k = self._check_k(min_pts)
-        if self.duplicate_mode == "distinct":
-            return self.graph.view(k, kdist=self.k_distances(k))
-        return self.graph.view(k)
-
-    def neighborhoods(self, min_pts: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tie-inclusive MinPts-distance neighborhoods of all objects.
-
-        Returns ``(flat_ids, flat_dists, offsets)`` in CSR form: the
-        neighborhood of object i is ``flat_ids[offsets[i]:offsets[i+1]]``.
-        """
-        view = self.view(min_pts)
-        return view.ids, view.dists, view.offsets
+        return self.graph.prefixes(k, kdist=self.k_distances(k))
 
     def neighborhood_of(self, i: int, min_pts: int) -> Tuple[np.ndarray, np.ndarray]:
         """Ids and distances of N_MinPts(i), sorted by (distance, id):
-        the prefix of row i, read without building a view."""
+        the prefix of row i."""
         k = self._check_k(min_pts)
         i = int(i)
         return self.graph.neighborhood_of(i, k, radius=self.k_distances(k)[i])
 
     # -- Definition 5/6: reachability distances and lrd -------------------------
-
-    def reach_dists(self, min_pts: int) -> Tuple[np.ndarray, np.ndarray]:
-        """reach-dist_MinPts(p, o) for every neighborhood pair, CSR-flat.
-
-        Returns ``(flat_reach, offsets)`` aligned with
-        :meth:`neighborhoods`.
-        """
-        k = self._check_k(min_pts)
-        view = self.view(k)
-        kdist = self.k_distances(k)
-        return scoring.reach_dist_values(view.dists, kdist[view.ids]), view.offsets
-
-    def _prefixes(self, k: int):
-        """Step 2's input at MinPts=k: the neighborhoods as row prefixes
-        (k-distinct radii under the 'distinct' policy)."""
-        return self.graph.prefixes(k, kdist=self.k_distances(k))
 
     def _lrd_scan(self, k: int, rows, block: np.ndarray) -> np.ndarray:
         """Scan 1 at MinPts=k over the row prefixes, working in ``block``.
@@ -398,7 +365,7 @@ class MaterializationDB:
         """
         k = self._check_k(min_pts)
         if k not in self._lrd_cache:
-            rows = self._prefixes(k)
+            rows = self.prefixes(k)
             self._lrd_scan(k, rows, rows.block())
         return self._lrd_cache[k]
 
@@ -418,7 +385,7 @@ class MaterializationDB:
         """
         k = self._check_k(min_pts)
         if k not in self._lof_cache:
-            rows = self._prefixes(k)
+            rows = self.prefixes(k)
             block = rows.block()
             lrd = self._lrd_cache.get(k)
             if lrd is None:
@@ -613,14 +580,9 @@ def ensure_distinct_coverage(
     from ..index import get_metric
 
     metric_obj = get_metric(metric)
-    deficient: List[int] = []
-    for i in range(graph.n_points):
-        length = graph.row_lengths[i]
-        ids = graph.padded_ids[i, :length]
-        dists = graph.padded_dists[i, :length]
-        if k_distinct_radius(ids, dists, coord_keys, k) is None:
-            deficient.append(i)
-    if not deficient:
+    _, offsets = distinct_steps(graph.padded_ids, graph.padded_dists, coord_keys)
+    deficient = np.flatnonzero(np.diff(offsets) < k)
+    if not len(deficient):
         return graph
     n = graph.n_points
     distinct_available = len(np.unique(coord_keys)) - 1

@@ -15,23 +15,20 @@ Kernel contract
 All kernels are pure array transforms over *segments* of a flat array:
 segment i is ``values[starts[i]:stops[i]]``, and every row sum is one
 ``np.add.reduceat`` over the interleaved indices
-``[starts[0], stops[0], starts[1], stops[1], ...]`` keeping the even
-outputs. Two layouts feed them:
+``[starts[0], stops[0], starts[1], stops[1], ...]``
+(:func:`segment_bounds`) keeping the even outputs. There is one
+layout: :class:`~repro.core.graph.RowPrefixes`, a padded ``(r, w)``
+block whose rows are sorted by ``(distance, id)``. Over the raveled
+block segment i is ``i*w .. i*w + counts[i]``, the Definition-4
+neighborhood that prefixes row i; values between segments (the rest
+of a row, and its -1 / inf pads) are ignored. The rows are every
+object of M (the step-2 sweep and the scorers' fits), query points
+(online scoring), a dirty subset (the dynamic engines) or one object
+(top-n's exact evaluations).
 
-* CSR — a :class:`~repro.core.graph.NeighborhoodView`'s
-  ``offsets[:-1], offsets[1:]`` (query views, the dirty-subset API,
-  the scorers' :func:`row_means`);
-* row prefixes — the step-2 sweep of
-  :class:`~repro.core.materialization.MaterializationDB` reads the
-  padded graph directly: over the raveled ``(n, w)`` block, segment i
-  is ``i*w .. i*w + counts[i]``, the Definition-4 neighborhood that
-  prefixes row i (see :class:`~repro.core.graph.RowPrefixes`). Values
-  between segments are ignored.
-
-A segment holds the same values in the same order whichever layout
-carries it, and ``reduceat`` reduces each segment on its own, so every
-caller — batch, prefix, subset, or single-object — produces
-bit-identical floating-point results for identical neighborhoods.
+``reduceat`` reduces each segment on its own, sequentially, so the
+same neighborhood gives the same bits whatever block carries it —
+batch, subset or single object.
 
 Conventions (duplicate-heavy data, ``'inf'`` mode):
 
@@ -41,7 +38,7 @@ Conventions (duplicate-heavy data, ``'inf'`` mode):
   relative to each other) and ``finite / inf := 0``.
 
 The *dirty-subset* API — :func:`lrd_of` / :func:`lof_of` — is the same
-kernel applied to a sub-view: dynamic callers (incremental inserts and
+kernel applied to the padded rows of a subset: dynamic callers (incremental inserts and
 deletes, sliding windows) recompute exactly the rows they marked dirty,
 vectorized, instead of looping per-object Python math.
 """
@@ -62,6 +59,7 @@ __all__ = [
     "lof_of",
     "row_sums",
     "row_means",
+    "segment_bounds",
 ]
 
 
@@ -74,20 +72,27 @@ __all__ = [
 # the invariant behind batch/prefix/subset/single-row bit-identity.
 
 
+def segment_bounds(starts: np.ndarray, stops: np.ndarray, size: int) -> np.ndarray:
+    """``reduceat`` indices for the segments ``starts[i]:stops[i]`` of a
+    flat array of ``size`` values; keep the even outputs. Segments are
+    never empty and ``starts`` is non-empty."""
+    bounds = np.empty(2 * len(starts), dtype=np.intp)
+    bounds[0::2] = starts
+    bounds[1::2] = stops
+    if bounds[-1] == size:
+        # reduceat's last segment runs to the end of the array anyway.
+        bounds = bounds[:-1]
+    return bounds
+
+
 def row_sums(
     flat_values: np.ndarray, starts: np.ndarray, stops: np.ndarray
 ) -> np.ndarray:
     """Per-segment sums of ``flat_values[starts[i]:stops[i]]`` (one
     reduceat pass; segments are never empty)."""
-    n = len(starts)
-    if n == 0:
+    if len(starts) == 0:
         return np.empty(0, dtype=np.float64)
-    bounds = np.empty(2 * n, dtype=np.intp)
-    bounds[0::2] = starts
-    bounds[1::2] = stops
-    if bounds[-1] == len(flat_values):
-        # reduceat's last segment runs to the end of the array anyway.
-        bounds = bounds[:-1]
+    bounds = segment_bounds(starts, stops, len(flat_values))
     return np.add.reduceat(flat_values, bounds)[0::2]
 
 
@@ -110,8 +115,8 @@ def reach_dist_values(
 ) -> np.ndarray:
     """Definition 5, elementwise: ``reach-dist(p, o) = max(k-distance(o), d(p, o))``.
 
-    ``flat_dists`` holds d(p, o) for every neighborhood pair (CSR-flat,
-    or an ``(n, w)`` prefix block); ``neighbor_kdist`` the k-distance
+    ``flat_dists`` holds d(p, o) for every neighborhood pair (an
+    ``(r, w)`` prefix block or one row); ``neighbor_kdist`` the k-distance
     of each pair's *neighbor* o (i.e. ``kdist[ids]``), in the same
     shape. ``out`` (which may be ``neighbor_kdist``) receives the
     result instead of a new array.
@@ -161,9 +166,8 @@ def lof_values(
     """Definition 7, one pass: the mean lrd(o)/lrd(p) ratio.
 
     The only division producing LOF ratios in the repository.
-    ``lrd_self`` is per row; ``neighbor_lrd`` is ``lrd[ids]``, either
-    CSR-flat (segments back to back) or the ``(n, w)`` prefix block,
-    whose row i holds segment i. ``ratio_out`` (shaped like
+    ``lrd_self`` is per row; ``neighbor_lrd`` is ``lrd[ids]`` over the
+    ``(r, w)`` prefix block, whose row i holds segment i. ``ratio_out`` (shaped like
     ``neighbor_lrd``, and which may be ``neighbor_lrd`` itself)
     receives the ratios instead of a new array. Ratio conventions:
     ``inf/inf := 1``; ``finite/inf`` is 0 by IEEE arithmetic;
@@ -173,10 +177,7 @@ def lof_values(
     counts = stops - starts
     if len(counts) == 0:
         return np.empty(0, dtype=np.float64)
-    if neighbor_lrd.ndim == 2:
-        lrd_rep = lrd_self[:, None]
-    else:
-        lrd_rep = np.repeat(lrd_self, counts)
+    lrd_rep = lrd_self[:, None]
     # inf/inf produces NaN; the convention for co-located points is 1.
     both_inf = None
     if np.isinf(lrd_self).any():
@@ -190,22 +191,25 @@ def lof_values(
 
 # -- dirty-subset API ---------------------------------------------------------
 #
-# ``graph`` below is anything with ``subview(rows)`` and
-# ``kdist_values(ids)`` — both NeighborhoodGraph flavors qualify.
+# ``graph`` below is anything with ``subview(rows)`` (returning
+# :class:`~repro.core.graph.RowPrefixes`) and ``kdist_values(ids)`` —
+# :class:`~repro.core.graph.DynamicNeighborhoodGraph` qualifies.
 
 
 def lrd_of(graph, rows, duplicate_mode: str = "inf") -> np.ndarray:
     """lrd of exactly the objects in ``rows``, vectorized.
 
     One :func:`reach_dist_values` + :func:`lrd_values` pass over the
-    sub-view of ``rows`` — the recompute primitive for dynamic callers
-    whose k-distances are already current.
+    padded rows of ``rows`` — the recompute primitive for dynamic
+    callers whose k-distances are already current.
     """
-    view = graph.subview(rows)
-    if view.n_rows == 0:
+    hoods = graph.subview(rows)
+    if hoods.n_rows == 0:
         return np.empty(0, dtype=np.float64)
-    reach = reach_dist_values(view.dists, graph.kdist_values(view.ids))
-    return lrd_values(reach, view.starts, view.stops, duplicate_mode=duplicate_mode)
+    reach = reach_dist_values(hoods.dists, graph.kdist_values(hoods.ids))
+    return lrd_values(
+        reach.reshape(-1), hoods.starts, hoods.stops, duplicate_mode=duplicate_mode
+    )
 
 
 def lof_of(
@@ -220,9 +224,9 @@ def lof_of(
     already be current for every neighbor of every row; ``lrd_self``
     defaults to ``lrd_by_id[rows]``.
     """
-    view = graph.subview(rows)
-    if view.n_rows == 0:
+    hoods = graph.subview(rows)
+    if hoods.n_rows == 0:
         return np.empty(0, dtype=np.float64)
     if lrd_self is None:
-        lrd_self = lrd_by_id[view.row_ids]
-    return lof_values(lrd_self, lrd_by_id[view.ids], view.starts, view.stops)
+        lrd_self = lrd_by_id[np.asarray(rows, dtype=np.int64)]
+    return lof_values(lrd_self, lrd_by_id[hoods.ids], hoods.starts, hoods.stops)

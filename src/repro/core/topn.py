@@ -13,8 +13,8 @@ Theorem 1 gives, for every object p,
 
 computable from the materialization database M alone. The mining loop:
 
-1. compute every object's Theorem-1 upper and lower bound (two CSR
-   passes over M — same cost class as one LOF evaluation);
+1. compute every object's Theorem-1 upper and lower bound (two passes
+   over the row prefixes of M — same cost class as one LOF evaluation);
 2. seed the answer set with the n largest *lower* bounds;
 3. visit objects in decreasing upper-bound order, computing exact LOF
    only while an object's upper bound still exceeds the running n-th
@@ -35,6 +35,7 @@ import numpy as np
 from .._validation import check_data, check_min_pts
 from ..exceptions import ValidationError
 from . import scoring
+from .bounds import theorem1_ratios
 from .materialization import MaterializationDB
 
 
@@ -65,17 +66,10 @@ def _bound_vectors(mat: MaterializationDB, min_pts: int) -> Tuple[np.ndarray, np
     object's neighborhood; indirect_min/max take the min/max of those
     same per-object extremes over the neighbors.
     """
-    view = mat.view(min_pts)
-    flat_ids, offsets = view.ids, view.offsets
+    hoods = mat.prefixes(min_pts)
     kdist = mat.k_distances(min_pts)
-    reach = scoring.reach_dist_values(view.dists, kdist[flat_ids])
-    direct_min = np.minimum.reduceat(reach, offsets[:-1])
-    direct_max = np.maximum.reduceat(reach, offsets[:-1])
-    indirect_min = np.minimum.reduceat(direct_min[flat_ids], offsets[:-1])
-    indirect_max = np.maximum.reduceat(direct_max[flat_ids], offsets[:-1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lower = direct_min / indirect_max
-        upper = direct_max / indirect_min
+    reach = scoring.reach_dist_values(hoods.dists, kdist[hoods.ids])
+    lower, upper = theorem1_ratios(reach, hoods)
     # Degenerate zero reach-dists (duplicate-heavy data): fall back to
     # conservative bounds so the search stays exact.
     lower[~np.isfinite(lower)] = 0.0
@@ -89,7 +83,9 @@ def _exact_lof_of(mat: MaterializationDB, lrd: np.ndarray, i: int, min_pts: int)
     # bit-for-bit with the batch path.
     ids, _ = mat.neighborhood_of(i, min_pts)
     return float(
-        scoring.lof_values(lrd[[i]], lrd[ids], np.array([0]), np.array([len(ids)]))[0]
+        scoring.lof_values(
+            lrd[[i]], lrd[ids][None, :], np.array([0]), np.array([len(ids)])
+        )[0]
     )
 
 
@@ -108,7 +104,7 @@ def top_n_lof(
     the full LOF vector; only the amount of exact work differs.
 
     Note: the lrd vector is computed for all objects (it is one O(n)
-    CSR pass and every candidate's LOF needs its neighbors' lrd); the
+    pass and every candidate's LOF needs its neighbors' lrd); the
     pruning saves the per-object LOF evaluations and, more importantly,
     gives the early-termination order a scan-based pipeline would use.
     """

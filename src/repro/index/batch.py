@@ -111,13 +111,11 @@ def scatter_padded(
     of preallocated padded arrays, fully vectorized."""
     if len(flat_ids) == 0:
         return
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    # Column position of each flat element inside its own row.
-    pos = np.arange(len(flat_ids), dtype=np.int64) - np.repeat(offsets[:-1], counts)
-    rows = row_start + np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    padded_ids[rows, pos] = flat_ids
-    padded_dists[rows, pos] = flat_dists
+    # Row i's first counts[i] cells, in row-major order: the CSR order.
+    cells = np.arange(padded_ids.shape[1]) < counts[:, None]
+    stop = row_start + len(counts)
+    padded_ids[row_start:stop][cells] = flat_ids
+    padded_dists[row_start:stop][cells] = flat_dists
 
 
 def apply_exclusions(D: np.ndarray, exclude: np.ndarray, col_offset: int = 0) -> None:

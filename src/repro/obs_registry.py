@@ -14,7 +14,6 @@ COUNTERS = (
     'distance.evaluations',
     'distance.kernel_calls',
     'graph.builds',
-    'graph.views',
     'index.node_visits',
     'index.supernode_overflows',
     'knn.batch_queries',

@@ -1,7 +1,7 @@
 """repro.scorers — the pluggable local-outlier scorer registry.
 
 One materialization pass, one :class:`~repro.core.graph.
-NeighborhoodGraph`, a family of detectors over its per-k views:
+NeighborhoodGraph`, a family of detectors over its per-k row prefixes:
 
 ========== ==============================================================
 ``lof``    the paper's local outlier factor (Definitions 5-7); the only

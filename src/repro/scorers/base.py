@@ -1,8 +1,9 @@
 """The Scorer protocol and the registry behind ``--scorer``.
 
-A *scorer* turns per-k :class:`~repro.core.graph.NeighborhoodView`\\ s of
-the one shared :class:`~repro.core.graph.NeighborhoodGraph` into
-per-object outlier scores. LOF is the first registered scorer; LDOF,
+A *scorer* turns the per-k neighborhoods of the one shared
+:class:`~repro.core.graph.NeighborhoodGraph` — row prefixes,
+:class:`~repro.core.graph.RowPrefixes` — into per-object outlier
+scores. LOF is the first registered scorer; LDOF,
 LoOP and the kth-NN-distance baseline ride the same materialization
 pass, the same Definition-4 tie semantics and the same duplicate-mode
 policy — which is the paper's point that local outlier notions are a
@@ -20,7 +21,7 @@ bit-for-bit when handed a stored object's own neighborhood row — the
 serve-vs-batch invariant pinned by ``tests/scorers/``.
 
 All scoring arithmetic stays inside modules of this package (plus the
-CSR kernels of :mod:`repro.core.scoring`); the RL001 lint rule enforces
+segment kernels of :mod:`repro.core.scoring`); the RL001 lint rule enforces
 the containment and that every module here registers its scorer.
 """
 
@@ -31,6 +32,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..core.graph import RowPrefixes
 from ..exceptions import ValidationError
 
 __all__ = [
@@ -57,11 +59,6 @@ class ScorerContext:
     k: int
     X: Optional[np.ndarray] = None
     metric: object = None
-
-    @property
-    def view(self):
-        """The tie-inclusive per-k neighborhood view (Definition 4)."""
-        return self.mat.view(self.k)
 
     @property
     def kdist(self) -> np.ndarray:
@@ -106,27 +103,28 @@ class Scorer:
     def fit(self, ctx: ScorerContext) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
         """Per-object scores at ``ctx.k`` plus aux arrays to persist.
 
-        Returns ``(scores, aux)``; ``aux`` maps names to float arrays a
-        later :meth:`score_query` needs (e.g. LoOP's per-object pdist
-        vector and nPLOF normalizer). Must be deterministic.
+        Reads the neighborhoods as ``ctx.mat.prefixes(ctx.k)``. Returns
+        ``(scores, aux)``; ``aux`` maps names to float arrays a later
+        :meth:`score_query` needs (e.g. LoOP's per-object pdist vector
+        and nPLOF normalizer). Must be deterministic.
         """
         raise NotImplementedError
 
-    def score_query(self, ctx: ScorerContext, qview, qkdist: np.ndarray) -> np.ndarray:
-        """Score query neighborhoods packed as a NeighborhoodView.
+    def score_query(
+        self, ctx: ScorerContext, rows: RowPrefixes, qkdist: np.ndarray
+    ) -> np.ndarray:
+        """Score query neighborhoods given as row prefixes.
 
-        ``qview`` rows are query points' tie-inclusive neighborhoods
-        among the *stored* objects (ids index the training set);
-        ``qkdist`` is each query's own k-distance. Handed a stored
-        object's own row, the result must equal the fitted score
-        bit-for-bit.
+        ``rows`` holds query points' tie-inclusive neighborhoods among
+        the *stored* objects (ids index the training set); ``qkdist``
+        is each query's own k-distance. Handed a stored object's own
+        row, the result must equal the fitted score bit-for-bit.
         """
         raise NotImplementedError
 
     def warm(self, ctx: ScorerContext) -> None:
         """Populate every frozen per-k cache the query path will read,
-        so scoring itself can run lock-free (see OnlineScorer). Stored
-        rows are read as prefixes of the graph, so no view is built."""
+        so scoring itself can run lock-free (see OnlineScorer)."""
         ctx.mat.k_distances(ctx.k)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

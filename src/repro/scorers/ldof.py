@@ -33,15 +33,15 @@ from ..exceptions import DuplicatePointsError
 from .base import Scorer, ScorerContext, register
 
 
-def _inner_means(view, X: np.ndarray, metric) -> np.ndarray:
+def _inner_means(rows, X: np.ndarray, metric) -> np.ndarray:
     """Mean pairwise distance among each row's neighbors (Dbar).
 
     One metric.pairwise block per row — per-row rather than one stacked
     kernel so a row's result never depends on its batchmates' shapes.
     """
-    out = np.empty(view.n_rows, dtype=np.float64)
-    for i in range(view.n_rows):
-        ids, _ = view.row(i)
+    out = np.empty(rows.n_rows, dtype=np.float64)
+    for i in range(rows.n_rows):
+        ids, _ = rows.row(i)
         c = len(ids)
         if c < 2:
             out[i] = 0.0
@@ -78,18 +78,18 @@ class LDOFScorer(Scorer):
 
     def fit(self, ctx: ScorerContext):
         X, metric = ctx.require_data(self.name)
-        view = ctx.view
-        dbar = scoring.row_means(view.dists, view.starts, view.stops)
-        inner = _inner_means(view, X, metric)
         obs.incr("scorer.ldof.points", int(ctx.mat.n_points))
-        return _ldof_values(dbar, inner, ctx.duplicate_mode), {}
+        return self._score(ctx, ctx.mat.prefixes(ctx.k), X, metric), {}
 
-    def score_query(self, ctx: ScorerContext, qview, qkdist: np.ndarray) -> np.ndarray:
+    def score_query(self, ctx: ScorerContext, rows, qkdist: np.ndarray) -> np.ndarray:
         X, metric = ctx.require_data(self.name)
-        dbar = scoring.row_means(qview.dists, qview.starts, qview.stops)
-        inner = _inner_means(qview, X, metric)
-        obs.incr("scorer.ldof.points", int(qview.n_rows))
-        return _ldof_values(dbar, inner, ctx.duplicate_mode)
+        obs.incr("scorer.ldof.points", int(rows.n_rows))
+        return self._score(ctx, rows, X, metric)
+
+    @staticmethod
+    def _score(ctx: ScorerContext, rows, X: np.ndarray, metric) -> np.ndarray:
+        dbar = scoring.row_means(rows.dists.reshape(-1), rows.starts, rows.stops)
+        return _ldof_values(dbar, _inner_means(rows, X, metric), ctx.duplicate_mode)
 
 
 register(LDOFScorer())

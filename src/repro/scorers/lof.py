@@ -33,20 +33,17 @@ class LOFScorer(Scorer):
         obs.incr("scorer.lof.points", int(ctx.mat.n_points))
         return ctx.mat.lof(ctx.k), {}
 
-    def score_query(self, ctx: ScorerContext, qview, qkdist: np.ndarray) -> np.ndarray:
+    def score_query(self, ctx: ScorerContext, rows, qkdist: np.ndarray) -> np.ndarray:
         mat = ctx.mat
         k = ctx.k
         lrd_train = mat.lrd(k)
-        reach = scoring.reach_dist_values(
-            qview.dists, mat.k_distances(k)[qview.ids]
-        )
+        starts, stops = rows.starts, rows.stops
+        reach = scoring.reach_dist_values(rows.dists, mat.k_distances(k)[rows.ids])
         lrd_q = scoring.lrd_values(
-            reach, qview.starts, qview.stops, duplicate_mode=mat.duplicate_mode
+            reach.reshape(-1), starts, stops, duplicate_mode=mat.duplicate_mode
         )
-        obs.incr("scorer.lof.points", int(qview.n_rows))
-        return scoring.lof_values(
-            lrd_q, lrd_train[qview.ids], qview.starts, qview.stops
-        )
+        obs.incr("scorer.lof.points", int(rows.n_rows))
+        return scoring.lof_values(lrd_q, lrd_train[rows.ids], starts, stops)
 
     def warm(self, ctx: ScorerContext) -> None:
         super().warm(ctx)

@@ -43,10 +43,12 @@ _SQRT2 = math.sqrt(2.0)
 _erf = np.vectorize(math.erf, otypes=[np.float64])
 
 
-def _prob_set_dists(view) -> np.ndarray:
+def _prob_set_dists(rows) -> np.ndarray:
     """pdist per row: lambda * sqrt(mean squared neighbor distance)."""
-    squared = view.dists * view.dists
-    return _LAMBDA * np.sqrt(scoring.row_means(squared, view.starts, view.stops))
+    squared = rows.dists * rows.dists
+    return _LAMBDA * np.sqrt(
+        scoring.row_means(squared.reshape(-1), rows.starts, rows.stops)
+    )
 
 
 def _plof_values(
@@ -91,9 +93,11 @@ class LoOPScorer(Scorer):
     )
 
     def fit(self, ctx: ScorerContext):
-        view = ctx.view
-        pdist = _prob_set_dists(view)
-        expected = scoring.row_means(pdist[view.ids], view.starts, view.stops)
+        rows = ctx.mat.prefixes(ctx.k)
+        pdist = _prob_set_dists(rows)
+        expected = scoring.row_means(
+            pdist[rows.ids].reshape(-1), rows.starts, rows.stops
+        )
         plof = _plof_values(pdist, expected, ctx.duplicate_mode)
         finite = np.isfinite(plof)
         if np.any(finite):
@@ -107,16 +111,16 @@ class LoOPScorer(Scorer):
         }
         return _probabilities(plof, nplof), aux
 
-    def score_query(self, ctx: ScorerContext, qview, qkdist: np.ndarray) -> np.ndarray:
+    def score_query(self, ctx: ScorerContext, rows, qkdist: np.ndarray) -> np.ndarray:
         aux = ctx.mat.scorer_aux(self.name, ctx.k, X=ctx.X, metric=ctx.metric)
         pdist_train = aux["pdist"]
         nplof = float(aux["nplof"][0])
-        pdist_q = _prob_set_dists(qview)
+        pdist_q = _prob_set_dists(rows)
         expected = scoring.row_means(
-            pdist_train[qview.ids], qview.starts, qview.stops
+            pdist_train[rows.ids].reshape(-1), rows.starts, rows.stops
         )
         plof_q = _plof_values(pdist_q, expected, ctx.duplicate_mode)
-        obs.incr("scorer.loop.points", int(qview.n_rows))
+        obs.incr("scorer.loop.points", int(rows.n_rows))
         return _probabilities(plof_q, nplof)
 
     def warm(self, ctx: ScorerContext) -> None:

@@ -15,8 +15,9 @@ about the training objects:
    same tie kernels as the batch builders — :mod:`repro.index.batch`).
    As in Section 7.4, this k-NN runs once per query, at the largest
    MinPts of the request; every smaller MinPts reads a prefix of it;
-2. hand the per-query :class:`~repro.core.graph.NeighborhoodView` to
-   the active registry scorer's ``score_query`` (:mod:`repro.scorers`)
+2. hand the queries' neighborhoods, as
+   :class:`~repro.core.graph.RowPrefixes`, to the active registry
+   scorer's ``score_query`` (:mod:`repro.scorers`)
    — for LOF that is ``reach-dist(q, o) = max(k-distance(o), d(q, o))``
    over the *stored* k-distances (Definition 5) followed by the shared
    lrd/LOF kernels of :mod:`repro.core.scoring` (Definitions 6-7); this
@@ -99,13 +100,13 @@ import numpy as np
 from . import obs
 from ._validation import check_data
 from .core import scoring
-from .core.bounds import reach_extrema
+from .core.bounds import reach_extrema, theorem1_ratios
 from .core.duplicates import k_distinct_balls
-from .core.graph import NeighborhoodView
+from .core.graph import RowPrefixes, _prefix_lengths
 from .core.parallel import fork_available, fork_workers, wait_workers
 from .core.range_lof import _AGGREGATES
 from .exceptions import ReproError, ServeError, ValidationError
-from .index.batch import apply_exclusions, select_tie_inclusive
+from .index.batch import apply_exclusions, pack_padded, select_tie_inclusive
 from .scorers import ScorerContext, get_scorer, list_scorers
 from .store import StoredModel, load_model, store_fingerprint
 
@@ -446,20 +447,12 @@ class OnlineScorer:
             )
         lowers = np.empty((len(ks), m))
         uppers = np.empty((len(ks), m))
-        views = self._query_view(Xq, exclude, ks)
-        for row_k, (k, (view, _)) in enumerate(zip(ks, views)):
+        hoods = self._query_view(Xq, exclude, ks)
+        for row_k, (k, (rows, _)) in enumerate(zip(ks, hoods)):
             reach = scoring.reach_dist_values(
-                view.dists, self.mat.k_distances(k)[view.ids]
+                rows.dists, self.mat.k_distances(k)[rows.ids]
             )
-            starts = view.offsets[:-1]
-            direct_min = np.minimum.reduceat(reach, starts)
-            direct_max = np.maximum.reduceat(reach, starts)
-            rmin, rmax = self._reach_extrema(k)
-            indirect_min = np.minimum.reduceat(rmin[view.ids], starts)
-            indirect_max = np.maximum.reduceat(rmax[view.ids], starts)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lo = direct_min / indirect_max
-                hi = direct_max / indirect_min
+            lo, hi = theorem1_ratios(reach, rows, self._reach_extrema(k))
             # 0/0 (duplicate-saturated neighborhoods) gives NaN; the
             # uninformative bracket [0, inf] keeps the bounds sound.
             lowers[row_k] = np.where(np.isnan(lo), 0.0, lo)
@@ -571,67 +564,76 @@ class OnlineScorer:
 
     def _score_rows(self, Xq, exclude, ks, scorer) -> np.ndarray:
         matrix = np.empty((len(ks), Xq.shape[0]))
-        views = self._query_view(Xq, exclude, ks)
-        for row_k, (k, (view, kdist_q)) in enumerate(zip(ks, views)):
-            matrix[row_k] = scorer.score_query(self._scorer_context(k), view, kdist_q)
+        hoods = self._query_view(Xq, exclude, ks)
+        for row_k, (k, (rows, kdist_q)) in enumerate(zip(ks, hoods)):
+            matrix[row_k] = scorer.score_query(self._scorer_context(k), rows, kdist_q)
         if len(ks) == 1:
             return matrix[0]
         return _AGGREGATES[self.aggregate](matrix)
 
     def _query_view(self, Xq, exclude, ks):
-        """The per-query NeighborhoodView at every MinPts of ``ks``.
+        """The queries' neighborhoods at every MinPts of ``ks``.
 
-        Returns one ``(view, kdist_q)`` pair per k, in ``ks`` order, from
-        a single k-NN per query row (Section 7.4: step 1 runs once, at
-        the largest MinPts, and every smaller MinPts reads a prefix).
-        Rows whose ``exclude`` id is a stored object with bitwise equal
-        coordinates reuse that object's stored neighborhood — the prefix
-        of its graph row, the self-consistent path that reproduces
-        fitted values exactly; they evaluate no distance.
-        Novel rows get one distance row each and one tie-inclusive
-        selection at ``max(ks)`` (see :meth:`_novel_rows`). Pure
-        frozen-model reads: no lock.
+        Returns one ``(rows, kdist_q)`` pair per k, in ``ks`` order:
+        :class:`~repro.core.graph.RowPrefixes` over one padded block
+        filled once, at the largest MinPts (Section 7.4: step 1 runs
+        once, and every smaller MinPts reads a prefix), and each query's
+        own k-distance. Rows whose ``exclude`` id is a stored object
+        with bitwise equal coordinates copy that object's graph row —
+        the self-consistent path that reproduces fitted values exactly;
+        they evaluate no distance. Novel rows get one distance row each
+        and one tie-inclusive selection at ``max(ks)`` (see
+        :meth:`_novel_rows`). Pure frozen-model reads: no lock.
         """
         m = Xq.shape[0]
-        stored: Dict[int, int] = {}
-        novel = []
-        for i in range(m):
-            j = int(exclude[i])
-            if j >= 0 and Xq[i].tobytes() == self.X[j].tobytes():
-                stored[i] = j
-            else:
-                novel.append(i)
-        novel_rows = (
-            self._novel_rows(Xq[novel], exclude[novel], ks) if novel else [()] * len(ks)
+        graph = self.mat.graph
+        is_stored = np.array(
+            [
+                j >= 0 and Xq[i].tobytes() == self.X[j].tobytes()
+                for i, j in enumerate(exclude)
+            ],
+            dtype=bool,
         )
-        out = []
-        for row_k, k in enumerate(ks):
-            rows_ids = [None] * m
-            rows_dists = [None] * m
-            kdist_q = np.empty(m, dtype=np.float64)
-            kd_train = self.mat.k_distances(k)
-            for i, j in stored.items():
-                rows_ids[i], rows_dists[i] = self.mat.neighborhood_of(j, k)
-                kdist_q[i] = kd_train[j]
-            for i, (ids, dists, radius) in zip(novel, novel_rows[row_k]):
-                rows_ids[i] = ids
-                rows_dists[i] = dists
-                kdist_q[i] = radius
-            view = NeighborhoodView.from_ragged(k, rows_ids, rows_dists, kdist_q)
-            out.append((view, kdist_q))
-        return out
+        stored = np.flatnonzero(is_stored)
+        novel = np.flatnonzero(~is_stored)
+        radii = np.empty((len(ks), m), dtype=np.float64)
+        width = 0
+        if len(novel):
+            flat_ids, flat_dists, counts, novel_radii = self._novel_rows(
+                Xq[novel], exclude[novel], ks
+            )
+            radii[:, novel] = novel_radii
+            width = int(counts.max())
+        if len(stored):
+            width = max(width, graph.width)
+        ids = np.full((m, width), -1, dtype=np.int64)
+        dists = np.full((m, width), np.inf, dtype=np.float64)
+        if len(stored):
+            objects = exclude[stored]
+            for row_k, k in enumerate(ks):
+                radii[row_k, stored] = self.mat.k_distances(k)[objects]
+            ids[stored, : graph.width] = graph.padded_ids[objects]
+            dists[stored, : graph.width] = graph.padded_dists[objects]
+        if len(novel):
+            ids[novel], dists[novel] = pack_padded(flat_ids, flat_dists, counts, width)
+        return [
+            (RowPrefixes(ids, dists, _prefix_lengths(dists, radius, k)), radius)
+            for k, radius in zip(ks, radii)
+        ]
 
     def _novel_rows(self, Xq, exclude, ks):
-        """Each novel query's neighborhood at every k of ``ks``.
+        """Each novel query's neighborhood at ``max(ks)`` and its radius
+        at every k of ``ks``.
 
-        Returns, per k, one ``(ids, dists, kdist)`` per query row. One
-        row-local kernel per novel query rather than one GEMM over the
-        stacked block: BLAS picks different kernels for different block
-        shapes (GEMV for one row, GEMM for many), which perturbs
-        last-ulp distances — so a block kernel would make a query's
-        score depend on how many neighbors it shared a coalesced batch
-        with. The row kernel is shape-independent, which is what makes
-        batched scoring bit-identical to per-request scoring by
+        Returns ``(flat_ids, flat_dists, counts, radii)``: the rows in
+        CSR form, sorted by (distance, id), and the ``(len(ks), m)``
+        radii. One row-local kernel per novel query rather than one GEMM
+        over the stacked block: BLAS picks different kernels for
+        different block shapes (GEMV for one row, GEMM for many), which
+        perturbs last-ulp distances — so a block kernel would make a
+        query's score depend on how many neighbors it shared a coalesced
+        batch with. The row kernel is shape-independent, which is what
+        makes batched scoring bit-identical to per-request scoring by
         construction.
 
         The selection at ``max(ks)`` holds each row's floats in
@@ -653,24 +655,14 @@ class OnlineScorer:
                     f"neighbors but MinPts={k}"
                 )
         flat_ids, flat_dists, counts = select_tie_inclusive(D, max(ks))
-        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        segments = [
-            (flat_ids[a:b], flat_dists[a:b]) for a, b in zip(offsets[:-1], offsets[1:])
-        ]
-        per_k = []
-        for k in ks:
-            rows = []
-            for ids, seg in segments:
-                kth = seg[k - 1]
-                count = np.searchsorted(seg, kth, side="right")
-                rows.append((ids[:count], seg[:count], kth))
-            per_k.append(rows)
-        return per_k
+        starts = np.cumsum(counts) - counts
+        radii = flat_dists[starts + np.array(ks)[:, None] - 1]
+        return flat_ids, flat_dists, counts, radii
 
     def _distinct_rows(self, D: np.ndarray, ks):
-        """Each row's k-distinct-distance neighborhood (closed ball) at
-        every k of ``ks``, from one sort of the row.
+        """:meth:`_novel_rows` under the k-distinct-distance policy: each
+        row's closed ball at ``max(ks)`` and its radius at every k, from
+        one sort of the row.
 
         The same :func:`~repro.core.duplicates.k_distinct_balls` the
         materialization uses: the radius is the distance at which the
@@ -679,14 +671,21 @@ class OnlineScorer:
         The first k in ``ks`` that some row falls short of raises.
         """
         balls = [k_distinct_balls(drow, self.mat.coord_keys, ks) for drow in D]
-        per_k = [[row[row_k] for row in balls] for row_k in range(len(ks))]
-        for k, rows in zip(ks, per_k):
-            if any(ball is None for ball in rows):
+        for row_k, k in enumerate(ks):
+            if any(row[row_k] is None for row in balls):
                 raise ValidationError(
                     f"fewer than k={k} distinct coordinate locations are "
                     "reachable from the query point"
                 )
-        return per_k
+        top = ks.index(max(ks))
+        widest = [row[top] for row in balls]
+        radii = np.array([[row[row_k][2] for row in balls] for row_k in range(len(ks))])
+        return (
+            np.concatenate([ball[0] for ball in widest]),
+            np.concatenate([ball[1] for ball in widest]),
+            np.array([len(ball[0]) for ball in widest], dtype=np.int64),
+            radii,
+        )
 
     def _reach_extrema(self, k: int):
         with self._lock:

@@ -58,7 +58,7 @@ Memmap loads
 ------------
 ``load_model(path, mmap=True)`` maps the big array sections straight
 from the file instead of reading them into RAM, so a store larger than
-memory still serves per-k views and online queries; checksum
+memory still serves every MinPts and online queries; checksum
 verification streams the file in chunks and never materializes a
 section. The returned arrays are read-only.
 """
@@ -375,17 +375,35 @@ def _write(path: Path, header: Dict, sections: Dict[str, np.ndarray]) -> Path:
     # Write a temp file beside the target, then rename it over the path:
     # a reader sees the old store or the new one, never a torn one, and
     # a server that memory-mapped the old file keeps its (unlinked)
-    # inode instead of having it truncated underneath.
+    # inode instead of having it truncated underneath. The file is
+    # synced before the rename and the directory after it, so a crash
+    # cannot leave the new name on an empty file or lose the rename.
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
     try:
         with tmp.open("xb") as fh:
             _write_body(fh, blob, table, payloads)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    _fsync_dir(path.parent)
     obs.incr("store.saves")
     return path
+
+
+def _fsync_dir(directory: Path) -> None:
+    """Make a rename in ``directory`` durable (POSIX; a no-op where a
+    directory cannot be opened, as on Windows)."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _write_body(fh, blob: bytes, table, payloads) -> None:

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import duplicate_groups, has_min_pts_duplicates, k_distinct_distance
-from repro.core.duplicates import k_distinct_radius
+from repro.core.duplicates import distinct_steps, k_distinct_radius
 from repro.exceptions import ValidationError
 
 
@@ -96,3 +98,46 @@ class TestKDistinctRadius:
                 want = loop_k_distinct_radius(ids, dists, coord_keys, k)
                 got = k_distinct_radius(ids, dists, coord_keys, k)
                 assert got == want
+
+
+@st.composite
+def padded_blocks(draw):
+    """``(ids, dists, coord_keys)``: rows sorted by (distance, id) with
+    duplicate-heavy keys, zero distances, excluded (inf) ids and -1/inf
+    pads of varying length."""
+    n = draw(st.integers(2, 25))
+    coord_keys = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+    n_rows = draw(st.integers(1, 6))
+    width = draw(st.integers(1, n))
+    ids = np.full((n_rows, width), -1, dtype=np.int64)
+    dists = np.full((n_rows, width), np.inf)
+    for r in range(n_rows):
+        length = draw(st.integers(0, width))
+        row_ids = np.array(draw(st.permutations(range(n))))[:length]
+        row_d = np.array(
+            draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, np.inf]),
+                          min_size=length, max_size=length)),
+            dtype=np.float64,
+        )
+        order = np.lexsort((row_ids, row_d))
+        ids[r, :length] = row_ids[order]
+        dists[r, :length] = row_d[order]
+    return ids, dists, coord_keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=padded_blocks())
+def test_distinct_steps_match_the_candidate_walk(block):
+    """The one-pass k-distinct radii pick the walk's element, bit for bit."""
+    ids, dists, coord_keys = block
+    steps, offsets = distinct_steps(ids, dists, coord_keys)
+    for r in range(len(ids)):
+        found = offsets[r + 1] - offsets[r]
+        for k in range(1, ids.shape[1] + 2):
+            want = loop_k_distinct_radius(ids[r], dists[r], coord_keys, k)
+            if want is None:
+                assert found < k
+            else:
+                assert found >= k
+                got = steps[offsets[r] + k - 1]
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -1,7 +1,7 @@
 """Unit tests for repro.core.graph — the shared columnar neighborhood core.
 
-Every builder must produce the same graph, per-k views must slice it
-consistently (tie semantics included), the dirty-subset protocol must
+Every builder must produce the same graph, per-k row prefixes must cut
+it consistently (tie semantics included), the dirty-subset protocol must
 feed the scoring kernels with results bit-identical to the full pass,
 and each static build must bump the ``graph.builds`` counter.
 """
@@ -11,11 +11,8 @@ import pytest
 
 from repro import obs
 from repro.core import scoring
-from repro.core.graph import (
-    DynamicNeighborhoodGraph,
-    NeighborhoodGraph,
-    NeighborhoodView,
-)
+from repro.core.graph import DynamicNeighborhoodGraph, NeighborhoodGraph, RowPrefixes
+from repro.core.materialization import MaterializationDB
 from repro.exceptions import ValidationError
 from repro.index import make_index
 
@@ -78,96 +75,100 @@ class TestBuilders:
             )
 
 
+def dynamic_copy(g, k):
+    """A DynamicNeighborhoodGraph holding every row of ``g`` at ``k``."""
+    dyn = DynamicNeighborhoodGraph(k)
+    hoods = g.prefixes(k)
+    for i in range(g.n_points):
+        ids, dists = hoods.row(i)
+        dyn.set_row(i, ids, dists, float(g.k_distances(k)[i]))
+    return dyn
+
+
 class TestViews:
     def test_view_rows_match_per_object_queries(self):
         X = tied_grid()
         g = NeighborhoodGraph.from_index(X, 4)
         idx = make_index("brute").fit(X)
-        view = g.view(3)
-        assert isinstance(view, NeighborhoodView)
+        hoods = g.prefixes(3)
+        assert isinstance(hoods, RowPrefixes)
         for i in range(len(X)):
             hood = idx.query_with_ties(X[i], 3, exclude=i)
-            ids, dists = view.row(i)
+            ids, dists = hoods.row(i)
             np.testing.assert_array_equal(ids, hood.ids)
             np.testing.assert_array_equal(dists, hood.distances)
 
     def test_counts_at_least_k_and_ties_included(self):
         g = NeighborhoodGraph.from_index(tied_grid(), 4)
-        view = g.view(4)
-        assert np.all(view.counts >= 4)
-        assert np.any(view.counts > 4)  # grid ties overflow k
+        hoods = g.prefixes(4)
+        assert np.all(hoods.counts >= 4)
+        assert np.any(hoods.counts > 4)  # grid ties overflow k
 
-    def test_view_cache_and_kdist_override(self):
+    def test_prefixes_kdist_override(self):
         g = NeighborhoodGraph.from_index(small_cloud(5), 6)
-        assert g.view(4) is g.view(4)
         bigger = g.k_distances(6)
-        override = g.view(4, kdist=bigger)
-        assert override is not g.view(4)
-        assert np.all(override.counts >= g.view(4).counts)
+        override = g.prefixes(4, kdist=bigger)
+        assert np.all(override.counts >= g.prefixes(4).counts)
+        np.testing.assert_array_equal(override.counts, g.prefixes(6).counts)
 
     def test_k_bounds_enforced(self):
         g = NeighborhoodGraph.from_index(small_cloud(6), 4)
         with pytest.raises(ValidationError):
-            g.view(5)
+            g.prefixes(5)
         with pytest.raises(ValidationError):
             g.k_distances(0)
 
 
 class TestDirtySubset:
-    def test_pinned_subview_matches_full_view(self):
+    def test_dynamic_subview_matches_graph_prefixes(self):
         g = NeighborhoodGraph.from_index(tied_grid(), 5)
-        full = g.view(5)
+        hoods = g.prefixes(5)
         rows = np.array([0, 7, 24, 3])
-        sub = g.pin(5).subview(rows)
-        np.testing.assert_array_equal(sub.row_ids, rows)
+        sub = dynamic_copy(g, 5).subview(rows)
+        np.testing.assert_array_equal(sub.counts, hoods.counts[rows])
         for pos, r in enumerate(rows):
-            ids_full, dists_full = full.row(int(r))
+            ids_full, dists_full = hoods.row(int(r))
             ids_sub, dists_sub = sub.row(pos)
             np.testing.assert_array_equal(ids_full, ids_sub)
             np.testing.assert_array_equal(dists_full, dists_sub)
 
     def test_lrd_of_bit_identical_to_full_kernel(self):
         g = NeighborhoodGraph.from_index(tied_grid(), 5)
-        view = g.view(5)
-        kdist = g.k_distances(5)
-        reach = scoring.reach_dist_values(view.dists, kdist[view.ids])
-        full_lrd = scoring.lrd_values(reach, view.starts, view.stops)
+        full_lrd = MaterializationDB.from_graph(g).lrd(5)
+        dyn = dynamic_copy(g, 5)
         rows = np.arange(g.n_points)
-        sub_lrd = scoring.lrd_of(g, rows)
-        np.testing.assert_array_equal(full_lrd, sub_lrd)
+        assert full_lrd.tobytes() == scoring.lrd_of(dyn, rows).tobytes()
         some = np.array([2, 11, 19])
-        np.testing.assert_array_equal(full_lrd[some], scoring.lrd_of(g, some))
+        assert full_lrd[some].tobytes() == scoring.lrd_of(dyn, some).tobytes()
 
     def test_empty_subset(self):
         g = NeighborhoodGraph.from_index(small_cloud(7), 3)
-        assert scoring.lrd_of(g, np.array([], dtype=np.int64)).size == 0
+        dyn = dynamic_copy(g, 3)
+        assert scoring.lrd_of(dyn, np.array([], dtype=np.int64)).size == 0
 
 
 class TestDynamicGraph:
     def test_set_drop_and_subview(self):
         dyn = DynamicNeighborhoodGraph(2)
         dyn.set_row(0, [1, 2], [1.0, 2.0], 2.0)
-        dyn.set_row(5, [0, 2], [1.5, 2.5], 2.5)
+        dyn.set_row(5, [0, 2, 9], [1.5, 2.5, 2.5], 2.5)
         dyn.set_row(2, [0, 5], [0.5, 1.0], 1.0)
         assert 5 in dyn and len(dyn) == 3
         assert dyn.rows() == [0, 2, 5]
-        view = dyn.subview([0, 5])
-        assert view.n_rows == 2
-        np.testing.assert_array_equal(view.ids, [1, 2, 0, 2])
-        np.testing.assert_array_equal(view.kdist, [2.0, 2.5])
+        hoods = dyn.subview([0, 5])
+        assert hoods.n_rows == 2
+        np.testing.assert_array_equal(hoods.ids, [[1, 2, -1], [0, 2, 9]])
+        np.testing.assert_array_equal(hoods.counts, [2, 3])
+        np.testing.assert_array_equal(dyn.kdist_values(np.array([0, 5])), [2.0, 2.5])
         dyn.drop_row(5)
         assert 5 not in dyn
         assert np.isnan(dyn.kdist_values(np.array([5]))[0])
 
     def test_dynamic_matches_static_kernels(self):
-        X = tied_grid()
-        g = NeighborhoodGraph.from_index(X, 4)
-        view = g.view(4)
-        dyn = DynamicNeighborhoodGraph(4)
-        for i in range(g.n_points):
-            ids, dists = view.row(i)
-            dyn.set_row(i, ids, dists, float(view.kdist[i]))
+        g = NeighborhoodGraph.from_index(tied_grid(), 4)
+        mat = MaterializationDB.from_graph(g)
+        dyn = dynamic_copy(g, 4)
         rows = np.arange(g.n_points)
-        np.testing.assert_array_equal(
-            scoring.lrd_of(g.pin(4), rows), scoring.lrd_of(dyn, rows)
-        )
+        lrd = scoring.lrd_of(dyn, rows)
+        assert lrd.tobytes() == mat.lrd(4).tobytes()
+        assert scoring.lof_of(dyn, rows, lrd).tobytes() == mat.lof(4).tobytes()

@@ -58,10 +58,11 @@ class TestKQueries:
 
     def test_csr_offsets_consistent(self, random_points):
         mat = materialize(random_points, min_pts_ub=8)
-        flat_ids, flat_dists, offsets = mat.neighborhoods(8)
-        assert offsets[0] == 0
-        assert offsets[-1] == len(flat_ids) == len(flat_dists)
-        assert np.all(np.diff(offsets) >= 8)
+        hoods = mat.prefixes(8)
+        assert hoods.ids.shape == hoods.dists.shape == (mat.n_points, hoods.counts.max())
+        assert np.all(hoods.starts == np.arange(mat.n_points) * hoods.ids.shape[1])
+        assert np.all(hoods.stops - hoods.starts == hoods.counts)
+        assert np.all(hoods.counts >= 8)
 
 
 class TestTwoStepEquivalence:

@@ -1,15 +1,17 @@
-"""Step 2 over row prefixes: same bits as the CSR views, and no views built.
+"""Step 2 over row prefixes: same bits as CSR neighborhoods, one graph.
 
 ``MaterializationDB.lrd`` / ``lof`` score every MinPts straight off the
 padded graph: object i's Definition-4 neighborhood is a prefix of its
-(distance, id)-sorted row. The property wall below holds that path to
-the CSR-view kernels byte for byte (``tobytes()``) and to the naive
-oracle of :mod:`repro.core.reference`, on the inputs where the prefix
-rule could slip: ties on a 1e-3 grid, blocks of at least MinPts
-duplicates (``lrd = inf`` and the ``inf/inf := 1`` ratio), exact tie
-rings, tie runs that reach the padded width, and the smallest legal
-datasets. The ``graph.views`` counter then pins that neither fitting
-nor serving LOF builds a CSR view, while LDOF still builds one per k.
+(distance, id)-sorted row. The property wall below holds that path byte
+for byte (``tobytes()``) to the kernels run over CSR neighborhoods that
+the test cuts from the padded arrays with the Definition-4 mask (LOF
+one object at a time), and to the naive oracle of
+:mod:`repro.core.reference`, on the inputs where the prefix rule could
+slip: ties on a 1e-3 grid, blocks of at least MinPts duplicates
+(``lrd = inf`` and the ``inf/inf := 1`` ratio), exact tie rings, tie
+runs that reach the padded width, and the smallest legal datasets. The
+``graph.builds`` and ``mscan.passes`` counters then pin that fitting,
+sweeping and serving build one graph and scan it twice per MinPts.
 """
 
 import numpy as np
@@ -44,18 +46,32 @@ def _outcome(fn):
         return ("DuplicatePointsError", str(exc))
 
 
+def _csr(mat, k):
+    """Every object's neighborhood at k in CSR form ``(ids, dists,
+    offsets)``: the padded entries within its cutoff radius."""
+    mask = mat.padded_dists <= mat.k_distances(k)[:, None]
+    offsets = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+    return mat.padded_ids[mask], mat.padded_dists[mask], offsets
+
+
 def _csr_lrd(mat, k):
-    view = mat.view(k)
-    reach = scoring.reach_dist_values(view.dists, mat.k_distances(k)[view.ids])
+    ids, dists, offsets = _csr(mat, k)
+    reach = scoring.reach_dist_values(dists, mat.k_distances(k)[ids])
     return scoring.lrd_values(
-        reach, view.starts, view.stops, duplicate_mode=mat.duplicate_mode
+        reach, offsets[:-1], offsets[1:], duplicate_mode=mat.duplicate_mode
     )
 
 
 def _csr_lof(mat, k):
-    view = mat.view(k)
+    """LOF one object at a time: each call sees a single segment."""
+    ids, _, offsets = _csr(mat, k)
     lrd = _csr_lrd(mat, k)
-    return scoring.lof_values(lrd, lrd[view.ids], view.starts, view.stops)
+    return np.concatenate([
+        scoring.lof_values(
+            lrd[[i]], lrd[ids[a:b]][None, :], np.array([0]), np.array([b - a])
+        )
+        for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:]))
+    ])
 
 
 def _distinct_locations(X):
@@ -85,12 +101,12 @@ def check_prefix_path(X, ub):
             assert _outcome(lambda: lrd_first.lof(k)) == want_lof, (mode, k)
             assert _outcome(lambda: lof_first.lof(k)) == want_lof, (mode, k)
             assert _outcome(lambda: lof_first.lrd(k)) == want_lrd, (mode, k)
-            view = csr.view(k)
+            csr_ids, csr_dists, offsets = _csr(csr, k)
             for i in range(csr.n_points):
                 ids, dists = lof_first.neighborhood_of(i, k)
-                view_ids, view_dists = view.row(i)
-                assert ids.tobytes() == view_ids.tobytes()
-                assert dists.tobytes() == view_dists.tobytes()
+                a, b = offsets[i], offsets[i + 1]
+                assert ids.tobytes() == csr_ids[a:b].tobytes()
+                assert dists.tobytes() == csr_dists[a:b].tobytes()
             if mode == "inf" and exact:
                 np.testing.assert_allclose(
                     lof_first.lrd(k), naive_lrd(X, k), rtol=1e-9
@@ -137,6 +153,7 @@ def corpora(draw):
 )
 @given(corpus=corpora())
 def test_prefix_path_matches_csr_views_and_oracle(corpus):
+    # "csr views": the CSR neighborhoods of _csr, cut inside this test.
     P, ub = corpus
     check_prefix_path(P * 1e-3, ub)  # the 1e-3 grid: ties rounded apart
     check_prefix_path(P.astype(np.float64), ub)  # exact ties, oracle too
@@ -172,19 +189,20 @@ class TestFixedCorpora:
 
 
 class TestNoViews:
-    """``graph.views`` counts every CSR view a NeighborhoodGraph builds."""
+    """One graph per fit, store load or sweep, and two scans of it per
+    MinPts: no per-MinPts copy of the neighborhoods."""
 
     @staticmethod
-    def _views(snap):
-        return snap["counters"].get("graph.views", 0)
+    def _count(snap, name):
+        return snap["counters"].get(name, 0)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_lof_fit_builds_no_views(self, mode):
         X = np.random.default_rng(0).normal(size=(120, 2))
         with obs.collect() as snap:
             LocalOutlierFactor(min_pts=(10, 60), duplicate_mode=mode).fit(X)
-        assert self._views(snap) == 0
-        assert snap["counters"]["mscan.passes"] == 2 * 51
+        assert self._count(snap, "graph.builds") == 1
+        assert self._count(snap, "mscan.passes") == 2 * 51
         # Each step-2 entry point on its own, from cold caches.
         mat = MaterializationDB.materialize(X, 60, duplicate_mode=mode)
         with obs.collect() as snap:
@@ -192,8 +210,8 @@ class TestNoViews:
             mat.lof(10)
             mat.lof(60)
             mat.neighborhood_of(7, 30)
-        assert self._views(snap) == 0
-        assert snap["counters"]["mscan.passes"] == 4
+        assert self._count(snap, "graph.builds") == 0
+        assert self._count(snap, "mscan.passes") == 4
 
     @pytest.mark.parametrize("mode", ["inf", "distinct"])
     def test_serving_builds_no_views(self, tmp_path, mode):
@@ -205,11 +223,14 @@ class TestNoViews:
             scorer = OnlineScorer.from_path(tmp_path / "m.rlof", cache_size=0)
             stored = scorer.score_new(X, exclude=np.arange(len(X)))
             scorer.score_new(rng.normal(size=(4, 2)))
-        assert self._views(snap) == 0
+        assert self._count(snap, "graph.builds") == 1  # the load
+        assert self._count(snap, "mscan.passes") == 0  # seeded lrd caches
         assert stored.tobytes() == est.scores_.tobytes()
 
-    def test_ldof_sweep_builds_one_view_per_k(self):
+    @pytest.mark.parametrize("scorer", ["ldof", "loop"])
+    def test_sweeps_of_other_scorers_build_one_graph(self, scorer):
         X = np.random.default_rng(2).normal(size=(80, 2))
         with obs.collect() as snap:
-            score_range(X, min_pts_lb=4, min_pts_ub=9, scorer="ldof")
-        assert self._views(snap) == 6
+            score_range(X, min_pts_lb=4, min_pts_ub=9, scorer=scorer)
+        assert self._count(snap, "graph.builds") == 1
+        assert self._count(snap, "mscan.passes") == 0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro import lof_scores, materialize
-from repro.core import theorem1_bounds
+from repro.core import reach_dist_values, theorem1_bounds
 from repro.index import make_index
 
 SETTINGS = dict(
@@ -126,10 +126,9 @@ def test_theorem1_bounds_always_contain_lof(X):
 def test_k_distance_neighborhood_tie_semantics(X):
     mat = materialize(X, 5)
     kdist = mat.k_distances(5)
-    flat_ids, flat_dists, offsets = mat.neighborhoods(5)
+    hoods = mat.prefixes(5)
     for i in range(len(X)):
-        sl = slice(offsets[i], offsets[i + 1])
-        dists = flat_dists[sl]
+        _, dists = hoods.row(i)
         assert len(dists) >= 5                      # at least k members
         assert np.all(dists <= kdist[i] + 1e-15)    # all within k-distance
         assert dists[-1] == pytest.approx(kdist[i]) # boundary attained
@@ -152,10 +151,11 @@ def test_reach_dist_dominates_k_distance(X):
     """reach-dist_k(p, o) >= k-distance(o) and >= d(p, o), by Def. 5."""
     mat = materialize(X, 4)
     kdist = mat.k_distances(4)
-    flat_ids, flat_dists, offsets = mat.neighborhoods(4)
-    reach, _ = mat.reach_dists(4)
-    assert np.all(reach >= flat_dists - 1e-15)
-    assert np.all(reach >= kdist[flat_ids] - 1e-15)
+    for i in range(len(X)):
+        ids, dists = mat.neighborhood_of(i, 4)
+        reach = reach_dist_values(dists, kdist[ids])
+        assert np.all(reach >= dists - 1e-15)
+        assert np.all(reach >= kdist[ids] - 1e-15)
 
 
 @settings(**SETTINGS)

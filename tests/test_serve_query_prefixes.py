@@ -5,9 +5,9 @@ query, at the largest MinPts of the request, and reads every smaller
 MinPts as a prefix of that (distance, id)-sorted row. This wall pins
 the result to the per-k pipeline it replaced, byte for byte: for each
 MinPts k, a fresh distance row, a tie-inclusive selection at k (or the
-k-distinct ball under ``duplicate_mode='distinct'``), one
-:class:`~repro.core.graph.NeighborhoodView` and the scorer's
-``score_query``. Stored rows (``exclude=i`` with equal coordinates)
+k-distinct ball under ``duplicate_mode='distinct'``), the rows padded
+into :class:`~repro.core.graph.RowPrefixes` of that k alone (every row
+its whole neighborhood) and the scorer's ``score_query``. Stored rows (``exclude=i`` with equal coordinates)
 read their graph prefix, as before.
 
 The corpora are tie-heavy on purpose (a 1e-3 grid, duplicate blocks of
@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro import LocalOutlierFactor, obs
 from repro.core.duplicates import k_distinct_radius
-from repro.core.graph import NeighborhoodView
+from repro.core.graph import RowPrefixes
 from repro.core.range_lof import _AGGREGATES
 from repro.exceptions import ReproError, ValidationError
 from repro.index.batch import select_tie_inclusive, tie_threshold
@@ -95,7 +95,13 @@ def oracle_view(sc, Xq, exclude, k):
                 kdist_q[i] = tie_threshold(drow, k)
         rows_ids.append(ids)
         rows_dists.append(dists)
-    return NeighborhoodView.from_ragged(k, rows_ids, rows_dists, kdist_q), kdist_q
+    counts = np.array([len(r) for r in rows_ids])
+    ids = np.full((len(Xq), counts.max()), -1, dtype=np.int64)
+    dists = np.full((len(Xq), counts.max()), np.inf)
+    for i, c in enumerate(counts):
+        ids[i, :c] = rows_ids[i]
+        dists[i, :c] = rows_dists[i]
+    return RowPrefixes(ids, dists, counts), kdist_q
 
 
 def oracle_scores(sc, Xq, exclude, min_pts, scorer):

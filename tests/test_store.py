@@ -248,6 +248,92 @@ class TestAtomicWrites:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.rlof"]
         assert load_model(path).mat.min_pts_ub == 6
 
+    def test_sync_order_file_replace_directory(self, tmp_path, mixed_density, monkeypatch):
+        """The temp file is synced before the rename, the directory after."""
+        import os as os_module
+        import stat
+
+        import repro.store as store
+
+        path = tmp_path / "m.rlof"
+        calls = []
+        real_fsync, real_replace = os_module.fsync, os_module.replace
+
+        def fsync(fd):
+            is_dir = stat.S_ISDIR(os_module.fstat(fd).st_mode)
+            calls.append("fsync-dir" if is_dir else "fsync-file")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(store.os, "fsync", fsync)
+        monkeypatch.setattr(store.os, "replace", replace)
+        MaterializationDB.materialize(mixed_density, 6).save(path, X=mixed_density)
+        assert calls == ["fsync-file", "replace", "fsync-dir"]
+        assert load_model(path).mat.min_pts_ub == 6
+
+
+class TestCrashInjection:
+    """Torn stores never load, and a save that dies midway leaves the
+    previous store at the path intact."""
+
+    @pytest.fixture
+    def saved(self, tmp_path, mixed_density):
+        path = tmp_path / "est.rlof"
+        LocalOutlierFactor(min_pts=(4, 6)).fit(mixed_density).save(path)
+        return path
+
+    def test_truncation_at_every_section_boundary(self, tmp_path, saved):
+        blob = saved.read_bytes()
+        cuts = set()
+        for entry in read_header(saved)["sections"]:
+            for edge in (entry["offset"], entry["offset"] + entry["nbytes"]):
+                cuts.update((edge - 1, edge, edge + 1))
+        cuts = sorted(c for c in cuts if 0 <= c < len(blob))
+        assert len(cuts) > 30
+        bad = tmp_path / "torn.rlof"
+        for cut in cuts:
+            bad.write_bytes(blob[:cut])
+            for mmap in (False, True):
+                with pytest.raises((StoreCorruptionError, StoreFormatError)):
+                    load_model(bad, mmap=mmap)
+
+    def test_save_dying_after_any_section_keeps_previous_store(
+        self, tmp_path, mixed_density, monkeypatch
+    ):
+        import repro.store as store
+
+        path = tmp_path / "m.rlof"
+        MaterializationDB.materialize(mixed_density, 6).save(path, X=mixed_density)
+        before = load_model(path)
+        want = {
+            "ids": before.mat.padded_ids.tobytes(),
+            "dists": before.mat.padded_dists.tobytes(),
+            "X": before.X.tobytes(),
+        }
+        real_write_body = store._write_body
+        newer = MaterializationDB.materialize(mixed_density, 8)
+        n_sections = len(read_header(path)["sections"])
+        for dying_after in range(n_sections):
+
+            def torn(fh, blob, table, payloads, dying_after=dying_after):
+                real_write_body(
+                    fh, blob, table[: dying_after + 1], payloads[: dying_after + 1]
+                )
+                raise OSError(f"crash after section {dying_after}")
+
+            monkeypatch.setattr(store, "_write_body", torn)
+            with pytest.raises(OSError, match="crash after section"):
+                newer.save(path, X=mixed_density)
+            after = load_model(path)
+            assert after.mat.min_pts_ub == 6
+            assert after.mat.padded_ids.tobytes() == want["ids"]
+            assert after.mat.padded_dists.tobytes() == want["dists"]
+            assert after.X.tobytes() == want["X"]
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["m.rlof"]
+
 
 class TestMetadata:
     def test_stored_model_properties(self, tmp_path, mixed_density):
