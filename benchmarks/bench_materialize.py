@@ -41,6 +41,16 @@ PRs append runs next to it and compare):
     but its counters are kept. ``derived.step2_sweep`` lists each case
     with its ``mscan.passes`` (two scans per MinPts for LOF) and
     ``graph.builds`` (one graph for the build and the whole sweep).
+``distinct``
+    Step 1 under ``duplicate_mode='distinct'``: the wall time and peak
+    RSS of :func:`repro.core.materialize` at the fixed :data:`DISTINCT`
+    shape — n=2000, d=3, MinPtsUB=20 on the repo benchmark's cluster
+    mixture rounded to a 0.2 grid, so that some rows miss MinPtsUB
+    distinct locations and are queried again — whatever ``--sizes``
+    says, in a fresh interpreter like ``sweep``.
+    ``derived.step1_distinct`` records its ``distance.evaluations``
+    against the ``n^2`` of a full scan, and its ``knn.batch_queries``
+    (the plain build plus one batch per probe).
 
 Every run records wall-clock seconds and the process peak RSS
 (``resource.getrusage`` — the OS high-water mark, monotone across the
@@ -70,6 +80,9 @@ Usage::
 
     # the step-2 sweep alone:
     PYTHONPATH=src python benchmarks/bench_materialize.py --paths sweep
+
+    # step 1 under duplicate_mode='distinct' alone:
+    PYTHONPATH=src python benchmarks/bench_materialize.py --paths distinct
 
     # CI schema check of an emitted file:
     python benchmarks/bench_materialize.py --validate BENCH_materialize.json
@@ -117,6 +130,23 @@ SWEEP = {"n": 2000, "dim": 16, "min_pts_lb": 10, "min_pts_ub": 200}
 #: (scorer, duplicate_mode) of every ``sweep`` row. LDOF stays out: its
 #: per-row pairwise block dominates its sweep.
 SWEEP_CASES = (("lof", "inf"), ("loop", "inf"), ("lof", "distinct"))
+
+#: The shape the ``distinct`` path times: the repo benchmark's mixture
+#: of 8 Gaussian clusters (``bench/run.py``), on a 0.2 grid.
+DISTINCT = {"n": 2000, "dim": 3, "min_pts_ub": 20, "grid": 0.2}
+
+#: typed fields of ``derived.step1_distinct``.
+DISTINCT_FIELDS = {
+    "n": int,
+    "dim": int,
+    "min_pts_ub": int,
+    "grid": float,
+    "wall_s": float,
+    "peak_rss_kb": int,
+    "distance_evaluations": int,
+    "knn_batch_queries": int,
+    "all_pairs": int,
+}
 
 #: typed fields of every ``derived.step2_sweep`` entry.
 SWEEP_FIELDS = {
@@ -195,12 +225,47 @@ def sweep_child(seed: int, scorer: str, duplicate_mode: str) -> None:
     }))
 
 
-def _run_sweep(seed: int, scorer: str, duplicate_mode: str) -> dict:
+def grid_mixture(seed: int, n: int, d: int, grid: float) -> np.ndarray:
+    """``n`` points of 8 Gaussian clusters, centers in [-10, 10]^d and
+    widths in [0.3, 1] laid out from ``d`` alone (the recipe of
+    ``bench/run.py``), rounded to multiples of ``grid``."""
+    layout = np.random.default_rng(d)
+    centers = layout.uniform(-10.0, 10.0, size=(8, d))
+    scales = layout.uniform(0.3, 1.0, size=8)
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 8, size=n)
+    X = centers[labels] + rng.normal(size=(n, d)) * scales[labels, None]
+    return np.round(X / grid) * grid
+
+
+def distinct_child(seed: int) -> None:
+    """Time step 1 under ``duplicate_mode='distinct'`` at the
+    :data:`DISTINCT` shape and print one JSON record (run in a fresh
+    interpreter by :func:`_run_child`)."""
+    from repro import obs
+    from repro.core import materialize
+
+    X = grid_mixture(seed, DISTINCT["n"], DISTINCT["dim"], DISTINCT["grid"])
+    t0 = time.perf_counter()
+    with obs.collect() as snap:
+        materialize(X, DISTINCT["min_pts_ub"], duplicate_mode="distinct")
+    wall = time.perf_counter() - t0
+    peak_rss_kb = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    print(json.dumps({
+        "wall_s": wall,
+        "peak_rss_kb": peak_rss_kb,
+        "counters": snap["counters"],
+        "timers": snap["timers"],
+    }))
+
+
+def _run_child(call: str) -> dict:
+    """Run ``bench_materialize.<call>`` in a fresh interpreter and return
+    the JSON record it prints."""
     here = os.path.dirname(os.path.abspath(__file__))
     code = (
         f"import sys; sys.path.insert(0, {here!r}); "
-        f"import bench_materialize; "
-        f"bench_materialize.sweep_child({seed}, {scorer!r}, {duplicate_mode!r})"
+        f"import bench_materialize; bench_materialize.{call}"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
@@ -208,11 +273,20 @@ def _run_sweep(seed: int, scorer: str, duplicate_mode: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _timers(child: dict) -> dict:
+    return {
+        name: {"count": rec["count"], "total_s": round(rec["total_s"], 6)}
+        for name, rec in child["timers"].items()
+    }
+
+
 def run(args) -> dict:
     results = []
     sweep_cases = SWEEP_CASES if "sweep" in args.paths else ()
     for scorer, duplicate_mode in sweep_cases:
-        child = _run_sweep(args.seed, scorer, duplicate_mode)
+        child = _run_child(
+            f"sweep_child({args.seed}, {scorer!r}, {duplicate_mode!r})"
+        )
         results.append(
             {
                 "scorer": scorer,
@@ -227,13 +301,7 @@ def run(args) -> dict:
                 "wall_s": round(child["wall_s"], 6),
                 "peak_rss_kb": child["peak_rss_kb"],
                 "counters": child["counters"],
-                "timers": {
-                    name: {
-                        "count": rec["count"],
-                        "total_s": round(rec["total_s"], 6),
-                    }
-                    for name, rec in child["timers"].items()
-                },
+                "timers": _timers(child),
             }
         )
         print(
@@ -244,11 +312,35 @@ def run(args) -> dict:
             f"graph_builds={child['counters'].get('graph.builds', 0)}",
             file=sys.stderr,
         )
+    if "distinct" in args.paths:
+        child = _run_child(f"distinct_child({args.seed})")
+        results.append(
+            {
+                "n": DISTINCT["n"],
+                "dim": DISTINCT["dim"],
+                "min_pts_ub": DISTINCT["min_pts_ub"],
+                "grid": DISTINCT["grid"],
+                "path": "distinct",
+                "index": "brute",
+                "block_size": 0,
+                "wall_s": round(child["wall_s"], 6),
+                "peak_rss_kb": child["peak_rss_kb"],
+                "counters": child["counters"],
+                "timers": _timers(child),
+            }
+        )
+        print(
+            f"step 1 distinct n={DISTINCT['n']} d={DISTINCT['dim']} "
+            f"grid={DISTINCT['grid']}: wall={child['wall_s']:8.4f}s "
+            f"peak_rss={child['peak_rss_kb'] / 1024:7.1f}MB "
+            f"evaluations={child['counters'].get('distance.evaluations', 0)}",
+            file=sys.stderr,
+        )
     for n in args.sizes:
         X = np.random.default_rng(args.seed).normal(size=(n, args.dim))
         ub = min(args.min_pts_ub, n - 1)
         for path in args.paths:
-            if path == "sweep":
+            if path in ("sweep", "distinct"):
                 continue
             if path in ("query_loop", "batched") and n > args.max_loop_n:
                 print(
@@ -349,6 +441,15 @@ def run(args) -> dict:
     }
     if sweep:
         derived["step2_sweep"] = sweep
+    for r in results:
+        if r["path"] == "distinct":
+            derived["step1_distinct"] = {
+                **{key: r[key] for key in ("n", "dim", "min_pts_ub", "grid",
+                                           "wall_s", "peak_rss_kb")},
+                "distance_evaluations": r["counters"].get("distance.evaluations", 0),
+                "knn_batch_queries": r["counters"].get("knn.batch_queries", 0),
+                "all_pairs": r["n"] * r["n"],
+            }
     return {
         "schema": SCHEMA,
         "config": {
@@ -423,6 +524,22 @@ def validate(payload) -> list:
                             f"derived.step2_sweep[{i}].{field} must be "
                             f"{typ.__name__}, got {value!r}"
                         )
+    n_distinct = sum(
+        1 for r in results if isinstance(r, dict) and r.get("path") == "distinct"
+    )
+    distinct = (payload.get("derived") or {}).get("step1_distinct")
+    if n_distinct or distinct is not None:
+        if n_distinct != 1 or not isinstance(distinct, dict):
+            problems.append(
+                "derived.step1_distinct must summarize exactly one distinct record"
+            )
+        else:
+            for field, typ in DISTINCT_FIELDS.items():
+                if not _typed(distinct.get(field), typ):
+                    problems.append(
+                        f"derived.step1_distinct.{field} must be "
+                        f"{typ.__name__}, got {distinct.get(field)!r}"
+                    )
     for i, record in enumerate(results):
         for field, typ in RESULT_FIELDS.items():
             value = record.get(field)
@@ -462,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--block-size", type=int, default=512)
     parser.add_argument(
         "--paths", nargs="+", default=["query_loop", "batched", "fast"],
-        choices=["query_loop", "batched", "fast", "chunked", "sweep"],
+        choices=["query_loop", "batched", "fast", "chunked", "sweep", "distinct"],
     )
     parser.add_argument(
         "--tile-bytes", type=int, default=None, metavar="BYTES",

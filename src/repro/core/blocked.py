@@ -40,7 +40,7 @@ from typing import List, Tuple
 from .. import obs
 from .._validation import check_data, check_min_pts
 from ..exceptions import ValidationError
-from ..index import get_metric
+from ..index import get_metric, make_index
 from ..index.argkmin import argkmin_self
 from .graph import NeighborhoodGraph
 from .materialization import (
@@ -78,8 +78,10 @@ def fast_materialize(
         kernel call per block.
     duplicate_mode : 'inf' (default), 'distinct' or 'error' — the same
         policy choices as :meth:`MaterializationDB.materialize`;
-        'distinct' post-extends the few duplicate-saturated rows via
-        :func:`~repro.core.materialization.ensure_distinct_coverage`.
+        'distinct' cuts the rows at their k-distinct-distances and
+        re-queries the few duplicate-saturated ones through a brute
+        index on ``X``
+        (:func:`~repro.core.materialization.ensure_distinct_coverage`).
     strategy : passed to the engine — ``"auto"`` (default), ``"whole"``
         or ``"chunked"``; see :func:`repro.index.argkmin.argkmin_with_ties`.
     tile_bytes : engine tile budget (default 8 MiB); with
@@ -108,7 +110,8 @@ def fast_materialize(
         coord_keys = None
         if duplicate_mode == "distinct":
             coord_keys = _coord_keys_for(X)
-            graph = ensure_distinct_coverage(graph, X, metric, coord_keys, ub)
+            brute = make_index("brute", metric=metric_obj).fit(X)
+            graph = ensure_distinct_coverage(graph, brute, coord_keys, ub)
     return MaterializationDB.from_graph(
         graph, duplicate_mode=duplicate_mode, coord_keys=coord_keys
     )

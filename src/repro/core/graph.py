@@ -229,7 +229,7 @@ class NeighborhoodGraph:
         X = check_data(X, min_rows=2)
         n = X.shape[0]
         k_max = check_min_pts(k_max, n, name="k_max")
-        nn_index = _resolve_index(index, metric, X)
+        nn_index = resolve_index(index, metric, X)
         if nn_index.fast_batch:
             padded_ids, padded_dists = nn_index.query_batch_with_ties(
                 X, k_max, exclude=np.arange(n)
@@ -258,7 +258,7 @@ class NeighborhoodGraph:
         k_max = check_min_pts(k_max, n, name="k_max")
         if block_size < 1:
             raise ValidationError(f"block_size must be >= 1, got {block_size}")
-        nn_index = _resolve_index(index, metric, X)
+        nn_index = resolve_index(index, metric, X)
         bounds = [(s, min(s + block_size, n)) for s in range(0, n, block_size)]
         blocks = [
             nn_index.query_batch_with_ties(
@@ -433,7 +433,7 @@ def _pad_rows(
     return ids, dists, counts
 
 
-def _resolve_index(index, metric, X):
+def resolve_index(index, metric, X):
     """Shared fit-or-validate dance for index name/class/instance inputs."""
     nn_index = make_index(index, metric=metric)
     if not nn_index.is_fitted:

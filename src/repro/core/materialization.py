@@ -46,17 +46,17 @@ mode:
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .. import obs
 from .._validation import check_data, check_min_pts
 from ..exceptions import ValidationError
-from ..index import NNIndex, make_index
+from ..index import NNIndex
 from . import scoring
-from .duplicates import distinct_steps, k_distinct_ball, k_distinct_radius
-from .graph import NeighborhoodGraph, RowPrefixes
+from .duplicates import distinct_steps
+from .graph import NeighborhoodGraph, RowPrefixes, resolve_index
 
 _DUPLICATE_MODES = ("inf", "distinct", "error")
 
@@ -180,23 +180,23 @@ class MaterializationDB:
         fitted/unfitted instance. On 'brute' the box-pruned scan computes
         each distance with the same subtraction and row kernel as the
         ``Metric.pairwise_to_point`` the online scorer uses for novel
-        points, so served and fitted values agree bit for bit.
+        points, so served and fitted values agree bit for bit. Under
+        ``duplicate_mode='distinct'`` the same rows are cut at each
+        object's k-distinct-distance, and only the rows that cover fewer
+        than MinPtsUB distinct locations are queried again
+        (:func:`ensure_distinct_coverage`).
         """
         X = check_data(X, min_rows=2)
         n = X.shape[0]
         ub = check_min_pts(min_pts_ub, n, name="min_pts_ub")
         _check_duplicate_mode(duplicate_mode)
         with obs.span("materialize.query_loop"):
+            nn_index = resolve_index(index, metric, X)
+            graph = NeighborhoodGraph.from_index(X, ub, index=nn_index)
+            coord_keys = None
             if duplicate_mode == "distinct":
                 coord_keys = _coord_keys_for(X)
-                graph = cls._materialize_distinct_loop(
-                    X, ub, index, metric, coord_keys
-                )
-            else:
-                coord_keys = None
-                graph = NeighborhoodGraph.from_index(
-                    X, ub, index=index, metric=metric
-                )
+                graph = ensure_distinct_coverage(graph, nn_index, coord_keys, ub)
         return cls.from_graph(
             graph, duplicate_mode=duplicate_mode, coord_keys=coord_keys
         )
@@ -223,9 +223,9 @@ class MaterializationDB:
         pairs for a row whatever block it is in. (It is not bit-identical
         to :func:`~repro.core.blocked.fast_materialize`, whose expanded
         BLAS distances differ by ulps on non-integer data.)
-        ``duplicate_mode='distinct'`` post-extends the
-        few rows whose plain neighborhoods do not cover MinPtsUB
-        distinct locations (see :func:`ensure_distinct_coverage`).
+        ``duplicate_mode='distinct'`` goes through the same
+        :func:`ensure_distinct_coverage` as :meth:`materialize`, so the
+        bits agree in every duplicate mode.
         Library code only: the estimator and the CLI build M with
         :meth:`materialize`.
         """
@@ -234,64 +234,17 @@ class MaterializationDB:
         ub = check_min_pts(min_pts_ub, n, name="min_pts_ub")
         _check_duplicate_mode(duplicate_mode)
         with obs.span("materialize.batched"):
+            nn_index = resolve_index(index, metric, X)
             graph = NeighborhoodGraph.from_index_batched(
-                X,
-                ub,
-                index=index,
-                metric=metric,
-                block_size=block_size,
+                X, ub, index=nn_index, block_size=block_size
             )
             coord_keys = None
             if duplicate_mode == "distinct":
                 coord_keys = _coord_keys_for(X)
-                graph = ensure_distinct_coverage(graph, X, metric, coord_keys, ub)
+                graph = ensure_distinct_coverage(graph, nn_index, coord_keys, ub)
         return cls.from_graph(
             graph, duplicate_mode=duplicate_mode, coord_keys=coord_keys
         )
-
-    @classmethod
-    def _materialize_distinct_loop(
-        cls, X, ub, index, metric, coord_keys
-    ) -> NeighborhoodGraph:
-        """The per-object query loop under the k-distinct-distance policy."""
-        n = X.shape[0]
-        nn_index = make_index(index, metric=metric)
-        if not nn_index.is_fitted:
-            nn_index.fit(X)
-        elif nn_index.n_points != n:
-            raise ValidationError(
-                "a pre-fitted index must be fitted on the same dataset"
-            )
-        rows_ids: List[np.ndarray] = []
-        rows_dists: List[np.ndarray] = []
-        for i in range(n):
-            hood = cls._distinct_neighborhood(nn_index, X[i], i, ub, coord_keys)
-            rows_ids.append(hood.ids.astype(np.int64))
-            rows_dists.append(hood.distances.astype(np.float64))
-        return NeighborhoodGraph.from_rows(rows_ids, rows_dists, k_max=ub)
-
-    @staticmethod
-    def _distinct_neighborhood(nn_index: NNIndex, q, self_id: int, k: int, coord_keys):
-        """Neighborhood based on the k-distinct-distance: grow the plain
-        k-NN result until it covers ``k`` neighbors with mutually
-        different coordinates (all of which differ from the query point's
-        own coordinates, since their distance is positive)."""
-        n = nn_index.n_points
-        probe = k
-        while True:
-            probe = min(probe, n - 1)
-            hood = nn_index.query_with_ties(q, probe, exclude=self_id)
-            kdist = k_distinct_radius(hood.ids, hood.distances, coord_keys, k)
-            if kdist is not None or probe >= n - 1:
-                break
-            probe = min(n - 1, probe * 2)
-        if kdist is None:
-            raise ValidationError(
-                f"fewer than k={k} distinct coordinate locations exist"
-            )
-        # Closed ball of that radius (duplicates of q inside it included,
-        # matching the Definition 4 analog).
-        return nn_index.query_radius(q, kdist, exclude=self_id)
 
     # -- Definition 3: k-distance ---------------------------------------------
 
@@ -562,45 +515,63 @@ class MaterializationDB:
 
 def ensure_distinct_coverage(
     graph: NeighborhoodGraph,
-    X: np.ndarray,
-    metric,
+    nn_index: NNIndex,
     coord_keys: np.ndarray,
     k: int,
 ) -> NeighborhoodGraph:
-    """Extend rows that do not cover ``k`` distinct coordinate locations.
+    """The k-distinct-distance neighborhoods, from plain k-NN rows.
 
-    A plain tie-inclusive k-NN row already covers the k-distinct-distance
-    ball whenever it contains ``k`` distinct (positive-distance)
-    locations — the k-th distinct location sits within the row's radius,
-    and tie inclusion guarantees the row holds *every* point inside it.
-    Only duplicate-saturated rows fall short; those few are recomputed
-    from an exact full-row distance scan, so the blocked/batched builders
-    can serve ``duplicate_mode='distinct'`` without per-object probing.
+    ``graph`` holds the tie-inclusive k-NN row of every point
+    ``nn_index`` is fitted on. A row that reaches ``k`` distinct
+    (positive-distance) locations already holds its whole
+    k-distinct-distance ball: tie inclusion puts every point within the
+    row's radius in the row. The rows that fall short (duplicate-saturated
+    ones) are re-queried together, one
+    :meth:`~repro.index.NNIndex.query_batch_with_ties` per probe, the
+    probe starting at ``k`` and growing to ``min(2 * probe, n - 1)``
+    until each reaches ``k`` locations; a row still short at ``n - 1``
+    neighbors raises :class:`ValidationError`. Every row keeps its prefix
+    up to its k-distinct-distance: the closed ball, duplicates of the
+    object inside it included (the analog of Definition 4).
     """
-    from ..index import get_metric
-
-    metric_obj = get_metric(metric)
-    _, offsets = distinct_steps(graph.padded_ids, graph.padded_dists, coord_keys)
-    deficient = np.flatnonzero(np.diff(offsets) < k)
-    if not len(deficient):
-        return graph
     n = graph.n_points
-    distinct_available = len(np.unique(coord_keys)) - 1
-    if k > distinct_available:
-        raise ValidationError(
-            f"fewer than k={k} distinct coordinate locations exist"
+    counts, covered = _distinct_cut(
+        graph.padded_ids, graph.padded_dists, coord_keys, k
+    )
+    if covered.all() and np.array_equal(counts, graph.row_lengths):
+        return graph
+    rows_ids = [graph.padded_ids[i, :c] for i, c in enumerate(counts)]
+    rows_dists = [graph.padded_dists[i, :c] for i, c in enumerate(counts)]
+    short = np.flatnonzero(~covered)
+    probe = k
+    while len(short):
+        if probe >= n - 1:
+            raise ValidationError(
+                f"fewer than k={k} distinct coordinate locations exist"
+            )
+        probe = min(2 * probe, n - 1)
+        ids, dists = nn_index.query_batch_with_ties(
+            nn_index.data[short], probe, exclude=short
         )
-    rows_ids = [
-        graph.padded_ids[i, : graph.row_lengths[i]] for i in range(n)
-    ]
-    rows_dists = [
-        graph.padded_dists[i, : graph.row_lengths[i]] for i in range(n)
-    ]
-    for i in deficient:
-        dists = metric_obj.pairwise(X[i : i + 1], X)[0]
-        dists[i] = np.inf
-        rows_ids[i], rows_dists[i], _ = k_distinct_ball(dists, coord_keys, k)
+        counts, covered = _distinct_cut(ids, dists, coord_keys, k)
+        for j in np.flatnonzero(covered):
+            rows_ids[short[j]] = ids[j, : counts[j]]
+            rows_dists[short[j]] = dists[j, : counts[j]]
+        short = short[~covered]
     return NeighborhoodGraph.from_rows(rows_ids, rows_dists, k_max=k)
+
+
+def _distinct_cut(
+    ids: np.ndarray, dists: np.ndarray, coord_keys: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """For padded (distance, id)-sorted rows: each row's prefix length up
+    to its k-distinct-distance (0 for a row short of ``k`` locations),
+    and which rows reach ``k`` locations."""
+    steps, offsets = distinct_steps(ids, dists, coord_keys)
+    covered = np.diff(offsets) >= k
+    radii = np.full(len(ids), -np.inf)
+    radii[covered] = steps[offsets[:-1][covered] + (k - 1)]
+    return (dists <= radii[:, None]).sum(axis=1), covered
 
 
 def materialize(

@@ -15,7 +15,6 @@ name       class                                        paper role
 "rstar"    :class:`RStarTreeIndex`                      R*-tree (X-tree ancestor)
 "xtree"    :class:`XTreeIndex`                          the paper's index [4]
 "vafile"   :class:`VAFileIndex`                         high-d scan variant [21]
-"mtree"    :class:`MTreeIndex`                          metric-only access method
 ========== ============================================ =====================
 
 Use :func:`make_index` to construct one by name.
@@ -32,7 +31,6 @@ from .base import (
 )
 from .balltree import BallTreeIndex
 from .brute import BruteForceIndex
-from .bulk import BulkRTreeIndex
 from .grid import GridIndex
 from .kdtree import KDTreeIndex
 from .metrics import (
@@ -43,7 +41,6 @@ from .metrics import (
     MinkowskiMetric,
     get_metric,
 )
-from .mtree import MTreeIndex
 from .rstartree import RStarTreeIndex
 from .vafile import VAFileIndex
 from .xtree import XTreeIndex
@@ -59,10 +56,8 @@ __all__ = [
     "register_index",
     "BallTreeIndex",
     "BruteForceIndex",
-    "BulkRTreeIndex",
     "GridIndex",
     "KDTreeIndex",
-    "MTreeIndex",
     "RStarTreeIndex",
     "VAFileIndex",
     "XTreeIndex",

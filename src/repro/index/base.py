@@ -254,28 +254,6 @@ class NNIndex(ABC):
 
     # -- batched queries ----------------------------------------------------
 
-    def query_batch(
-        self, Q, k: int, exclude: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Answer ``m`` plain k-NN queries in one call (no tie expansion).
-
-        Parameters
-        ----------
-        Q : (m, d) block of query points.
-        k : neighbors per query.
-        exclude : optional (m,) int array of dataset ids to drop per row
-            (``-1`` entries mean "no exclusion for this row") — the batch
-            analog of the scalar ``exclude`` of :meth:`query`.
-
-        Returns
-        -------
-        ids, distances : (m, k) arrays; row i is the answer for ``Q[i]``
-            in the deterministic (distance, id) order.
-        """
-        Q, exclude, k = self._check_batch(Q, k, exclude)
-        self._count_batch(Q.shape[0])
-        return self._query_batch(Q, k, exclude)
-
     def query_batch_with_ties(
         self, Q, k: int, exclude: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -287,6 +265,14 @@ class NNIndex(ABC):
         longest neighborhood with id ``-1`` / distance ``inf`` — the same
         layout :class:`~repro.core.materialization.MaterializationDB`
         stores.
+
+        Parameters
+        ----------
+        Q : (m, d) block of query points.
+        k : neighbors per query, before tie expansion.
+        exclude : optional (m,) int array of dataset ids to drop per row
+            (``-1`` entries mean "no exclusion for this row") — the batch
+            analog of the scalar ``exclude`` of :meth:`query_with_ties`.
 
         Returns
         -------
@@ -351,20 +337,6 @@ class NNIndex(ABC):
         self, q: np.ndarray, radius: float, exclude: Optional[int]
     ) -> Neighborhood:
         ...
-
-    def _query_batch(
-        self, Q: np.ndarray, k: int, exclude: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        # Generic fallback for tree/grid backends: one traversal per row.
-        # Every row returns exactly k entries, so no padding is needed.
-        ids = np.empty((Q.shape[0], k), dtype=np.int64)
-        dists = np.empty((Q.shape[0], k), dtype=np.float64)
-        for i in range(Q.shape[0]):
-            excl = int(exclude[i]) if exclude[i] >= 0 else None
-            hood = self._query(Q[i], k, excl)
-            ids[i] = hood.ids
-            dists[i] = hood.distances
-        return ids, dists
 
     def _query_batch_with_ties(
         self, Q: np.ndarray, k: int, exclude: np.ndarray

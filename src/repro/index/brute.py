@@ -122,12 +122,6 @@ class BruteForceIndex(NNIndex):
 
     # -- batched scan: box-pruned, bit-identical to the per-row scan ---------
 
-    def _query_batch(self, Q, k, exclude) -> Tuple[np.ndarray, np.ndarray]:
-        ids, dists = self._query_batch_with_ties(Q, k, exclude)
-        # The tie-inclusive rows are (distance, id)-sorted, so keeping the
-        # first k matches the per-query truncation semantics exactly.
-        return ids[:, :k], dists[:, :k]
-
     def _query_batch_with_ties(self, Q, k, exclude) -> Tuple[np.ndarray, np.ndarray]:
         if not self.fast_batch:
             # Too few leaves to cut every axis several times: the boxes

@@ -30,8 +30,9 @@ from repro.core import (
     naive_lof,
     top_n_lof,
 )
+from repro.core.duplicates import k_distinct_radius
 from repro.exceptions import DuplicatePointsError
-from repro.index import get_metric
+from repro.index import get_metric, make_index
 from repro.index.batch import apply_exclusions, pack_padded, select_tie_inclusive
 
 
@@ -99,6 +100,61 @@ class TestStaticPathsBitIdentical:
                 mat.lrd(MIN_PTS), mats["loop"].lrd(MIN_PTS),
                 err_msg=f"path {name!r} lrd diverged",
             )
+
+    @pytest.mark.parametrize(
+        "X",
+        [
+            duplicate_heavy(),
+            duplicate_heavy() * 0.1,
+            duplicate_heavy() * 0.37,
+            tied_only(),
+        ],
+        ids=["duplicate_heavy", "x0.1", "x0.37", "tied_only"],
+    )
+    def test_distinct_build_equals_per_object_probe_loop(self, X):
+        """The per-object 'distinct' loop, kept here as the reference:
+        per object, doubling tie-inclusive probes until the row reaches
+        k distinct locations, then the closed ball at that radius."""
+        index = make_index("brute").fit(X)
+        keys = np.unique(X, axis=0, return_inverse=True)[1].reshape(-1)
+        rows = []
+        for i in range(len(X)):
+            probe = MIN_PTS
+            while True:
+                hood = index.query_with_ties(X[i], probe, exclude=i)
+                radius = k_distinct_radius(hood.ids, hood.distances, keys, MIN_PTS)
+                if radius is not None:
+                    break
+                probe = min(2 * probe, len(X) - 1)
+            rows.append(index.query_radius(X[i], radius, exclude=i))
+        ids, dists = pack_padded(
+            np.concatenate([r.ids for r in rows]),
+            np.concatenate([r.distances for r in rows]),
+            np.array([len(r) for r in rows]),
+        )
+        mat = MaterializationDB.materialize(X, MIN_PTS, duplicate_mode="distinct")
+        assert mat.padded_ids.tobytes() == ids.astype(np.int64).tobytes()
+        assert mat.padded_dists.tobytes() == dists.tobytes()
+
+    @pytest.mark.parametrize("scale", [0.1, 0.37])
+    def test_distinct_batched_equals_loop_on_float_data(self, scale):
+        """duplicate_heavy scaled off the integers: distances are no
+        longer exact, so only the row kernel gives the loop's bits. The
+        batched build re-queries its short rows through the same index
+        as the loop, so its padded graph, lrd and LOF match byte for
+        byte. (The blocked and chunked builders use BLAS distances.)"""
+        X = duplicate_heavy() * scale
+        loop = MaterializationDB.materialize(X, MIN_PTS, duplicate_mode="distinct")
+        batched = MaterializationDB.materialize_batched(
+            X, MIN_PTS, block_size=7, duplicate_mode="distinct"
+        )
+        for attr in ("padded_ids", "padded_dists"):
+            a, b = getattr(loop, attr), getattr(batched, attr)
+            assert a.shape == b.shape, attr
+            assert a.tobytes() == b.tobytes(), attr
+        for k in range(1, MIN_PTS + 1):
+            assert loop.lrd(k).tobytes() == batched.lrd(k).tobytes()
+            assert loop.lof(k).tobytes() == batched.lof(k).tobytes()
 
     def test_against_naive_oracle(self):
         X = duplicate_heavy()

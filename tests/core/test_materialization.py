@@ -1,9 +1,11 @@
 """The Section 7.4 two-step algorithm (MaterializationDB)."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro import MaterializationDB, lof_scores, materialize
+from repro import MaterializationDB, lof_scores, materialize, obs
 from repro.exceptions import ValidationError
 from repro.index import available_indexes, make_index
 
@@ -107,6 +109,28 @@ class TestDistinctMode:
     def test_all_identical_rejected(self):
         with pytest.raises(ValidationError):
             materialize(np.zeros((10, 2)), min_pts_ub=3, duplicate_mode="distinct")
+
+    def test_too_few_locations_rejected(self):
+        # Three locations besides each object's own: no row reaches 4.
+        X = np.repeat([[0.0], [1.0], [2.0], [3.0]], 5, axis=0)
+        with pytest.raises(ValidationError, match="distinct coordinate"):
+            materialize(X, min_pts_ub=4, duplicate_mode="distinct")
+
+    def test_one_build_then_batched_extensions(self, clustered_points):
+        """The plain build plus one batch per probe for the short rows:
+        fewer than n^2 distance evaluations, however many rows fall
+        short."""
+        # On a 0.1 grid about half the rows hold fewer than 20 distinct
+        # locations among their 20 nearest neighbors.
+        X = np.round(clustered_points / 0.1) * 0.1
+        n, ub = len(X), 20
+        with obs.collect() as snap:
+            mat = materialize(X, min_pts_ub=ub, duplicate_mode="distinct")
+        counters = snap["counters"]
+        assert counters["distance.evaluations"] < n * n
+        probes = math.ceil(math.log2((n - 1) / ub))
+        assert 2 <= counters["knn.batch_queries"] <= 1 + probes
+        assert np.all(mat.k_distances(ub) > 0)
 
 
 class TestLofRangeMethod:

@@ -1,4 +1,4 @@
-"""The batched k-NN front door: query_batch / query_batch_with_ties.
+"""The batched k-NN front door: query_batch_with_ties.
 
 Contract under test (docs/performance.md): every backend answers a
 batch exactly like the corresponding per-query calls — same ids, same
@@ -62,25 +62,27 @@ class TestBatchMatchesPerQuery:
             assert np.all(np.isinf(dists[i, L:]))
 
     def test_exact_k_no_exclusion(self, backend, random_points):
+        # Rows are (distance, id)-sorted, so the first k entries of a
+        # tie-inclusive row are the plain k-NN answer.
         idx = make_index(backend).fit(random_points)
         Q = random_points[:9]
-        ids, dists = idx.query_batch(Q, 5)
-        assert ids.shape == (9, 5)
+        ids, dists = idx.query_batch_with_ties(Q, 5)
+        assert ids.shape[0] == 9 and ids.shape[1] >= 5
         for i in range(9):
             hood = idx.query(Q[i], 5)
-            np.testing.assert_array_equal(ids[i], hood.ids)
+            np.testing.assert_array_equal(ids[i, :5], hood.ids)
             if backend == "brute":
-                np.testing.assert_array_equal(dists[i], hood.distances)
+                np.testing.assert_array_equal(dists[i, :5], hood.distances)
             else:
                 np.testing.assert_allclose(
-                    dists[i], hood.distances, rtol=1e-9, atol=1e-7
+                    dists[i, :5], hood.distances, rtol=1e-9, atol=1e-7
                 )
 
     def test_partial_exclusion_vector(self, backend, random_points):
         # -1 entries mean "no exclusion for this row".
         idx = make_index(backend).fit(random_points)
         exclude = np.array([0, -1, 2])
-        ids, _ = idx.query_batch(random_points[:3], 4, exclude=exclude)
+        ids, _ = idx.query_batch_with_ties(random_points[:3], 4, exclude=exclude)
         assert 0 not in ids[0]
         assert 1 in ids[1]  # its own id stays when not excluded
         assert 2 not in ids[2]
@@ -122,14 +124,14 @@ class TestBruteVectorizedPath:
 
     def test_per_index_stats_count_batch_rows(self, random_points):
         idx = make_index("brute").fit(random_points)
-        idx.query_batch(random_points[:7], 3)
+        idx.query_batch_with_ties(random_points[:7], 3)
         assert idx.stats.queries == 7
         assert idx.stats.distance_evaluations == 7 * len(random_points)
 
     def test_fallback_backends_count_batch_crossings(self, random_points):
         idx = make_index("kdtree").fit(random_points)
         with obs.collect() as snap:
-            idx.query_batch(random_points[:7], 3)
+            idx.query_batch_with_ties(random_points[:7], 3)
         assert snap["counters"]["knn.batch_queries"] == 1
         assert snap["counters"]["knn.queries"] == 7
 
@@ -137,29 +139,29 @@ class TestBruteVectorizedPath:
 class TestValidation:
     def test_requires_fit(self):
         with pytest.raises(NotFittedError):
-            make_index("brute").query_batch(np.zeros((2, 2)), 1)
+            make_index("brute").query_batch_with_ties(np.zeros((2, 2)), 1)
 
     def test_rejects_wrong_width(self, random_points):
         idx = make_index("brute").fit(random_points)
         with pytest.raises(ValidationError):
-            idx.query_batch(np.zeros((2, 5)), 1)
+            idx.query_batch_with_ties(np.zeros((2, 5)), 1)
 
     def test_rejects_nonfinite_queries(self, random_points):
         idx = make_index("brute").fit(random_points)
         Q = random_points[:2].copy()
         Q[0, 0] = np.nan
         with pytest.raises(ValidationError):
-            idx.query_batch(Q, 1)
+            idx.query_batch_with_ties(Q, 1)
 
     def test_rejects_misaligned_exclude(self, random_points):
         idx = make_index("brute").fit(random_points)
         with pytest.raises(ValidationError):
-            idx.query_batch(random_points[:3], 1, exclude=np.array([0, 1]))
+            idx.query_batch_with_ties(random_points[:3], 1, exclude=np.array([0, 1]))
 
     def test_rejects_out_of_range_exclude(self, random_points):
         idx = make_index("brute").fit(random_points)
         with pytest.raises(ValidationError):
-            idx.query_batch(
+            idx.query_batch_with_ties(
                 random_points[:1], 1, exclude=np.array([len(random_points)])
             )
 
@@ -167,10 +169,10 @@ class TestValidation:
         idx = make_index("brute").fit(random_points)
         n = len(random_points)
         # k == n is fine without exclusions, one too many with them.
-        ids, _ = idx.query_batch(random_points[:2], n)
+        ids, _ = idx.query_batch_with_ties(random_points[:2], n)
         assert ids.shape == (2, n)
         with pytest.raises(ValidationError):
-            idx.query_batch(random_points[:2], n, exclude=np.array([0, 1]))
+            idx.query_batch_with_ties(random_points[:2], n, exclude=np.array([0, 1]))
 
 
 class TestSelectionKernels:

@@ -60,7 +60,7 @@ class TestFullPipelineOnDisk:
 
 
 class TestEstimatorIndexMaterializationAgreement:
-    @pytest.mark.parametrize("index_name", ["kdtree", "xtree", "mtree"])
+    @pytest.mark.parametrize("index_name", ["kdtree", "xtree", "balltree"])
     def test_three_paths_one_answer(self, index_name):
         rng = np.random.default_rng(0)
         X = np.vstack([rng.normal(size=(150, 3)), [[7.0, 7.0, 7.0]]])

@@ -78,4 +78,6 @@ class TestIndexRegistryConsistency:
 
         names = available_indexes()
         assert len(names) == len(set(names))
-        assert len(names) >= 9
+        assert set(names) == {
+            "brute", "grid", "kdtree", "balltree", "rstar", "xtree", "vafile"
+        }

@@ -241,7 +241,7 @@ def test_radius_queries_agree_across_indexes(X, radius):
     from repro.index import make_index
 
     brute = make_index("brute").fit(X)
-    for name in ("kdtree", "grid", "mtree"):
+    for name in ("kdtree", "grid", "balltree"):
         idx = make_index(name).fit(X)
         a = brute.query_radius(X[0], radius, exclude=0)
         b = idx.query_radius(X[0], radius, exclude=0)
