@@ -19,11 +19,12 @@ service's, not the generator's). Emits a schema-validated
   coalesced), so the coalescing rate behind a throughput number is
   recorded next to it.
 
-A ``batch`` of ``0`` in the grid means the batcher is *off*
-(``--no-batch``: every request scores alone on its handler thread) —
-the baseline the batched configurations are measured against; ``1`` is
-the default server (an idle worker scores a request inline, requests
-that arrive during a score are coalesced behind it). A
+A ``batch`` of ``0`` in the grid means one request per turn
+(``--max-batch 1``: every request is scored alone, one after another)
+— the baseline the batched configurations are measured against; ``1``
+is the default server (an idle worker scores a request inline,
+requests that arrive during a score are coalesced behind it, up to
+``--max-batch`` points). A
 ``cache_size`` of ``0`` disables the LRU result cache: those cells
 exercise the pure scoring path, which is where the batching speedup is
 architectural (per-request, per-MinPts fixed costs amortize across the
@@ -94,19 +95,18 @@ def fit_store(path: Path, n: int, dim: int, min_pts, seed: int) -> None:
 
 
 def start_server(store, workers, batched, cache_size, max_batch):
-    """Launch ``repro-lof serve`` and return (process, port)."""
+    """Launch ``repro-lof serve`` and return (process, port); an
+    unbatched server scores one request per turn (``--max-batch 1``)."""
     cmd = [
         sys.executable, "-m", "repro", "serve", str(store),
         "--port", "0",
         "--cache-size", str(cache_size),
-        "--max-batch", str(max_batch),
+        "--max-batch", str(max_batch if batched else 1),
     ]
     if workers > 1:
         cmd += ["--workers", str(workers)]
     else:
         cmd += ["--mmap"]
-    if not batched:
-        cmd += ["--no-batch"]
     proc = subprocess.Popen(
         cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
     )
@@ -523,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--grid-workers", nargs="+", type=int, default=[1, 2])
     parser.add_argument(
         "--grid-batch", nargs="+", type=int, choices=(0, 1), default=[0, 1],
-        help="batcher settings to sweep: 0 is --no-batch (the baseline), "
-             "1 the default server",
+        help="batcher settings to sweep: 0 is one request per turn "
+             "(--max-batch 1, the baseline), 1 the default server",
     )
     parser.add_argument(
         "--grid-cache", nargs="+", type=int, default=[0, 1024],

@@ -194,9 +194,7 @@ def _cmd_serve(args) -> int:
             workers=args.workers,
             max_requests=args.max_requests,
             cache_size=args.cache_size,
-            batch=not args.no_batch,
             max_batch=args.max_batch,
-            max_queue=args.max_queue,
             scorer=args.scorer,
             stream=stream,
         )
@@ -207,9 +205,7 @@ def _cmd_serve(args) -> int:
         mmap=args.mmap,
         max_requests=args.max_requests,
         cache_size=args.cache_size,
-        batch=not args.no_batch,
         max_batch=args.max_batch,
-        max_queue=args.max_queue,
         scorer=args.scorer,
         stream=stream,
     )
@@ -392,17 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--max-batch", type=int, default=64, metavar="N",
         help="cap a coalesced batch of /score requests, which queued "
-             "behind a running score, at N points (default: 64)",
-    )
-    p_serve.add_argument(
-        "--max-queue", type=int, default=1024, metavar="N",
-        help="bounded /score request queue depth; a full queue blocks "
-             "new requests (default: 1024)",
-    )
-    p_serve.add_argument(
-        "--no-batch", action="store_true",
-        help="disable the batcher: every request scores alone on its "
-             "own handler thread",
+             "behind a running score, at N points (default: 64; 1 "
+             "scores one request per turn)",
     )
     _add_scorer_option(
         p_serve,

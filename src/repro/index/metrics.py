@@ -9,7 +9,8 @@ through a small object with these capabilities:
     (the hot path for sequential-scan k-NN);
 
 ``distance(p, q)``
-    a single distance;
+    a single distance, bit-identical to the matching
+    ``pairwise_to_point`` entry;
 
 ``paired_distances(A, B)``
     the distance between ``A[i]`` and ``B[i]`` for every row ``i``, each
@@ -23,10 +24,12 @@ through a small object with these capabilities:
     to prune; ``max_distance_to_rect`` is the matching upper bound.
 
 Every built-in metric is the norm of a difference, computed by one row
-kernel ``_row_norms(diff)``: ``pairwise_to_point`` and
-``paired_distances`` both subtract first and then reduce each row with
-it, and the lower bounds reduce gaps with it. The reduction is row-local, so a distance does not depend on which
-other rows share its block.
+kernel ``_row_norms(diff)``: ``distance``, ``pairwise_to_point`` and
+``paired_distances`` all subtract first and then reduce each row with
+it, and the lower bounds reduce gaps with it. The reduction is
+row-local, so a distance does not depend on which other rows share its
+block: a tree index that tests one point against a radius gets the
+same float the brute scan compares.
 """
 
 from __future__ import annotations
@@ -97,9 +100,12 @@ class Metric:
     # -- instrumented front door (do not override) --------------------------
 
     def distance(self, p: np.ndarray, q: np.ndarray) -> float:
-        """A single distance d(p, q)."""
+        """A single distance d(p, q): the row kernel on the one-row
+        difference, so it equals ``pairwise_to_point(X, q)`` at the row
+        of ``X`` holding ``p``, bit for bit."""
         obs.record_kernel(1)
-        return self._distance(p, q)
+        diff = np.asarray(p, dtype=np.float64) - np.asarray(q, dtype=np.float64)
+        return float(self._row_norms(diff[None, :])[0])
 
     def pairwise_to_point(self, X: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Distances from every row of ``X`` to the single point ``q``."""
@@ -154,9 +160,6 @@ class Metric:
 
     # -- kernels (subclass hooks) -------------------------------------------
 
-    def _distance(self, p: np.ndarray, q: np.ndarray) -> float:
-        raise NotImplementedError
-
     def _row_norms(self, diff: np.ndarray) -> np.ndarray:
         """The row kernel: the norm of every row of a difference block."""
         raise NotImplementedError
@@ -197,10 +200,6 @@ class EuclideanMetric(Metric):
 
     name = "euclidean"
 
-    def _distance(self, p, q):
-        diff = np.asarray(p, dtype=np.float64) - np.asarray(q, dtype=np.float64)
-        return float(np.sqrt(np.dot(diff, diff)))
-
     def _row_norms(self, diff):
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
@@ -240,9 +239,6 @@ class ManhattanMetric(Metric):
 
     name = "manhattan"
 
-    def _distance(self, p, q):
-        return float(np.sum(np.abs(np.asarray(p, dtype=np.float64) - q)))
-
     def _row_norms(self, diff):
         return np.sum(np.abs(diff), axis=1)
 
@@ -255,9 +251,6 @@ class ChebyshevMetric(Metric):
     """The L-infinity metric."""
 
     name = "chebyshev"
-
-    def _distance(self, p, q):
-        return float(np.max(np.abs(np.asarray(p, dtype=np.float64) - q)))
 
     def _row_norms(self, diff):
         return np.max(np.abs(diff), axis=1)
@@ -277,10 +270,6 @@ class MinkowskiMetric(Metric):
         if not np.isfinite(p) or p < 1.0:
             raise ValidationError(f"Minkowski order p must be >= 1, got {p}")
         self.p = p
-
-    def _distance(self, p, q):
-        diff = np.abs(np.asarray(p, dtype=np.float64) - q)
-        return float(np.sum(diff ** self.p) ** (1.0 / self.p))
 
     def _row_norms(self, diff):
         return np.sum(np.abs(diff) ** self.p, axis=1) ** (1.0 / self.p)

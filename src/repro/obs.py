@@ -59,9 +59,9 @@ Counters (see ``docs/observability.md`` for the full contract)
     (cache hits included).
 ``serve.cache.hits`` / ``serve.cache.misses``
     per-point lookups against the online scorer's LRU result cache;
-    lookups happen under the scorer's lock and in-flight misses are
-    single-flight, so both are exact under concurrency (a point being
-    computed by one thread counts a hit for every concurrent waiter).
+    every scorer call holds the scorer's lock throughout, so both are
+    exact under concurrency (a point repeated within one call counts a
+    miss at each of its rows).
 ``serve.bounds.pruned`` / ``serve.bounds.exact``
     queries :meth:`~repro.serve.OnlineScorer.classify_new` decided from
     Theorem 1 brackets alone vs. those that paid for the exact kernels.

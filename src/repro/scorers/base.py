@@ -124,7 +124,8 @@ class Scorer:
 
     def warm(self, ctx: ScorerContext) -> None:
         """Populate every frozen per-k cache the query path will read,
-        so scoring itself can run lock-free (see OnlineScorer)."""
+        once per (scorer, k), before the first query is scored (see
+        OnlineScorer)."""
         ctx.mat.k_distances(ctx.k)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -34,26 +34,28 @@ differential tests pin down.
 
 Concurrency model
 -----------------
-The frozen model (neighborhood graph, k-distance/lrd vectors, the
-dataset snapshot — read-only memmaps under ``mmap=True``) is immutable
-after :meth:`OnlineScorer._ensure_ks` warms the per-MinPts caches, so
-the scoring path itself runs **without any lock**: N threads score
-concurrently, each through its own kernel calls. The only mutable state
-is the LRU result cache and the Theorem-1 extrema memo, guarded by one
-small lock (RL005-annotated). Cache misses are *single-flight*: the
-first thread to miss a key installs an in-flight placeholder and
-computes; concurrent requesters of the same key count a hit and wait on
-the placeholder instead of recomputing — which keeps the hit/miss
-counters exactly the serial values under any interleaving.
+Each worker owns one :class:`OnlineScorer` at a time, and every public
+call on it runs under the scorer's one lock, start to finish: the
+per-MinPts warm-up, the LRU result cache, the kernels and the counters
+see one caller at a time, so the hit/miss counters are exactly the
+serial values under any interleaving. The frozen model (neighborhood
+graph, k-distance/lrd vectors, the dataset snapshot — read-only memmaps
+under ``mmap=True``) is never written after load.
 
 Scoring is embarrassingly batchable (each query row is independent in
-every kernel), which :class:`ScoreBatcher` exploits on the HTTP path.
-Each worker runs one score at a time: a request that finds the worker
-idle is scored on its own handler thread at once, with no timer and no
-hand-off; requests that arrive while a score runs queue up and are
-scored together, as one stacked ``score_new`` call (up to
-``max_batch`` points), as soon as it ends — bit-identical to
-per-request scoring by construction and by test.
+every kernel), which :class:`ScoreBatcher` exploits on the HTTP path;
+it is the only way the server scores. Each worker runs one score at a
+time: a request that finds the worker idle is scored on its own handler
+thread at once, with no timer and no hand-off; requests that arrive
+while a score runs queue up and are scored together, as one stacked
+``score_new`` call (up to ``max_batch`` points), as soon as it ends —
+bit-identical to per-request scoring by construction and by test.
+
+A new model arrives by one reference swap (:meth:`_ModelHTTPServer.install`,
+under the server's admin lock): ``/admin/reload`` loads a store and
+installs it, and the ``--stream`` lifecycle installs the scorer its
+refit just loaded. Requests in flight finish on the scorer they started
+with.
 
 The HTTP surface (``repro-lof serve``) is a stdlib
 :class:`~http.server.ThreadingHTTPServer` speaking persistent
@@ -133,14 +135,15 @@ _MISSING = object()
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
-class _PendingScore:
-    """A score another thread is computing right now (single-flight).
+#: Most ``/score`` requests a worker holds queued behind a running score;
+#: a full queue blocks the submitting handler thread (backpressure).
+QUEUE_CAPACITY = 1024
 
-    The first thread to miss a cache key installs one of these as the
-    cache entry and computes; every concurrent requester of the same key
-    waits on it instead of duplicating the kernel work. Resolution
-    happens exactly once, under the scorer's lock.
-    """
+
+class _PendingScore:
+    """The future of one request queued in a :class:`ScoreBatcher`:
+    resolved (or failed) exactly once by the batcher thread, awaited by
+    the handler thread that submitted it."""
 
     __slots__ = ("_event", "_value", "_error")
 
@@ -172,8 +175,7 @@ class LRUCache:
     ``hits``/``misses`` are plain ints maintained by the caller's lock
     discipline (the scorer guards every cache touch with its lock), so
     tests can assert exact values. ``capacity <= 0`` disables caching
-    entirely. Entries may transiently hold a :class:`_PendingScore`
-    while the first requester computes.
+    entirely.
     """
 
     def __init__(self, capacity: int = 1024):
@@ -202,13 +204,6 @@ class LRUCache:
         self._data.move_to_end(key)
         while len(self._data) > self.capacity:
             self._data.popitem(last=False)
-
-    def discard(self, key, expected) -> None:
-        """Drop ``key`` if it still maps to ``expected`` (cleanup of a
-        failed in-flight placeholder; a real value put by someone else
-        in the meantime survives)."""
-        if self._data.get(key) is expected:
-            del self._data[key]
 
     def __len__(self) -> int:
         return len(self._data)
@@ -266,12 +261,13 @@ class OnlineScorer:
     every other one. Stored objects scored with ``exclude=i`` read their
     graph rows and cost no distance evaluation.
 
-    All public methods are thread-safe. The frozen model is read
-    without locking (it is immutable once the per-k caches are warmed);
-    only the LRU cache and the Theorem-1 extrema memo take the lock,
-    and in-flight misses are single-flight, so N concurrent threads
-    produce bit-identical scores and exactly the serial cache/obs
-    counters.
+    All public methods are thread-safe: each takes the scorer's one
+    lock once and holds it for the whole call (internal helpers marked
+    ``holds-lock`` run inside it). Concurrent callers are therefore
+    serialized and get bit-identical scores and exactly the serial
+    cache/obs counters. The server gives each worker one scorer and
+    scores through :class:`ScoreBatcher`, which already runs one score
+    at a time, so the lock is uncontended on the serving path.
     """
 
     def __init__(self, model: StoredModel, cache_size: int = 1024, scorer=None):
@@ -321,6 +317,21 @@ class OnlineScorer:
             scorer=scorer,
         )
 
+    def successor(self, path=None, mmap: Optional[bool] = None) -> "OnlineScorer":
+        """Load ``path`` (default: this scorer's own store) into a new
+        scorer built like this one: same memory mapping (unless
+        ``mmap`` says otherwise) and cache size. An explicit ``scorer``
+        override outlives the swap; a store-default scorer re-resolves
+        against the new store."""
+        with self._lock:
+            cache_size = self.cache.capacity
+        return OnlineScorer.from_path(
+            self.model.path if path is None else path,
+            mmap=self.model.mmap if mmap is None else mmap,
+            cache_size=cache_size,
+            scorer=self._scorer_override,
+        )
+
     # -- scoring --------------------------------------------------------------
 
     def score_new(
@@ -342,65 +353,14 @@ class OnlineScorer:
         call (``None`` = the instance default, normally the store's
         fitted scorer).
 
-        Thread-safe without serializing the kernels: concurrent callers
-        compute disjoint cache misses in parallel; a key being computed
-        by one thread is awaited by the others (single-flight), so the
-        cache counters stay exactly the serial values.
+        Every row of one call is looked up before any of the call's
+        misses is stored, so a point repeated within a call (or within
+        one coalesced batch) counts a miss at each of its rows.
         """
         active = self._scorer if scorer is None else get_scorer(scorer)
         Xq, exclude, ks = self._check_query(Xq, exclude, min_pts)
-        self._ensure_ks(ks, active)
-        m = Xq.shape[0]
-        if not use_cache:
-            out = self._score_rows(Xq, exclude, ks, active)
-            self._note_points(active.name, m)
-            return out
-        out = np.empty(m, dtype=np.float64)
-        keys = [
-            (active.name, Xq[i].tobytes(), int(exclude[i]), ks) for i in range(m)
-        ]
-        miss_rows: List[int] = []
-        waiting: List[Tuple[int, _PendingScore]] = []
-        owned: Dict = {}
         with self._lock:
-            for i, key in enumerate(keys):
-                hit = self.cache.get(key)
-                if hit is _MISSING:
-                    obs.incr("serve.cache.misses")
-                    miss_rows.append(i)
-                    if key not in owned:
-                        pending = _PendingScore()
-                        owned[key] = pending
-                        self.cache.put(key, pending)
-                elif isinstance(hit, _PendingScore):
-                    obs.incr("serve.cache.hits")
-                    waiting.append((i, hit))
-                else:
-                    obs.incr("serve.cache.hits")
-                    out[i] = hit
-        if miss_rows:
-            try:
-                # The expensive part — kernels over the frozen model,
-                # deliberately outside the lock so threads overlap.
-                scores = self._score_rows(Xq[miss_rows], exclude[miss_rows], ks, active)
-            except BaseException as exc:
-                with self._lock:
-                    for key, pending in owned.items():
-                        pending.fail(exc)
-                        self.cache.discard(key, pending)
-                raise
-            with self._lock:
-                for pos, i in enumerate(miss_rows):
-                    value = float(scores[pos])
-                    out[i] = value
-                    self.cache.put(keys[i], value)
-                    pending = owned.pop(keys[i], None)
-                    if pending is not None:
-                        pending.resolve(value)
-        for i, pending in waiting:
-            out[i] = pending.result()
-        self._note_points(active.name, m)
-        return out
+            return self._score_new(Xq, exclude, ks, active, use_cache)
 
     def classify_new(
         self,
@@ -428,13 +388,71 @@ class OnlineScorer:
         """
         active = self._scorer if scorer is None else get_scorer(scorer)
         Xq, exclude, ks = self._check_query(Xq, exclude, min_pts)
-        self._ensure_ks(ks, active)
         thr = self.threshold if threshold is None else float(threshold)
+        with self._lock:
+            return self._classify_new(Xq, exclude, ks, active, thr)
+
+    def stats(self) -> Dict:
+        """Cache info plus the model's scoring identity."""
+        with self._lock:
+            cache_info = self.cache.cache_info()
+            per_scorer = dict(self._scorer_points)
+        return {
+            "n_points": int(self.mat.n_points),
+            "min_pts_grid": [int(k) for k in self.min_pts_grid],
+            "aggregate": self.aggregate,
+            "threshold": self.threshold,
+            "duplicate_mode": self.mat.duplicate_mode,
+            "scorer": self.scorer_name,
+            "scorers": per_scorer,
+            "cache": cache_info,
+        }
+
+    def model_info(self) -> Dict:
+        """The store's header metadata, JSON-ready."""
+        header = dict(self.model.header)
+        header.pop("sections", None)
+        header.pop("obs_snapshot", None)
+        header["fingerprint"] = store_fingerprint(self.model.header)
+        header["scorer"] = self.scorer_name
+        header["registered_scorers"] = list_scorers()
+        return header
+
+    # -- internals, under the lock -------------------------------------------
+
+    def _score_new(self, Xq, exclude, ks, active, use_cache=True) -> np.ndarray:  # reprolint: holds-lock
+        self._ensure_ks(ks, active)
+        m = Xq.shape[0]
+        if not use_cache:
+            out = self._score_rows(Xq, exclude, ks, active)
+            self._note_points(active.name, m)
+            return out
+        out = np.empty(m, dtype=np.float64)
+        keys = [
+            (active.name, Xq[i].tobytes(), int(exclude[i]), ks) for i in range(m)
+        ]
+        miss_rows: List[int] = []
+        for i, key in enumerate(keys):
+            hit = self.cache.get(key)
+            if hit is _MISSING:
+                obs.incr("serve.cache.misses")
+                miss_rows.append(i)
+            else:
+                obs.incr("serve.cache.hits")
+                out[i] = hit
+        if miss_rows:
+            scores = self._score_rows(Xq[miss_rows], exclude[miss_rows], ks, active)
+            for pos, i in enumerate(miss_rows):
+                out[i] = scores[pos]
+                self.cache.put(keys[i], float(scores[pos]))
+        self._note_points(active.name, m)
+        return out
+
+    def _classify_new(self, Xq, exclude, ks, active, thr) -> ClassifyResult:  # reprolint: holds-lock
+        self._ensure_ks(ks, active)
         m = Xq.shape[0]
         if not active.supports_bounds:
-            exact_scores = self.score_new(
-                Xq, min_pts=min_pts, exclude=exclude, scorer=active.name
-            )
+            exact_scores = self._score_new(Xq, exclude, ks, active)
             labels = np.where(exact_scores > thr, -1, 1).astype(np.int64)
             obs.incr("serve.bounds.exact", m)
             return ClassifyResult(
@@ -466,8 +484,8 @@ class OnlineScorer:
         undecided = np.flatnonzero(labels == 0)
         scores = np.full(m, np.nan)
         if len(undecided):
-            scores[undecided] = self.score_new(
-                Xq[undecided], min_pts=min_pts, exclude=exclude[undecided]
+            scores[undecided] = self._score_new(
+                Xq[undecided], exclude[undecided], ks, active
             )
             labels[undecided] = np.where(scores[undecided] > thr, -1, 1)
         pruned = m - len(undecided)
@@ -481,34 +499,6 @@ class OnlineScorer:
             pruned=pruned,
             exact=len(undecided),
         )
-
-    def stats(self) -> Dict:
-        """Cache info plus the model's scoring identity."""
-        with self._lock:
-            cache_info = self.cache.cache_info()
-            per_scorer = dict(self._scorer_points)
-        return {
-            "n_points": int(self.mat.n_points),
-            "min_pts_grid": [int(k) for k in self.min_pts_grid],
-            "aggregate": self.aggregate,
-            "threshold": self.threshold,
-            "duplicate_mode": self.mat.duplicate_mode,
-            "scorer": self.scorer_name,
-            "scorers": per_scorer,
-            "cache": cache_info,
-        }
-
-    def model_info(self) -> Dict:
-        """The store's header metadata, JSON-ready."""
-        header = dict(self.model.header)
-        header.pop("sections", None)
-        header.pop("obs_snapshot", None)
-        header["fingerprint"] = store_fingerprint(self.model.header)
-        header["scorer"] = self.scorer_name
-        header["registered_scorers"] = list_scorers()
-        return header
-
-    # -- internals ------------------------------------------------------------
 
     def _check_query(self, Xq, exclude, min_pts):
         Xq = check_data(Xq, name="Xq", min_rows=1)
@@ -535,32 +525,26 @@ class OnlineScorer:
             ks = (self.mat._check_k(int(min_pts)),)
         return Xq, exclude, ks
 
-    def _ensure_ks(self, ks, scorer) -> None:
-        """Warm the frozen per-(scorer, MinPts) inputs once, under the lock.
+    def _ensure_ks(self, ks, scorer) -> None:  # reprolint: holds-lock
+        """Warm the frozen per-(scorer, MinPts) inputs once.
 
         The materialization's per-k caches (k-distances, and
         whatever the scorer's ``warm`` adds — lrd for LOF, the
         pdist/nPLOF aux state for LoOP) fill lazily on first touch;
-        serializing that first touch here keeps the step-2 scan counters
-        (``mscan.passes``) exactly serial and makes every later read on
-        the scoring path a pure read of immutable arrays — which is what
-        lets the kernels run lock-free.
+        doing that first touch once per (scorer, k), under the lock,
+        keeps the step-2 scan counters (``mscan.passes``) exactly serial.
         """
-        with self._lock:
-            for k in ks:
-                if (scorer.name, k) not in self._warmed_ks:
-                    scorer.warm(self._scorer_context(k))
-                    self._warmed_ks.add((scorer.name, k))
+        for k in ks:
+            if (scorer.name, k) not in self._warmed_ks:
+                scorer.warm(self._scorer_context(k))
+                self._warmed_ks.add((scorer.name, k))
 
     def _scorer_context(self, k: int) -> ScorerContext:
         return ScorerContext(mat=self.mat, k=k, X=self.X, metric=self.metric)
 
-    def _note_points(self, scorer_name: str, m: int) -> None:
+    def _note_points(self, scorer_name: str, m: int) -> None:  # reprolint: holds-lock
         obs.incr("serve.points_scored", m)
-        with self._lock:
-            self._scorer_points[scorer_name] = (
-                self._scorer_points.get(scorer_name, 0) + m
-            )
+        self._scorer_points[scorer_name] = self._scorer_points.get(scorer_name, 0) + m
 
     def _score_rows(self, Xq, exclude, ks, scorer) -> np.ndarray:
         matrix = np.empty((len(ks), Xq.shape[0]))
@@ -583,7 +567,7 @@ class OnlineScorer:
         the self-consistent path that reproduces fitted values exactly;
         they evaluate no distance. Novel rows get one distance row each
         and one tie-inclusive selection at ``max(ks)`` (see
-        :meth:`_novel_rows`). Pure frozen-model reads: no lock.
+        :meth:`_novel_rows`). Pure frozen-model reads.
         """
         m = Xq.shape[0]
         graph = self.mat.graph
@@ -687,11 +671,10 @@ class OnlineScorer:
             radii,
         )
 
-    def _reach_extrema(self, k: int):
-        with self._lock:
-            if k not in self._extrema:
-                self._extrema[k] = reach_extrema(self.mat, k)
-            return self._extrema[k]
+    def _reach_extrema(self, k: int):  # reprolint: holds-lock
+        if k not in self._extrema:
+            self._extrema[k] = reach_extrema(self.mat, k)
+        return self._extrema[k]
 
 
 # ---------------------------------------------------------------------------
@@ -707,15 +690,15 @@ class ScoreBatcher:
     is queued (or held by the batcher thread) and the lock is free, the
     calling thread takes the lock and runs ``score_new`` itself — an
     idle worker answers a lone request with no hand-off and no wait.
-    Otherwise the request goes through :meth:`submit` into a bounded
-    queue (backpressure: a full queue blocks the submitting thread
-    rather than growing without bound) and its caller waits. The
-    batcher thread takes a queued request, then the scoring lock, then
-    everything else that queued meanwhile (up to ``max_batch`` points),
-    groups compatible requests (same ``min_pts`` selector and same
-    requested scorer), stacks each group's points into one ``Xq``, runs
-    a **single** ``score_new`` per group and demultiplexes the score
-    slices back to the per-request futures. Batches therefore form
+    Otherwise the request goes through :meth:`submit` into a queue
+    bounded at :data:`QUEUE_CAPACITY` (backpressure: a full queue blocks
+    the submitting thread rather than growing without bound) and its
+    caller waits. The batcher thread takes a queued request, then the
+    scoring lock, then everything else that queued meanwhile (up to
+    ``max_batch`` points), groups compatible requests (same ``min_pts``
+    selector and same requested scorer), stacks each group's points
+    into one ``Xq``, runs a **single** ``score_new`` per group and
+    demultiplexes the score slices back to the per-request futures. Batches therefore form
     from the requests that arrived while a score was running, with no
     timer. An inline run counts as a one-request batch (``inline``
     counts those), so the counters account for every request.
@@ -741,12 +724,11 @@ class ScoreBatcher:
         scorer_ref: Callable[[], OnlineScorer],
         batch_window_ms: float = 0.0,
         max_batch: int = 64,
-        max_queue: int = 1024,
     ):
         self._scorer_ref = scorer_ref
         self.batch_window_s = max(float(batch_window_ms), 0.0) / 1000.0
         self.max_batch = max(int(max_batch), 1)
-        self._queue: "queue.Queue" = queue.Queue(maxsize=max(int(max_queue), 1))
+        self._queue: "queue.Queue" = queue.Queue(maxsize=QUEUE_CAPACITY)
         self._closed = False
         # Held by whichever thread is scoring: an inline caller or the
         # batcher thread. The batch statistics are written only under it.
@@ -935,7 +917,8 @@ class ScoreBatcher:
 
 
 class _ModelHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that owns an :class:`OnlineScorer`.
+    """ThreadingHTTPServer that owns an :class:`OnlineScorer` and the
+    :class:`ScoreBatcher` that scores every ``/score`` request on it.
 
     ``max_requests`` (None = unlimited) shuts the server down after that
     many successfully scored POSTs — the hook that makes the CLI smoke
@@ -956,9 +939,7 @@ class _ModelHTTPServer(ThreadingHTTPServer):
         scorer: OnlineScorer,
         max_requests=None,
         sock: Optional[socket.socket] = None,
-        batch: bool = True,
         max_batch: int = 64,
-        max_queue: int = 1024,
         worker_index: int = 0,
         workers: int = 1,
     ):
@@ -974,9 +955,9 @@ class _ModelHTTPServer(ThreadingHTTPServer):
             self.server_name = self.server_address[0]
             self.server_port = self.server_address[1]
         # The current scorer. Reads are bare attribute loads (atomic
-        # reference reads in CPython); the swap itself is serialized by
-        # _admin_lock so concurrent reloads cannot interleave. In-flight
-        # requests keep whichever scorer they dereferenced at entry.
+        # reference reads in CPython); every swap is one assignment in
+        # install(), under _admin_lock. In-flight requests keep whichever
+        # scorer they dereferenced at entry.
         self.scorer = scorer
         self.max_requests = max_requests
         self.worker_index = int(worker_index)
@@ -986,14 +967,10 @@ class _ModelHTTPServer(ThreadingHTTPServer):
         self._state_lock = threading.Lock()
         self._served = 0  # reprolint: lock-guarded
         self._active = 0  # reprolint: lock-guarded
-        self.batcher: Optional[ScoreBatcher] = None
-        if batch:
-            self.batcher = ScoreBatcher(
-                lambda: self.scorer, max_batch=max_batch, max_queue=max_queue
-            )
+        self.batcher = ScoreBatcher(lambda: self.scorer, max_batch=max_batch)
         # The online lifecycle (repro.stream.StreamingDetector), attached
         # by make_server when --stream is on: /score feeds served points
-        # back into it, and its refits hot-swap through reload_store.
+        # back into it, and each refit hands its new scorer to install().
         self.stream = None
 
     # -- request accounting ---------------------------------------------------
@@ -1032,28 +1009,25 @@ class _ModelHTTPServer(ThreadingHTTPServer):
 
     # -- hot swap -------------------------------------------------------------
 
-    def reload_store(self, path=None, mmap: Optional[bool] = None) -> Dict:
-        """Atomically swap in a freshly loaded (and checksum-verified)
-        store. In-flight requests finish against the scorer they
-        started with; requests arriving after the swap see the new one.
-        """
+    def install(self, scorer: OnlineScorer) -> int:
+        """Make ``scorer`` the live one by one reference swap; returns
+        the reload count. In-flight requests finish against the scorer
+        they started with; requests arriving after the swap see the
+        new one."""
         with self._admin_lock:
-            current = self.scorer
-            target = Path(path) if path else current.model.path
-            new_scorer = OnlineScorer.from_path(
-                target,
-                mmap=current.model.mmap if mmap is None else mmap,
-                cache_size=current.cache.capacity,
-                # An explicit --scorer override outlives the swap; a
-                # store-default scorer re-resolves against the new store.
-                scorer=current._scorer_override,
-            )
-            self.scorer = new_scorer
+            self.scorer = scorer
             self._reloads += 1
             obs.incr("serve.reloads")
-            reloads = self._reloads
+            return self._reloads
+
+    def reload_store(self, path=None, mmap: Optional[bool] = None) -> Dict:
+        """Load (and checksum-verify) a store into a scorer built like
+        the current one (:meth:`OnlineScorer.successor`) and install it.
+        A store that fails to load leaves the current scorer live."""
+        new_scorer = self.scorer.successor(path or None, mmap=mmap)
+        reloads = self.install(new_scorer)
         return {
-            "reloaded": str(target),
+            "reloaded": str(new_scorer.model.path),
             "fingerprint": store_fingerprint(new_scorer.model.header),
             "n_points": int(new_scorer.mat.n_points),
             "reloads": reloads,
@@ -1077,14 +1051,13 @@ class _ModelHTTPServer(ThreadingHTTPServer):
             "reloads": reloads,
             "active_requests": active,
             "rss_kb": rss_kb,
-            "batcher": None if self.batcher is None else self.batcher.stats(),
+            "batcher": self.batcher.stats(),
         }
         payload["stream"] = None if self.stream is None else self.stream.stats()
         return payload
 
     def server_close(self) -> None:
-        if self.batcher is not None:
-            self.batcher.close()
+        self.batcher.close()
         if self.stream is not None:
             # Let an in-flight background refit land its swap so the
             # lineage chain on disk is complete at shutdown.
@@ -1195,13 +1168,9 @@ class _Handler(BaseHTTPRequestHandler):
                 # Resolve eagerly: an unknown scorer is the caller's
                 # mistake (400), never a 500 from deep in a batch.
                 scorer_name = get_scorer(scorer_name).name
-            batcher = self.server.batcher
-            if batcher is not None:
-                scores = batcher.score(request["points"], min_pts, scorer=scorer_name)
-            else:
-                scores = scorer.score_new(
-                    request["points"], min_pts=min_pts, scorer=scorer_name
-                )
+            scores = self.server.batcher.score(
+                request["points"], min_pts, scorer=scorer_name
+            )
         except ServeError as exc:
             self._reply(503, {"error": str(exc)})
             return
@@ -1283,9 +1252,7 @@ def make_server(
     max_requests=None,
     cache_size: int = 1024,
     sock: Optional[socket.socket] = None,
-    batch: bool = True,
     max_batch: int = 64,
-    max_queue: int = 1024,
     worker_index: int = 0,
     workers: int = 1,
     scorer=None,
@@ -1293,16 +1260,16 @@ def make_server(
 ) -> _ModelHTTPServer:
     """Build (but do not start) the scoring server; ``port=0`` binds an
     ephemeral port, readable from ``server.server_address``.
-    ``batch=False`` turns the :class:`ScoreBatcher` off: every request
-    scores by itself on its handler thread, concurrently with the others
-    (the speedup gate's baseline). ``scorer`` overrides the store's
-    fitted scorer as the service default.
+    ``max_batch`` caps the points of one coalesced score (``1`` scores
+    one request per turn, the speedup gate's baseline). ``scorer``
+    overrides the store's fitted scorer as the service default.
 
     ``stream``, when given (a dict, possibly empty), attaches a
     :class:`repro.stream.StreamingDetector` wired to this server: every
     scored ``/score`` point is ingested into its sliding window, drift
-    triggers a background refit, and each refit hot-swaps the serving
-    model through :meth:`_ModelHTTPServer.reload_store`. Dict keys
+    triggers a background refit, and each refit hands the scorer it
+    loaded to :meth:`_ModelHTTPServer.install`. The detector starts on
+    the server's own scorer, so every store is loaded once. Dict keys
     override the detector's constructor arguments; the model recipe
     (scorer, duplicate mode, metric, aggregate, MinPts grid) defaults
     to the store's own."""
@@ -1314,9 +1281,7 @@ def make_server(
         scorer,
         max_requests=max_requests,
         sock=sock,
-        batch=batch,
         max_batch=max_batch,
-        max_queue=max_queue,
         worker_index=worker_index,
         workers=workers,
     )
@@ -1327,8 +1292,9 @@ def make_server(
 
 def _make_stream(server: _ModelHTTPServer, store_path, options: Dict):
     """Build the serve-attached :class:`StreamingDetector`: recipe from
-    the loaded store, swap wired to ``reload_store``, refits on a
-    background thread (overridable via ``options``)."""
+    the loaded store, the server's scorer as its starting model, swap
+    wired to ``install``, refits on a background thread (overridable
+    via ``options``)."""
     # Local import: repro.stream sits above repro.serve in the layer
     # diagram and imports OnlineScorer from here.
     from .stream import StreamingDetector
@@ -1351,8 +1317,8 @@ def _make_stream(server: _ModelHTTPServer, store_path, options: Dict):
         aggregate=online.aggregate,
         threshold=float(meta.get("threshold", 1.5)),
         refit_min_pts=(min(grid), max(grid)),
-        initial_store=Path(store_path),
-        swap=server.reload_store,
+        initial_store=online,
+        swap=server.install,
         **opts,
     )
 
@@ -1378,9 +1344,7 @@ def run_server(
     mmap: bool = False,
     max_requests=None,
     cache_size: int = 1024,
-    batch: bool = True,
     max_batch: int = 64,
-    max_queue: int = 1024,
     scorer=None,
     stream: Optional[Dict] = None,
 ) -> int:
@@ -1395,9 +1359,7 @@ def run_server(
         mmap=mmap,
         max_requests=max_requests,
         cache_size=cache_size,
-        batch=batch,
         max_batch=max_batch,
-        max_queue=max_queue,
         scorer=scorer,
         stream=stream,
     )
@@ -1427,9 +1389,7 @@ def run_fleet(
     workers: int = 1,
     max_requests=None,
     cache_size: int = 1024,
-    batch: bool = True,
     max_batch: int = 64,
-    max_queue: int = 1024,
     scorer=None,
     stream: Optional[Dict] = None,
 ) -> int:
@@ -1463,9 +1423,7 @@ def run_fleet(
             mmap=True,
             max_requests=max_requests,
             cache_size=cache_size,
-            batch=batch,
             max_batch=max_batch,
-            max_queue=max_queue,
             scorer=scorer,
             stream=stream,
         )
@@ -1486,9 +1444,7 @@ def run_fleet(
             max_requests=max_requests,
             cache_size=cache_size,
             sock=sock,
-            batch=batch,
             max_batch=max_batch,
-            max_queue=max_queue,
             worker_index=index,
             workers=workers,
             scorer=scorer,

@@ -26,11 +26,12 @@ lifecycle:
    by :class:`~repro.core.estimator.LocalOutlierFactor` and written as a
    REPROLOF v3 store whose header carries a ``lineage`` block (parent
    fingerprint, trigger reason, stream position).
-4. **Swap.** The new store is atomically hot-swapped into serving via
-   the caller-supplied ``swap`` callback — on the HTTP path this is
-   ``_ModelHTTPServer.reload_store``, i.e. exactly the ``/admin/reload``
-   machinery and its lock discipline — and the detector re-seeds the
-   drift reference from the reservoir under the new model.
+4. **Swap.** The detector loads the new store once, into an
+   :class:`~repro.serve.OnlineScorer`, and hands that scorer to the
+   caller-supplied ``swap`` callback — on the HTTP path this is
+   ``_ModelHTTPServer.install``, the same one reference swap
+   ``/admin/reload`` makes after it loads a store. The detector then
+   re-seeds the drift reference from the reservoir under the new model.
 
 Everything is count-based (no wall clock): given the same observation
 sequence, seed and thresholds, every check, detection, refit and swap
@@ -39,9 +40,9 @@ construction, which is what lets ``tests/stream/`` pin the lifecycle
 with exact counters and bit-identity assertions.
 
 Shared state is guarded by one reentrant lock under the RL005
-discipline; the serving model itself is an immutable
-:class:`~repro.serve.OnlineScorer` read lock-free, swapped only under
-the lock.
+discipline; the serving model is an :class:`~repro.serve.OnlineScorer`
+(on the HTTP path, the very scorer the server answers with), swapped
+only under the lock.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .core.estimator import LocalOutlierFactor
 from .core.streaming import SlidingWindowLOF
 from .exceptions import ValidationError
 from .serve import OnlineScorer
-from .store import read_header, store_fingerprint
+from .store import store_fingerprint
 
 __all__ = [
     "ReservoirSampler",
@@ -188,16 +189,20 @@ class StreamingDetector:
         passes the original store's grid here so a hot-swapped model
         answers the same sweep as the one it replaced. The maintained
         window scores always use the single ``min_pts``.
-    initial_store : serve an existing REPROLOF store from the start
-        instead of bootstrapping.
-    swap : callback invoked with the new store path after every refit —
-        wire ``_ModelHTTPServer.reload_store`` here to reuse the
-        ``/admin/reload`` hot-swap machinery. Its return value is kept
-        on the :class:`RefitRecord` chain.
+    initial_store : serve an existing model from the start instead of
+        bootstrapping: a REPROLOF store path, or an already loaded
+        :class:`~repro.serve.OnlineScorer` (the serve path passes its
+        own, so the store is not loaded a second time).
+    swap : callback invoked after every refit with the
+        :class:`~repro.serve.OnlineScorer` the detector just loaded for
+        the new store — wire ``_ModelHTTPServer.install`` here to serve
+        it. Its return value is ignored.
     background : run refits on a daemon thread (the production serve
         mode) instead of inline in the triggering ``observe`` call (the
         deterministic replay mode). Single-flight either way.
-    cache_size : LRU size for the detector's own serving scorer.
+    cache_size : LRU size of the scorer a bootstrap refit loads; later
+        refits load theirs like the scorer they replace
+        (:meth:`~repro.serve.OnlineScorer.successor`).
 
     Thread-safety: all mutable state is guarded by one reentrant lock
     (RL005-annotated); ``observe`` may be called from many request
@@ -224,7 +229,7 @@ class StreamingDetector:
         warmup: Optional[int] = None,
         refit_min_pts=None,
         initial_store=None,
-        swap: Optional[Callable[[Path], Dict]] = None,
+        swap: Optional[Callable[[OnlineScorer], object]] = None,
         background: bool = False,
         cache_size: int = 0,
     ):
@@ -298,12 +303,13 @@ class StreamingDetector:
         self._n_drifts = 0                     # reprolint: lock-guarded
         self._n_evictions = 0                  # reprolint: lock-guarded
         if initial_store is not None:
-            path = Path(initial_store)
-            self._serving = OnlineScorer.from_path(
-                path, cache_size=self.cache_size, scorer=None
-            )
-            self._model_path = path
-            self._fingerprint = store_fingerprint(read_header(path))
+            if not isinstance(initial_store, OnlineScorer):
+                initial_store = OnlineScorer.from_path(
+                    initial_store, cache_size=self.cache_size
+                )
+            self._serving = initial_store
+            self._model_path = initial_store.model.path
+            self._fingerprint = store_fingerprint(initial_store.model.header)
 
     # -- ingest ----------------------------------------------------------------
 
@@ -437,6 +443,7 @@ class StreamingDetector:
                 snapshot = self._win.points().copy()
                 seq = len(self._refits) + 1
                 parent = self._fingerprint
+                current = self._serving
                 t = self._t
             est = LocalOutlierFactor(
                 min_pts=self.refit_min_pts,
@@ -459,12 +466,13 @@ class StreamingDetector:
                 },
             )
             obs.incr("stream.refits")
-            serving = OnlineScorer.from_path(
-                path, cache_size=self.cache_size, scorer=None
-            )
+            if current is None:
+                serving = OnlineScorer.from_path(path, cache_size=self.cache_size)
+            else:
+                serving = current.successor(path)
             if self._swap_cb is not None:
-                self._swap_cb(path)
-            fingerprint = store_fingerprint(read_header(path))
+                self._swap_cb(serving)
+            fingerprint = store_fingerprint(serving.model.header)
             with self._lock:
                 ref_q = self._reference_quantile(serving)
                 self._serving = serving

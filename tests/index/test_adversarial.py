@@ -71,6 +71,31 @@ class TestExtremeMagnitudes:
         assert_matches_brute(X, k=3)
 
 
+class TestGridRadiusBoundaries:
+    """Rounded coordinates put many points at exactly the radius of a
+    query. Every index must compare the same float the brute scan
+    computes, or a closed ball drops (or gains) a boundary point."""
+
+    @pytest.mark.parametrize("name", ["balltree", "rstar", "vafile", "xtree"])
+    def test_closed_ball_and_ties_match_brute_bit_for_bit(self, name):
+        X = np.round(np.random.default_rng(0).normal(size=(200, 3)) / 0.2) * 0.2
+        brute = make_index("brute").fit(X)
+        idx = make_index(name).fit(X)
+        for i in range(len(X)):
+            D = brute.metric.pairwise_to_point(X, X[i])
+            D[i] = np.inf
+            radius = np.unique(D[np.isfinite(D)])[20]
+            want = np.flatnonzero(D <= radius)
+            ball = idx.query_radius(X[i], radius, exclude=i)
+            order = np.argsort(ball.ids)
+            np.testing.assert_array_equal(ball.ids[order], want, err_msg=f"{name}, query {i}")
+            np.testing.assert_array_equal(ball.distances[order], D[want])
+            a = brute.query_with_ties(X[i], 10, exclude=i)
+            b = idx.query_with_ties(X[i], 10, exclude=i)
+            np.testing.assert_array_equal(b.ids, a.ids, err_msg=f"{name}, query {i}")
+            np.testing.assert_array_equal(b.distances, a.distances)
+
+
 class TestLOFOnAdversarialData:
     def test_lof_on_grid_with_all_indexes(self):
         """Tie-heavy data must give identical LOF through every index."""

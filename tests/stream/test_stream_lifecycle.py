@@ -139,16 +139,19 @@ class TestLifecycle:
         assert det.stats()["refit_active"] is False
         assert det.model_path is not None and det.model_path.exists()
 
-    def test_swap_callback_receives_each_store_path(self, tmp_path):
+    def test_swap_callback_receives_each_loaded_scorer(self, tmp_path):
         rng = np.random.default_rng(5)
         swapped = []
         det = StreamingDetector(
-            3, 16, tmp_path, warmup=8, seed=0, swap=lambda p: swapped.append(p)
+            3, 16, tmp_path, warmup=8, seed=0, swap=swapped.append
         )
         for p in rng.normal(size=(10, 2)):
             det.observe(p)
         det.request_refit(reason="manual")
-        assert swapped == [r.path for r in det.refits]
+        # One scorer per refit, for that refit's store, and the last one
+        # handed over is the detector's own serving model.
+        assert [s.model.path for s in swapped] == [r.path for r in det.refits]
+        assert swapped[-1] is det.serving
 
     def test_observe_many_parallels_scores(self, tmp_path):
         rng = np.random.default_rng(6)

@@ -8,9 +8,9 @@ Three contracts:
 * *self-consistency* — ``score_new`` on a stored object (``exclude=i``)
   is bit-for-bit the fitted LOF value, in-memory or memmap;
 * *determinism* — the LRU cache and its counters are exact, including
-  under concurrent hammering: the frozen-model read path is lock-free
-  and cache misses are single-flight, so N threads produce bit-identical
-  scores and exactly the serial counters;
+  under concurrent hammering: every public scorer call holds the
+  scorer's one lock, so N threads produce bit-identical scores and
+  exactly the serial counters;
 * *coalescing* — an idle worker scores a request on the caller's
   thread, requests queued behind a running score are stacked into one
   kernel call (:class:`~repro.serve.ScoreBatcher`), both bit-identical
@@ -837,7 +837,6 @@ class TestHotSwapStress:
         srv = make_server(
             path,
             port=0,
-            batch=False,
             stream={
                 "window": window,
                 "check_every": 1,
@@ -930,6 +929,48 @@ class TestHotSwapStress:
         assert recs[0].parent == store_fingerprint(load_model(path).header)
         for prev, cur in zip(recs, recs[1:]):
             assert cur.parent == prev.fingerprint
+
+
+class TestStreamHandover:
+    def test_every_store_is_loaded_once(self, fitted_store, tmp_path):
+        """``--stream`` starts the detector on the server's own scorer,
+        and each refit hands the scorer it loaded to the server: one
+        store load at start-up plus exactly one per refit."""
+        path, _ = fitted_store
+        obs.enable()
+        srv = make_server(
+            path,
+            port=0,
+            stream={
+                "window": 16,
+                "check_every": 1,
+                "drift_factor": 0.0,
+                "cooldown": 8,
+                "reservoir": 4,
+                "seed": 0,
+                "store_dir": tmp_path / "refits",
+                "background": False,
+            },
+        )
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        try:
+            stream = srv.stream
+            assert stream.serving is srv.scorer
+            assert obs.counter("store.loads") == 1
+            points = np.random.default_rng(45).uniform(0.0, 40.0, size=(40, 2))
+            for q in points:
+                status, _ = _http_request(srv, "/score", {"points": [q.tolist()]})
+                assert status == 200
+            refits = len(stream.refits)
+            assert refits >= 2
+            assert obs.counter("store.loads") == 1 + refits
+            assert obs.counter("serve.reloads") == refits
+            assert srv.scorer is stream.serving
+            assert srv.scorer.model.path == stream.refits[-1].path
+        finally:
+            srv.shutdown()
+            srv.server_close()
 
 
 class TestDrainOnShutdown:
