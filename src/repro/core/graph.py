@@ -344,12 +344,12 @@ class NeighborhoodGraph:
 
 
 class DynamicNeighborhoodGraph:
-    """Mutable neighborhood rows over a sparse integer handle space.
+    """Mutable neighborhood rows over a sparse integer id space.
 
     The incremental/streaming engines maintain one of these: each row is
-    the tie-inclusive k-distance neighborhood of a live object (neighbor
-    ids are handles), k-distances live in a dense array indexed by
-    handle, and ``subview(handles)`` pads any dirty subset into
+    the tie-inclusive k-distance neighborhood of a live object (ids are
+    the engine's reusable window slots), k-distances live in a dense
+    array indexed by id, and ``subview(ids)`` pads any dirty subset into
     :class:`RowPrefixes` for the vectorized scoring kernels — replacing
     per-object Python dict math with the batch kernels.
     """

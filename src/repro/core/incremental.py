@@ -3,33 +3,32 @@
 The paper closes (Section 8) by calling for cheaper LOF computation.
 The now-standard answer (Pokrajac et al., "Incremental local outlier
 detection for data streams") exploits LOF's locality: inserting or
-removing one object only changes
+removing one object only changes the k-distance of its *reverse*
+neighbors (objects that gain or lose it among their MinPts nearest),
+the lrd of those and of objects listing one of them, and the LOF of
+objects whose lrd changed or that list such an object.
 
-* the k-distance of objects that gain/lose the object among their
-  MinPts nearest neighbors (its *reverse* neighbors),
-* the lrd of those objects and of objects having one of them in their
-  neighborhood,
-* the LOF of objects whose own lrd changed or that have such an object
-  in their neighborhood.
+:class:`IncrementalLOF` keeps those layers in a
+:class:`~repro.core.graph.DynamicNeighborhoodGraph` and recomputes each
+density layer as ONE pass of the batch kernels
+(:func:`repro.core.scoring.lrd_of` / :func:`~repro.core.scoring.lof_of`),
+so maintained scores match :meth:`MaterializationDB.lof` bit-for-bit.
 
-:class:`IncrementalLOF` maintains exactly those dependency layers in a
-:class:`~repro.core.graph.DynamicNeighborhoodGraph` and recomputes only
-the affected objects — each layer as ONE vectorized pass through the
-dirty-subset kernels :func:`repro.core.scoring.lrd_of` /
-:func:`~repro.core.scoring.lof_of`, not per-object Python math. Because
-those are the same ``np.add.reduceat`` kernels the batch surfaces use,
-maintained scores match :meth:`MaterializationDB.lof` bit-for-bit
-(including the inf/inf := 1 convention on duplicate-heavy data), and the
-tracked :class:`UpdateReport` lets tests and benchmarks verify the
-update stays local.
+The live points sit in one ``(capacity, d)`` array, one *slot* each. A
+deleted object's slot goes to the next insert and the capacity doubles
+only when every slot is taken, so a bounded window keeps every
+per-object structure bounded; rows, k-distances, lrd, LOF and group keys
+are all indexed by slot. A push costs one distance row against the live
+points per changed neighborhood, plus one on an insert to find them.
+Rows are selected over the live slots in handle (arrival) order, so
+ties keep the batch path's (distance, id) order (Definition 4, via
+:func:`repro.index.batch.tie_inclusive_row`).
 
-Ties are honored the same way as the batch path (Definition 4, via the
-shared :func:`repro.index.batch.tie_inclusive_row` selection), and all
-three batch duplicate conventions are supported: ``'inf'`` (the paper's
-plain definition), ``'distinct'`` (neighborhoods grown to the
-k-distinct-distance, maintained via exact-coordinate group keys so
-radii match :meth:`MaterializationDB.k_distances` bit-for-bit) and
-``'error'`` (an update that would produce an infinite lrd raises
+All three batch duplicate conventions are supported: ``'inf'``,
+``'distinct'`` (k-distinct-distance neighborhoods over reference-counted
+exact-coordinate group keys, radii equal to
+:meth:`MaterializationDB.k_distances`) and ``'error'`` (an update that
+would give an infinite lrd raises
 :class:`~repro.exceptions.DuplicatePointsError`; the engine state is
 then stale and must be discarded).
 """
@@ -59,6 +58,10 @@ class UpdateReport:
     changed_lof: int
 
 
+def _grown(a: np.ndarray, n: int, fill) -> np.ndarray:
+    return np.concatenate([a, np.full((n - len(a),) + a.shape[1:], fill, a.dtype)])
+
+
 class IncrementalLOF:
     """Maintain LOF_MinPts for a dynamic dataset.
 
@@ -70,8 +73,8 @@ class IncrementalLOF:
         'error'); under 'distinct' neighborhoods are grown to the
         k-distinct-distance exactly as the materialization does.
 
-    Point handles returned by :meth:`insert` are stable integer keys;
-    :attr:`scores` maps handle -> current LOF.
+    Point handles returned by :meth:`insert` are stable, increasing
+    integer keys; :attr:`scores` maps handle -> current LOF.
     """
 
     def __init__(self, min_pts: int, metric="euclidean", duplicate_mode: str = "inf"):
@@ -82,18 +85,22 @@ class IncrementalLOF:
         self.min_pts = int(min_pts)
         self.metric = get_metric(metric)
         self.duplicate_mode = _check_duplicate_mode(duplicate_mode)
-        self._points: Dict[int, np.ndarray] = {}
         self._next_handle = 0
-        self._graph = DynamicNeighborhoodGraph(self.min_pts)
-        self._lrd = np.full(0, np.nan, dtype=np.float64)  # dense, by handle
-        self._lof: Dict[int, float] = {}
-        self._reverse: Dict[int, Set[int]] = {}           # handle -> who lists it
-        # Exact-coordinate group keys for the 'distinct' policy: the same
-        # grouping np.unique(X, axis=0) induces batch-side, maintained as
-        # a dict over normalized coordinate bytes (+0.0 folds -0.0 so
-        # signed zeros land in one group, matching numpy equality).
-        self._coord_key: Dict[int, int] = {}              # handle -> group key
-        self._key_by_coord: Dict[bytes, int] = {}
+        self._X = np.empty((0, 0))                        # slot -> point
+        self._handle = np.empty(0, dtype=np.int64)        # slot -> handle, -1 free
+        self._lrd = np.empty(0)                           # slot -> lrd
+        self._lof = np.empty(0)                           # slot -> LOF
+        self._key = np.empty(0, dtype=np.int64)           # slot -> group key
+        self._reverse: List[Set[int]] = []                # slot -> slots listing it
+        self._slot: Dict[int, int] = {}                   # live handle -> slot
+        self._free: List[int] = []
+        self._order = np.empty(0, dtype=np.int64)         # live slots by handle
+        self._graph = DynamicNeighborhoodGraph(self.min_pts)  # rows by slot
+        # 'distinct' groups as np.unique(X, axis=0) forms them batch-side:
+        # coordinate bytes (+0.0 folds -0.0) -> [key, live holders]; a
+        # group leaves with its last holder.
+        self._key_by_coord: Dict[bytes, List[int]] = {}
+        self._next_key = 0
 
     # -- bulk ---------------------------------------------------------------
 
@@ -106,128 +113,134 @@ class IncrementalLOF:
         check_min_pts(min_pts, X.shape[0])
         inc = cls(min_pts, metric=metric, duplicate_mode=duplicate_mode)
         for row in X:
-            h = inc._next_handle
-            inc._points[h] = row.copy()
-            inc._register_coord(h, row)
-            inc._next_handle += 1
+            inc._claim(row)
         inc._rebuild_all()
         return inc
 
-    def _register_coord(self, handle: int, point: np.ndarray) -> None:
-        coord = np.asarray(point, dtype=np.float64) + 0.0
-        self._coord_key[handle] = self._key_by_coord.setdefault(
-            coord.tobytes(), len(self._key_by_coord)
-        )
+    def _claim(self, point: np.ndarray) -> int:
+        """Give ``point`` the next handle and a free slot; returns the slot."""
+        if self._X.shape[1] != point.shape[0]:
+            if self._slot:
+                raise ValidationError("point dimensionality mismatch")
+            self._X = np.empty((len(self._handle), point.shape[0]))
+        if not self._free:
+            cap = len(self._handle)
+            new = max(2 * cap, self.min_pts + 1)
+            self._X = _grown(self._X, new, 0.0)
+            self._handle = _grown(self._handle, new, -1)
+            self._key = _grown(self._key, new, -1)
+            self._lrd = _grown(self._lrd, new, np.nan)
+            self._lof = _grown(self._lof, new, np.nan)
+            self._reverse += [set() for _ in range(new - cap)]
+            self._free = list(range(new - 1, cap - 1, -1))
+        s = self._free.pop()
+        self._X[s], self._handle[s] = point, self._next_handle
+        self._slot[self._next_handle] = s
+        self._next_handle += 1
+        self._order = np.append(self._order, s)
+        coord = (point + 0.0).tobytes()
+        if coord not in self._key_by_coord:
+            self._key_by_coord[coord] = [self._next_key, 0]
+            self._next_key += 1
+        self._key_by_coord[coord][1] += 1
+        self._key[s] = self._key_by_coord[coord][0]
+        return s
+
+    def _release(self, s: int) -> None:
+        """Free slot ``s``, whose row has already left the graph."""
+        coord = (self._X[s] + 0.0).tobytes()
+        self._key_by_coord[coord][1] -= 1
+        if not self._key_by_coord[coord][1]:
+            del self._key_by_coord[coord]
+        del self._slot[int(self._handle[s])]
+        self._handle[s] = self._key[s] = -1
+        self._lrd[s] = self._lof[s] = np.nan
+        self._reverse[s] = set()
+        self._order = self._order[self._order != s]
+        self._free.append(s)
 
     def _rebuild_all(self) -> None:
-        handles = list(self._points)
-        if len(handles) <= self.min_pts:
-            # Not enough points for any neighborhood yet; scores undefined.
-            self._graph.clear()
-            self._lof.clear()
-            self._reverse = {h: set() for h in handles}
-            return
-        self._reverse = {h: set() for h in handles}
-        for h in handles:
-            self._refresh_neighborhood(h)
-        self._refresh_lrd(handles)
-        self._refresh_lof(handles)
+        self._reverse = [set() for _ in self._reverse]
+        self._graph.clear()
+        self._lof[:] = np.nan
+        if len(self._order) > self.min_pts:
+            self._refresh_neighborhoods(self._order)
+            self._refresh_scores(self._order, self._order)
 
     # -- public state ---------------------------------------------------------
 
     @property
     def n_points(self) -> int:
-        return len(self._points)
+        return len(self._slot)
 
     @property
     def handles(self) -> List[int]:
-        return sorted(self._points)
+        return self._handle[self._order].tolist()
 
     @property
     def scores(self) -> Dict[int, float]:
         """Current LOF per handle (empty until > min_pts points exist)."""
-        return dict(self._lof)
+        if len(self._slot) <= self.min_pts:
+            return {}
+        return dict(zip(self.handles, self._lof[self._order].tolist()))
 
     def score_of(self, handle: int) -> float:
         self._require_ready()
-        if handle not in self._lof:
+        if handle not in self._slot:
             raise KeyError(f"unknown handle {handle}")
-        return self._lof[handle]
+        return float(self._lof[self._slot[handle]])
+
+    def points(self) -> np.ndarray:
+        """The live points, one row per handle of :attr:`handles`
+        (arrival order) — the row order of the batch oracle."""
+        return self._X[self._order]
 
     def _require_ready(self) -> None:
-        if len(self._points) <= self.min_pts:
+        if len(self._slot) <= self.min_pts:
             raise NotFittedError(
                 f"need more than min_pts={self.min_pts} points before LOF "
-                f"is defined; have {len(self._points)}"
+                f"is defined; have {len(self._slot)}"
             )
 
     # -- primitive recomputations ----------------------------------------------
 
-    def _all_matrix(self):
-        handles = sorted(self._points)
-        return handles, np.vstack([self._points[h] for h in handles])
+    def _refresh_neighborhoods(self, slots: np.ndarray) -> None:
+        """Re-select the rows of ``slots``, one distance row each against
+        the live points gathered once in handle order, so positional
+        ties break by handle exactly as in the batch path."""
+        order = self._order
+        Xw, keys = self._X[order], self._key[order]
+        positions = np.searchsorted(self._handle[order], self._handle[slots])
+        for s, pos in zip(slots.tolist(), positions.tolist()):
+            dists = self.metric.pairwise_to_point(Xw, Xw[pos])
+            dists[pos] = np.inf
+            if self.duplicate_mode == "distinct":
+                # The materialization's k-distinct-distance ball.
+                ball = k_distinct_ball(dists, keys, self.min_pts)
+                if ball is None:
+                    raise ValidationError(
+                        f"fewer than k={self.min_pts} distinct coordinate "
+                        "locations exist among the maintained points"
+                    )
+                members, kth = ball[0], float(ball[2])
+            else:
+                members, kth = tie_inclusive_row(dists, self.min_pts)
+            if s in self._graph:
+                for o in self._graph.row(s)[0].tolist():
+                    self._reverse[o].discard(s)
+            neighbors = order[members]
+            self._graph.set_row(s, neighbors, dists[members], kth)
+            for o in neighbors.tolist():
+                self._reverse[o].add(s)
 
-    def _refresh_neighborhood(self, h: int) -> None:
-        handles, X = self._all_matrix()
-        pos = handles.index(h)
-        dists = self.metric.pairwise_to_point(X, self._points[h])
-        dists[pos] = np.inf
-        # Shared Definition-4 selection: closed k-distance ball, ties
-        # included, deterministic (distance, id) order. Positional order
-        # equals handle order because ``handles`` is sorted.
-        if self.duplicate_mode == "distinct":
-            members, kth = self._distinct_row(handles, dists)
-        else:
-            members, kth = tie_inclusive_row(dists, self.min_pts)
-        old_ids = self._graph.row(h)[0] if h in self._graph else ()
-        for o in old_ids:
-            self._reverse.get(int(o), set()).discard(h)
-        neighbor_handles = np.array([handles[m] for m in members], dtype=np.int64)
-        self._graph.set_row(h, neighbor_handles, dists[members], kth)
-        for o in neighbor_handles:
-            self._reverse.setdefault(int(o), set()).add(h)
-
-    def _distinct_row(self, handles, dists):
-        """The k-distinct-distance neighborhood row (closed ball at the
-        smallest radius covering ``min_pts`` distinct coordinate
-        locations, duplicates of the query inside it included) — the
-        same :func:`~repro.core.duplicates.k_distinct_ball` the
-        materialization uses, so radii and membership match
-        bit-for-bit."""
-        keys = np.array([self._coord_key[h] for h in handles], dtype=np.int64)
-        ball = k_distinct_ball(dists, keys, self.min_pts)
-        if ball is None:
-            raise ValidationError(
-                f"fewer than k={self.min_pts} distinct coordinate "
-                "locations exist among the maintained points"
-            )
-        members, _, kth = ball
-        return members, float(kth)
-
-    def _ensure_lrd_capacity(self, max_handle: int) -> None:
-        if max_handle >= len(self._lrd):
-            grown = np.full(max(max_handle + 1, 2 * len(self._lrd) + 1), np.nan)
-            grown[: len(self._lrd)] = self._lrd
-            self._lrd = grown
-
-    def _refresh_lrd(self, dirty) -> np.ndarray:
-        """One vectorized kernel pass over the dirty rows."""
-        rows = np.array(sorted(dirty), dtype=np.int64)
-        if len(rows):
-            self._ensure_lrd_capacity(int(rows.max()))
-            self._lrd[rows] = scoring.lrd_of(
-                self._graph, rows, duplicate_mode=self.duplicate_mode
-            )
-        return rows
-
-    def _refresh_lof(self, dirty) -> np.ndarray:
-        """One vectorized kernel pass over the dirty rows."""
-        rows = np.array(sorted(dirty), dtype=np.int64)
-        if len(rows):
-            values = scoring.lof_of(self._graph, rows, self._lrd)
-            for h, v in zip(rows, values):
-                self._lof[int(h)] = float(v)
-        return rows
+    def _refresh_scores(self, lrd_dirty, lof_dirty) -> None:
+        """One vectorized kernel pass per density layer over its dirty rows."""
+        rows = np.array(sorted(lrd_dirty), dtype=np.int64)
+        self._lrd[rows] = scoring.lrd_of(
+            self._graph, rows, duplicate_mode=self.duplicate_mode
+        )
+        rows = np.array(sorted(lof_dirty), dtype=np.int64)
+        self._lof[rows] = scoring.lof_of(self._graph, rows, self._lrd)
 
     # -- updates -----------------------------------------------------------------
 
@@ -239,83 +252,61 @@ class IncrementalLOF:
         exceeds ``min_pts`` points.
         """
         point = np.asarray(point, dtype=np.float64).reshape(-1)
-        if self._points and point.shape[0] != next(iter(self._points.values())).shape[0]:
-            raise ValidationError("point dimensionality mismatch")
         if not np.all(np.isfinite(point)):
             raise ValidationError("point contains NaN or infinite values")
-        h = self._next_handle
-        self._next_handle += 1
-        self._points[h] = point
-        self._register_coord(h, point)
-        self._reverse.setdefault(h, set())
-        if len(self._points) == self.min_pts + 1:
-            # First moment LOF becomes defined: full build, all points new.
-            self._rebuild_all()
-            self.last_report = UpdateReport(
-                changed_neighborhoods=len(self._points),
-                changed_lrd=len(self._points),
-                changed_lof=len(self._points),
-            )
-            return h
-        if len(self._points) <= self.min_pts:
+        s = self._claim(point)
+        h = self._next_handle - 1
+        n = len(self._slot)
+        if n <= self.min_pts:
             self.last_report = UpdateReport(0, 0, 0)
             return h
+        if n == self.min_pts + 1:
+            # First moment LOF becomes defined: full build, all points new.
+            self._rebuild_all()
+            self.last_report = UpdateReport(n, n, n)
+            return h
         # Objects whose MinPts-neighborhood may change: those for which
-        # the new point is at distance <= their current k-distance.
-        # Distances are computed with the same vectorized kernel used by
-        # _refresh_neighborhood so boundary ties compare bit-for-bit.
-        handles, X = self._all_matrix()
-        dists = self.metric.pairwise_to_point(X, point)
-        affected = {h}
-        for pos, other in enumerate(handles):
-            if other == h:
-                continue
-            if dists[pos] <= self._graph.kdist_of(other):
-                affected.add(other)
-        self._propagate(affected)
+        # the new point (the last live slot in handle order) is at
+        # distance <= their current k-distance, compared bit-for-bit
+        # with the row kernel _refresh_neighborhoods uses.
+        old = self._order[:-1]
+        dists = self.metric.pairwise_to_point(self._X[self._order], point)
+        affected = old[dists[:-1] <= self._graph.kdist_values(old)]
+        self._propagate({s, *affected.tolist()})
         return h
 
     def delete(self, handle: int) -> None:
         """Remove one point by handle, updating only affected objects."""
-        if handle not in self._points:
+        if handle not in self._slot:
             raise KeyError(f"unknown handle {handle}")
+        s = self._slot[handle]
         # Objects that listed the deleted point must re-query.
-        affected = set(self._reverse.get(handle, set()))
-        if handle in self._graph:
-            for o in self._graph.row(handle)[0]:
-                self._reverse.get(int(o), set()).discard(handle)
-        self._points.pop(handle)
-        self._graph.drop_row(handle)
-        if handle < len(self._lrd):
-            self._lrd[handle] = np.nan
-        self._lof.pop(handle, None)
-        self._reverse.pop(handle, None)
-        self._coord_key.pop(handle, None)
-        if len(self._points) <= self.min_pts:
+        affected = self._reverse[s]
+        if s in self._graph:
+            for o in self._graph.row(s)[0].tolist():
+                self._reverse[o].discard(s)
+        self._graph.drop_row(s)
+        self._release(s)
+        if len(self._slot) <= self.min_pts:
             self._rebuild_all()
             self.last_report = UpdateReport(0, 0, 0)
             return
-        affected &= set(self._points)
         self._propagate(affected)
 
     def _propagate(self, changed_hoods: Set[int]) -> None:
         """Recompute the three dependency layers outward from the objects
         whose neighborhoods changed — each density layer one batched
         kernel call over exactly the dirty subset."""
-        for h in sorted(changed_hoods):
-            self._refresh_neighborhood(h)
+        self._refresh_neighborhoods(np.array(sorted(changed_hoods), dtype=np.int64))
         # lrd(p) depends on p's neighborhood and on kdist of its members.
         lrd_dirty = set(changed_hoods)
-        for h in changed_hoods:
-            lrd_dirty |= self._reverse.get(h, set())
-        lrd_dirty &= set(self._points)
-        self._refresh_lrd(lrd_dirty)
+        for s in changed_hoods:
+            lrd_dirty |= self._reverse[s]
         # LOF(p) depends on lrd(p) and on lrd of p's neighbors.
         lof_dirty = set(lrd_dirty)
-        for h in lrd_dirty:
-            lof_dirty |= self._reverse.get(h, set())
-        lof_dirty &= set(self._points)
-        self._refresh_lof(lof_dirty)
+        for s in lrd_dirty:
+            lof_dirty |= self._reverse[s]
+        self._refresh_scores(lrd_dirty, lof_dirty)
         self.last_report = UpdateReport(
             changed_neighborhoods=len(changed_hoods),
             changed_lrd=len(lrd_dirty),

@@ -113,13 +113,13 @@ class SlidingWindowLOF:
         return handle, work, at_capacity
 
     def score_of(self, handle: int) -> float:
-        return self._engine.scores[handle]
+        return self._engine.score_of(handle)
 
     def points(self) -> np.ndarray:
         """The window contents, arrival order — the batch-refit prefix."""
         if not self._handles:
             return np.empty((0, 0))
-        return np.vstack([self._engine._points[h] for h in self._handles])
+        return self._engine.points()
 
     def scores(self) -> np.ndarray:
         """Maintained LOF of every window point (arrival order)."""

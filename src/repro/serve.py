@@ -1023,9 +1023,15 @@ class _ModelHTTPServer(ThreadingHTTPServer):
     def reload_store(self, path=None, mmap: Optional[bool] = None) -> Dict:
         """Load (and checksum-verify) a store into a scorer built like
         the current one (:meth:`OnlineScorer.successor`) and install it.
-        A store that fails to load leaves the current scorer live."""
+        A store that fails to load leaves the current scorer live. A
+        ``--stream`` detector adopts the new scorer too, so drift is
+        judged under the served model and the next refit names it as
+        lineage parent."""
         new_scorer = self.scorer.successor(path or None, mmap=mmap)
-        reloads = self.install(new_scorer)
+        if self.stream is None:
+            reloads = self.install(new_scorer)
+        else:
+            reloads = self.stream.adopt(new_scorer, self.install)
         return {
             "reloaded": str(new_scorer.model.path),
             "fingerprint": store_fingerprint(new_scorer.model.header),

@@ -31,7 +31,11 @@ lifecycle:
    caller-supplied ``swap`` callback — on the HTTP path this is
    ``_ModelHTTPServer.install``, the same one reference swap
    ``/admin/reload`` makes after it loads a store. The detector then
-   re-seeds the drift reference from the reservoir under the new model.
+   re-seeds the drift reference from the reservoir under the new model,
+   still under its lock. A store ``/admin/reload`` installs is adopted
+   the same way (:meth:`StreamingDetector.adopt`), so it becomes the
+   next refit's lineage parent, and a reload that overlaps a refit
+   cannot leave the server and the detector on different models.
 
 Everything is count-based (no wall clock): given the same observation
 sequence, seed and thresholds, every check, detection, refit and swap
@@ -51,7 +55,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -470,16 +474,12 @@ class StreamingDetector:
                 serving = OnlineScorer.from_path(path, cache_size=self.cache_size)
             else:
                 serving = current.successor(path)
-            if self._swap_cb is not None:
-                self._swap_cb(serving)
-            fingerprint = store_fingerprint(serving.model.header)
             with self._lock:
-                ref_q = self._reference_quantile(serving)
-                self._serving = serving
-                self._model_path = path
-                self._fingerprint = fingerprint
-                self._ref_q = ref_q
-                self._recent.clear()
+                # Install and adopt as one step under the detector lock,
+                # so a concurrent adopt() cannot land between them.
+                if self._swap_cb is not None:
+                    self._swap_cb(serving)
+                fingerprint = self._adopt_locked(serving)
                 self._since_refit = 0
                 self._refits.append(
                     RefitRecord(
@@ -496,6 +496,28 @@ class StreamingDetector:
         finally:
             with self._lock:
                 self._refit_active = False
+
+    def adopt(self, serving: OnlineScorer, install: Callable[[OnlineScorer], Any]) -> Any:
+        """Run ``install(serving)`` and judge drift under ``serving``
+        from now on, naming it as the next refit's lineage parent — for
+        a model installed from outside the lifecycle (``/admin/reload``
+        on a ``--stream`` server). Both happen under the detector lock,
+        as a refit's swap does, so the served model and the detector's
+        never disagree. Returns what ``install`` returns."""
+        with self._lock:
+            result = install(serving)
+            self._adopt_locked(serving)
+            return result
+
+    def _adopt_locked(self, serving: OnlineScorer) -> str:  # reprolint: holds-lock
+        """Make ``serving`` the detector's model and reseed the drift
+        reference under it; returns its fingerprint."""
+        self._ref_q = self._reference_quantile(serving)
+        self._serving = serving
+        self._model_path = serving.model.path
+        self._fingerprint = store_fingerprint(serving.model.header)
+        self._recent.clear()
+        return self._fingerprint
 
     def wait_refit(self, timeout: Optional[float] = None) -> bool:
         """Join the outstanding background refit, if any; True when no

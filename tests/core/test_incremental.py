@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import IncrementalLOF, lof_scores
+from repro import IncrementalLOF, lof_scores, obs
 from repro.exceptions import NotFittedError, ValidationError
 
 
@@ -110,3 +110,25 @@ class TestBootstrap:
         inc.delete(inc.handles[0])
         inc.delete(inc.handles[0])
         assert inc.scores == {}
+
+
+class TestKernelWork:
+    @pytest.mark.parametrize("mode", ["inf", "distinct", "error"])
+    def test_distance_evaluations_per_update_are_exact(self, mode):
+        """An insert evaluates one distance row to find the changed
+        neighborhoods plus one row per changed neighborhood; an eviction
+        only the latter. A row covers every live point."""
+        rng = np.random.default_rng(11)
+        X = rng.integers(-6, 7, size=(90, 2)).astype(np.float64)
+        inc = IncrementalLOF.from_dataset(X[:30], min_pts=4, duplicate_mode=mode)
+        for p in X[30:]:
+            with obs.collect() as snap:
+                inc.insert(p)
+            evaluations = snap["counters"]["distance.evaluations"]
+            changed = inc.last_report.changed_neighborhoods
+            assert evaluations == (1 + changed) * inc.n_points
+            with obs.collect() as snap:
+                inc.delete(inc.handles[0])
+            evaluations = snap["counters"].get("distance.evaluations", 0)
+            changed = inc.last_report.changed_neighborhoods
+            assert evaluations == changed * inc.n_points

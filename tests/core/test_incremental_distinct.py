@@ -37,6 +37,10 @@ def live_matrix(live):
     return np.vstack([live[h] for h in sorted(live)])
 
 
+def live_matrix_of(live, handles):
+    return np.vstack([live[h] for h in handles])
+
+
 class TestKTieBoundary:
     def test_insert_exactly_on_kdist_radius_joins_tie_inclusively(self):
         # Center (0,0) with k=2 neighbors at distance exactly 1; the new
@@ -216,14 +220,26 @@ class TestGraphIntegrityUnderChurn:
                 inc.delete(oldest)
                 live.pop(oldest)
         assert sorted(inc.handles) == sorted(live)
+        # Graph rows are keyed by reusable window slots: one row per live
+        # point, neighbor slots read back as handles through _handle.
+        assert len(inc._graph) == inc.n_points
         for h in live:
-            assert h in inc._graph
-            ids, dists = inc._graph.row(h)
-            members = set(int(i) for i in ids)
+            s = inc._slot[h]
+            assert s in inc._graph
+            ids, dists = inc._graph.row(s)
+            neighbors = inc._handle[ids].tolist()
+            members = set(neighbors)
             assert members <= set(live), "dangling neighbor reference"
             assert h not in members
             assert len(ids) == len(dists)
-            assert np.all(dists <= inc._graph.kdist_of(h))
+            assert np.all(dists <= inc._graph.kdist_of(s))
+            # A row that kept an evicted point's slot would read back as
+            # whichever live point took the slot over; each stored
+            # distance must be the distance to the point now there.
+            expected = inc.metric.pairwise_to_point(
+                live_matrix_of(live, neighbors), live[h]
+            )
+            np.testing.assert_array_equal(dists, expected)
         np.testing.assert_array_equal(
             engine_scores(inc, live), batch_lof(live_matrix(live), 3, "inf")
         )

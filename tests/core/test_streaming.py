@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import StreamingLOFDetector
+from repro.core import MaterializationDB, SlidingWindowLOF, StreamingLOFDetector
 from repro.exceptions import ValidationError
 
 
@@ -85,3 +85,36 @@ class TestValidation:
     def test_threshold_positive(self):
         with pytest.raises(ValidationError):
             StreamingLOFDetector(min_pts=5, window=20, threshold=0.0)
+
+
+class TestBoundedEngineState:
+    @pytest.mark.parametrize("mode", ["inf", "distinct", "error"])
+    def test_per_object_state_stays_within_capacity(self, mode):
+        """Pushing N >> window points keeps every per-object structure of
+        the engine bounded: evicted slots are reused and a coordinate
+        group leaves with its last live holder. Grid points repeat, so
+        groups gain and lose holders throughout."""
+        window, n_pushes = 64, 1500
+        win = SlidingWindowLOF(min_pts=4, window=window, duplicate_mode=mode)
+        rng = np.random.default_rng(5)
+        for p in rng.integers(-30, 31, size=(n_pushes, 2)).astype(np.float64):
+            win.push(p)
+        engine = win._engine
+        # The slot array doubles from min_pts + 1 until window + 1 fit.
+        bound = 2 * (window + 1)
+        sizes = {
+            "_key_by_coord": len(engine._key_by_coord),
+            "_lrd": len(engine._lrd),
+            "_lof": len(engine._lof),
+            "_reverse": len(engine._reverse),
+            "graph._kdist": len(engine._graph._kdist),
+            "graph._ids": len(engine._graph._ids),
+        }
+        assert all(size <= bound for size in sizes.values()), sizes
+        live = win.points() + 0.0
+        assert len(engine._key_by_coord) == len(np.unique(live, axis=0))
+        assert sum(g[1] for g in engine._key_by_coord.values()) == window
+        np.testing.assert_array_equal(
+            win.scores(),
+            MaterializationDB.materialize(live, 4, duplicate_mode=mode).lof(4),
+        )

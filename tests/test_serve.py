@@ -972,6 +972,89 @@ class TestStreamHandover:
             srv.shutdown()
             srv.server_close()
 
+    def test_reload_store_is_adopted_by_the_stream(self, fitted_store, tmp_path):
+        """A store installed through ``/reload`` becomes the detector's
+        model too: drift is judged under it and the next refit names it
+        as lineage parent."""
+        path_a, _ = fitted_store
+        path_b = tmp_path / "b.rlof"
+        X_b = np.random.default_rng(46).uniform(0.0, 40.0, size=(60, 2))
+        LocalOutlierFactor(min_pts=(4, 10)).fit(X_b).save(path_b)
+        srv = make_server(
+            path_a,
+            port=0,
+            stream={
+                "window": 16,
+                "check_every": 1000,
+                "reservoir": 4,
+                "seed": 0,
+                "store_dir": tmp_path / "refits",
+                "background": False,
+            },
+        )
+        try:
+            stream = srv.stream
+            srv.reload_store(path_b)
+            fingerprint_b = store_fingerprint(load_model(path_b).header)
+            assert stream.serving is srv.scorer
+            assert stream.fingerprint == fingerprint_b
+            stream.observe_many(X_b[:20])
+            assert stream.request_refit("manual")
+            assert stream.refits[-1].parent == fingerprint_b
+        finally:
+            srv.server_close()
+
+    def test_reload_overlapping_a_refit_leaves_one_model(self, fitted_store, tmp_path):
+        """A reload that arrives while a refit is swapping its store in
+        waits until the refit has adopted it too, so the server and the
+        detector end on the same model (the reload's, which came last)."""
+        path_a, _ = fitted_store
+        path_b = tmp_path / "b.rlof"
+        X_b = np.random.default_rng(46).uniform(0.0, 40.0, size=(60, 2))
+        LocalOutlierFactor(min_pts=(4, 10)).fit(X_b).save(path_b)
+        srv = make_server(
+            path_a,
+            port=0,
+            stream={
+                "window": 16,
+                "check_every": 1000,
+                "reservoir": 4,
+                "seed": 0,
+                "store_dir": tmp_path / "refits",
+                "background": False,
+            },
+        )
+        stream = srv.stream
+        install = stream._swap_cb
+        swapped, release = threading.Event(), threading.Event()
+
+        def held_install(scorer):
+            reloads = install(scorer)
+            swapped.set()
+            release.wait(timeout=10.0)
+            return reloads
+
+        stream._swap_cb = held_install
+        try:
+            stream.observe_many(X_b[:20])
+            refit = threading.Thread(target=stream.request_refit, args=("manual",))
+            refit.start()
+            assert swapped.wait(timeout=10.0)
+            # The refit has installed its store and not yet adopted it.
+            reload = threading.Thread(target=srv.reload_store, args=(path_b,))
+            reload.start()
+            reload.join(timeout=0.2)
+            release.set()
+            refit.join(timeout=10.0)
+            reload.join(timeout=10.0)
+            assert not refit.is_alive() and not reload.is_alive()
+            assert len(stream.refits) == 1
+            assert stream.serving is srv.scorer
+            assert stream.fingerprint == store_fingerprint(load_model(path_b).header)
+        finally:
+            release.set()
+            srv.server_close()
+
 
 class TestDrainOnShutdown:
     def test_max_requests_drains_concurrent_inflight(self, fitted_store):
