@@ -47,7 +47,7 @@ from .materialization import (
     MaterializationDB,
     _check_duplicate_mode,
     _coord_keys_for,
-    ensure_distinct_coverage,
+    _distinct_graph,
 )
 
 
@@ -81,7 +81,7 @@ def fast_materialize(
         'distinct' cuts the rows at their k-distinct-distances and
         re-queries the few duplicate-saturated ones through a brute
         index on ``X``
-        (:func:`~repro.core.materialization.ensure_distinct_coverage`).
+        (:func:`~repro.core.duplicates.ensure_distinct_coverage`).
     strategy : passed to the engine — ``"auto"`` (default), ``"whole"``
         or ``"chunked"``; see :func:`repro.index.argkmin.argkmin_with_ties`.
     tile_bytes : engine tile budget (default 8 MiB); with
@@ -111,7 +111,7 @@ def fast_materialize(
         if duplicate_mode == "distinct":
             coord_keys = _coord_keys_for(X)
             brute = make_index("brute", metric=metric_obj).fit(X)
-            graph = ensure_distinct_coverage(graph, brute, coord_keys, ub)
+            graph = _distinct_graph(graph, brute, coord_keys, ub)
     return MaterializationDB.from_graph(
         graph, duplicate_mode=duplicate_mode, coord_keys=coord_keys
     )

@@ -11,7 +11,7 @@ argument of the LOF entry points.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -43,27 +43,6 @@ def has_min_pts_duplicates(X, min_pts: int) -> bool:
     return bool(np.any(counts >= min_pts + 1))
 
 
-def k_distinct_radii(
-    ids: np.ndarray, dists: np.ndarray, coord_keys: np.ndarray, ks: Sequence[int]
-) -> List[Optional[float]]:
-    """The k-distinct-distance of one neighbor row for every k of ``ks``.
-
-    ``ids`` / ``dists`` are one query's candidates sorted by (distance,
-    id). Walking the row, skip candidates at distance <= 0 (co-located
-    duplicates of the query) or at a non-finite distance (an excluded
-    id); the radius for k is the distance at which the ``k``-th new
-    coordinate group key of ``coord_keys`` is reached, or None when the
-    row holds fewer than ``k`` groups. The groups are found once for all
-    of ``ks``. Every k-distinct-distance in the package is computed
-    here, so the batch, incremental and online paths agree bit for bit.
-    """
-    keep = (dists > 0.0) & np.isfinite(dists)
-    kept = dists[keep]
-    _, first = np.unique(coord_keys[ids[keep]], return_index=True)
-    first = np.sort(first)
-    return [kept[first[k - 1]] if k <= len(first) else None for k in ks]
-
-
 def distinct_steps(
     ids: np.ndarray, dists: np.ndarray, coord_keys: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -74,9 +53,11 @@ def distinct_steps(
     ``steps[offsets[i] + j]`` is the distance at which row i reaches its
     ``(j+1)``-th distinct coordinate group, so its k-distinct-distance
     is ``steps[offsets[i] + k - 1]`` when ``offsets[i+1] - offsets[i]
-    >= k``. One pass over the block, with the candidates and the
-    first-occurrence rule of :func:`k_distinct_radii`, so it picks the
-    same element bit for bit.
+    >= k``. The candidates are the entries at a positive, finite
+    distance (co-located duplicates of the query and excluded ids do
+    not count), and a location is reached at its first candidate in
+    row order. Every k-distinct-distance in the package is read from
+    here, in one pass over the block.
     """
     keep = (dists > 0.0) & np.isfinite(dists)
     rows, cols = np.nonzero(keep)
@@ -88,44 +69,78 @@ def distinct_steps(
     return dists[rows[first], cols[first]], offsets
 
 
-def k_distinct_radius(
-    ids: np.ndarray, dists: np.ndarray, coord_keys: np.ndarray, k: int
-) -> Optional[float]:
-    """The k-distinct-distance of one neighbor row, or None if it falls
-    short: :func:`k_distinct_radii` at the single ``k``."""
-    return k_distinct_radii(ids, dists, coord_keys, (k,))[0]
+def ensure_distinct_coverage(
+    query: Callable[[np.ndarray, int], Tuple[np.ndarray, np.ndarray]],
+    ids: np.ndarray,
+    dists: np.ndarray,
+    coord_keys: np.ndarray,
+    k: int,
+    limit: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k-distinct-distance neighborhoods, from plain k-NN rows.
 
+    ``ids`` / ``dists`` are padded rows sorted by (distance, id), row i
+    the tie-inclusive k-NN row of query i (Definition 4). A row that
+    reaches ``k`` distinct (positive-distance) locations holds its whole
+    k-distinct-distance ball, since tie inclusion puts every point
+    within the row's radius in the row; it is cut at that radius. The
+    rows that fall short (duplicate-saturated ones) are re-queried
+    together: ``query(rows, probe)`` returns the padded tie-inclusive
+    ``probe``-NN rows of those queries, the probe doubling from ``k``
+    up to ``limit`` neighbors until each row reaches ``k`` locations.
+    Each kept row is the closed ball, duplicates of the query inside
+    it included (the analog of Definition 4).
 
-def k_distinct_balls(drow: np.ndarray, coord_keys: np.ndarray, ks: Sequence[int]):
-    """The closed ball at the k-distinct-distance over one distance row,
-    for every k of ``ks``.
-
-    ``drow[j]`` is the query's distance to object ``j`` (inf for an
-    excluded id). The row is sorted by (distance, id) once; entry ``i``
-    of the result is ``(ids, dists, radius)`` for ``ks[i]`` — the
-    members in that order, duplicates of the query inside the ball
-    included (the analog of Definition 4) — or None when fewer than
-    ``ks[i]`` distinct locations are reachable. Each ball is a prefix of
-    the sorted row: every entry up to the last one ``<= radius``.
+    Returns ``(ids, dists, short)``: the rows, padded to the longest,
+    and the rows still short of ``k`` locations at ``limit``, or once
+    their row holds an overflowed (inf) distance and hence every point;
+    they are kept whole. When no row is cut or re-queried, the input arrays come
+    back unchanged. The fit, served queries and the stream window all
+    select their k-distinct neighborhoods here.
     """
-    order = np.lexsort((np.arange(len(drow)), drow))
-    sorted_d = drow[order]
-    balls = []
-    for radius in k_distinct_radii(order, sorted_d, coord_keys, ks):
-        if radius is None:
-            balls.append(None)
-            continue
-        count = np.searchsorted(sorted_d, radius, side="right")
-        # Copies: a ball kept by the caller must not pin the whole row.
-        balls.append((order[:count].copy(), sorted_d[:count].copy(), radius))
-    return balls
+    lengths, covered, growing = _distinct_cut(ids, dists, coord_keys, k)
+    parts = [(np.arange(len(ids)), ids, dists)]
+    short, todo = np.flatnonzero(~covered), np.flatnonzero(growing)
+    probe = k
+    while len(todo) and probe < limit:
+        probe = min(2 * probe, limit)
+        found_ids, found_dists = query(todo, probe)
+        lengths[todo], covered, growing = _distinct_cut(
+            found_ids, found_dists, coord_keys, k
+        )
+        parts.append((todo, found_ids, found_dists))
+        short = np.setdiff1d(short, todo[covered])
+        todo = todo[growing]
+    if len(parts) == 1 and np.array_equal(lengths, (ids >= 0).sum(axis=1)):
+        return ids, dists, short
+    width = int(lengths.max())
+    out_ids = np.full((len(ids), width), -1, dtype=np.int64)
+    out_dists = np.full((len(ids), width), np.inf)
+    # A later probe's rows replace the earlier ones; every cell past a
+    # row's length is padding.
+    for rows, part_ids, part_dists in parts:
+        w = min(width, part_ids.shape[1])
+        out_ids[rows, :w], out_dists[rows, :w] = part_ids[:, :w], part_dists[:, :w]
+    pad = np.arange(width) >= lengths[:, None]
+    out_ids[pad], out_dists[pad] = -1, np.inf
+    return out_ids, out_dists, short
 
 
-def k_distinct_ball(drow: np.ndarray, coord_keys: np.ndarray, k: int):
-    """:func:`k_distinct_balls` at the single ``k``: ``(ids, dists,
-    radius)``, or None when fewer than ``k`` distinct locations are
-    reachable."""
-    return k_distinct_balls(drow, coord_keys, (k,))[0]
+def _distinct_cut(
+    ids: np.ndarray, dists: np.ndarray, coord_keys: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For padded (distance, id)-sorted rows: each row's prefix length up
+    to its k-distinct-distance (its whole length for a row short of
+    ``k`` locations), which rows reach ``k`` locations, and which short
+    rows a wider probe can still grow: a tie-inclusive row with an inf
+    entry already holds every point."""
+    steps, offsets = distinct_steps(ids, dists, coord_keys)
+    covered = np.diff(offsets) >= k
+    radii = np.full(len(ids), np.inf)
+    radii[covered] = steps[offsets[:-1][covered] + (k - 1)]
+    held = ids >= 0
+    growing = ~covered & ~np.any(np.isinf(dists) & held, axis=1)
+    return ((dists <= radii[:, None]) & held).sum(axis=1), covered, growing
 
 
 def k_distinct_distance(X, i: int, k: int, metric="euclidean") -> float:
@@ -148,7 +163,7 @@ def k_distinct_distance(X, i: int, k: int, metric="euclidean") -> float:
             f"k={k} exceeds the {distinct_available} distinct locations "
             f"other than object {i}'s own"
         )
-    metric_obj = get_metric(metric)
-    dists = metric_obj.pairwise_to_point(X, X[i])
+    dists = get_metric(metric).pairwise_to_point(X, X[i])
     order = np.argsort(dists, kind="stable")
-    return float(k_distinct_radius(order, dists[order], keys, k))
+    steps, _ = distinct_steps(order[None, :], dists[order][None, :], keys)
+    return float(steps[k - 1])

@@ -19,15 +19,16 @@ deleted object's slot goes to the next insert and the capacity doubles
 only when every slot is taken, so a bounded window keeps every
 per-object structure bounded; rows, k-distances, lrd, LOF and group keys
 are all indexed by slot. A push costs one distance row against the live
-points per changed neighborhood, plus one on an insert to find them.
-Rows are selected over the live slots in handle (arrival) order, so
+points per changed neighborhood (one stacked block), plus one on an
+insert to find them. Rows are selected over the live slots in handle (arrival) order, so
 ties keep the batch path's (distance, id) order (Definition 4, via
-:func:`repro.index.batch.tie_inclusive_row`).
+:func:`repro.index.batch.select_tie_inclusive`, the fit's selection).
 
 All three batch duplicate conventions are supported: ``'inf'``,
 ``'distinct'`` (k-distinct-distance neighborhoods over reference-counted
-exact-coordinate group keys, radii equal to
-:meth:`MaterializationDB.k_distances`) and ``'error'`` (an update that
+exact-coordinate group keys, cut and grown by the fit's own
+:func:`~repro.core.duplicates.ensure_distinct_coverage`, so the radii
+equal :meth:`MaterializationDB.k_distances`) and ``'error'`` (an update that
 would give an infinite lrd raises
 :class:`~repro.exceptions.DuplicatePointsError`; the engine state is
 then stale and must be discarded).
@@ -43,9 +44,10 @@ import numpy as np
 from .._validation import check_data, check_min_pts
 from ..exceptions import NotFittedError, ValidationError
 from ..index import get_metric
-from ..index.batch import tie_inclusive_row
+from ..index.batch import pack_padded, select_tie_inclusive
+from ..index.brute import BLOCK_BYTES
 from . import scoring
-from .duplicates import k_distinct_ball
+from .duplicates import ensure_distinct_coverage
 from .graph import DynamicNeighborhoodGraph
 
 
@@ -205,33 +207,51 @@ class IncrementalLOF:
     # -- primitive recomputations ----------------------------------------------
 
     def _refresh_neighborhoods(self, slots: np.ndarray) -> None:
-        """Re-select the rows of ``slots``, one distance row each against
-        the live points gathered once in handle order, so positional
-        ties break by handle exactly as in the batch path."""
+        """Re-select the rows of ``slots``: one stacked distance block
+        per block of rows against the live points, gathered once in
+        handle order so positional ties break by handle exactly as in
+        the batch path."""
         order = self._order
-        Xw, keys = self._X[order], self._key[order]
+        Xw = self._X[order]
+        n, d = Xw.shape
         positions = np.searchsorted(self._handle[order], self._handle[slots])
-        for s, pos in zip(slots.tolist(), positions.tolist()):
-            dists = self.metric.pairwise_to_point(Xw, Xw[pos])
-            dists[pos] = np.inf
-            if self.duplicate_mode == "distinct":
-                # The materialization's k-distinct-distance ball.
-                ball = k_distinct_ball(dists, keys, self.min_pts)
-                if ball is None:
-                    raise ValidationError(
-                        f"fewer than k={self.min_pts} distinct coordinate "
-                        "locations exist among the maintained points"
-                    )
-                members, kth = ball[0], float(ball[2])
-            else:
-                members, kth = tie_inclusive_row(dists, self.min_pts)
-            if s in self._graph:
-                for o in self._graph.row(s)[0].tolist():
-                    self._reverse[o].discard(s)
-            neighbors = order[members]
-            self._graph.set_row(s, neighbors, dists[members], kth)
-            for o in neighbors.tolist():
-                self._reverse[o].add(s)
+        step = max(1, BLOCK_BYTES // (8 * n * d))
+        for a in range(0, len(slots), step):
+            pos = positions[a : a + step]
+            D = self.metric.paired_distances(Xw[None], Xw[pos, None])
+            D[np.arange(len(pos)), pos] = np.inf
+            flat_ids, flat_dists, counts = self._select(D)
+            neighbors = order[flat_ids]
+            stops = np.cumsum(counts)
+            rows = zip(slots[a : a + step].tolist(), (stops - counts).tolist(), stops.tolist())
+            for s, lo, hi in rows:
+                if s in self._graph:
+                    for o in self._graph.row(s)[0].tolist():
+                        self._reverse[o].discard(s)
+                row = neighbors[lo:hi].copy()
+                self._graph.set_row(s, row, flat_dists[lo:hi].copy(), flat_dists[hi - 1])
+                for o in row.tolist():
+                    self._reverse[o].add(s)
+
+    def _select(self, D: np.ndarray):
+        """The CSR neighborhood rows of a distance block (own entries
+        inf), selected as the materialization selects them; each row's
+        last entry is its radius."""
+        k = self.min_pts
+        if self.duplicate_mode != "distinct":
+            return select_tie_inclusive(D, k)
+        ids, dists, short = ensure_distinct_coverage(
+            lambda rows, probe: pack_padded(*select_tie_inclusive(D[rows], probe)),
+            *pack_padded(*select_tie_inclusive(D, k)),
+            self._key[self._order], k, limit=D.shape[1] - 1,
+        )
+        if len(short):
+            raise ValidationError(
+                f"fewer than k={k} distinct coordinate "
+                "locations exist among the maintained points"
+            )
+        kept = ids >= 0
+        return ids[kept], dists[kept], kept.sum(axis=1)
 
     def _refresh_scores(self, lrd_dirty, lof_dirty) -> None:
         """One vectorized kernel pass per density layer over its dirty rows."""

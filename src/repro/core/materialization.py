@@ -55,7 +55,7 @@ from .._validation import check_data, check_min_pts
 from ..exceptions import ValidationError
 from ..index import NNIndex
 from . import scoring
-from .duplicates import distinct_steps
+from .duplicates import distinct_steps, ensure_distinct_coverage
 from .graph import NeighborhoodGraph, RowPrefixes, resolve_index
 
 _DUPLICATE_MODES = ("inf", "distinct", "error")
@@ -184,7 +184,7 @@ class MaterializationDB:
         ``duplicate_mode='distinct'`` the same rows are cut at each
         object's k-distinct-distance, and only the rows that cover fewer
         than MinPtsUB distinct locations are queried again
-        (:func:`ensure_distinct_coverage`).
+        (:func:`~repro.core.duplicates.ensure_distinct_coverage`).
         """
         X = check_data(X, min_rows=2)
         n = X.shape[0]
@@ -196,7 +196,7 @@ class MaterializationDB:
             coord_keys = None
             if duplicate_mode == "distinct":
                 coord_keys = _coord_keys_for(X)
-                graph = ensure_distinct_coverage(graph, nn_index, coord_keys, ub)
+                graph = _distinct_graph(graph, nn_index, coord_keys, ub)
         return cls.from_graph(
             graph, duplicate_mode=duplicate_mode, coord_keys=coord_keys
         )
@@ -220,12 +220,13 @@ class MaterializationDB:
         every backend the graph is identical to :meth:`materialize`'s,
         distances included, bit for bit: each block runs the same batch
         query, and the brute backend's pruned scan evaluates the same
-        pairs for a row whatever block it is in. (It is not bit-identical
-        to :func:`~repro.core.blocked.fast_materialize`, whose expanded
+        pairs for a row whatever block of at least ``PRUNE_ROWS`` rows
+        it is in (a smaller block takes the per-row scan, same bits).
+        (It is not bit-identical to
+        :func:`~repro.core.blocked.fast_materialize`, whose expanded
         BLAS distances differ by ulps on non-integer data.)
-        ``duplicate_mode='distinct'`` goes through the same
-        :func:`ensure_distinct_coverage` as :meth:`materialize`, so the
-        bits agree in every duplicate mode.
+        ``duplicate_mode='distinct'`` goes through the same repair as
+        :meth:`materialize`, so the bits agree in every duplicate mode.
         Library code only: the estimator and the CLI build M with
         :meth:`materialize`.
         """
@@ -241,7 +242,7 @@ class MaterializationDB:
             coord_keys = None
             if duplicate_mode == "distinct":
                 coord_keys = _coord_keys_for(X)
-                graph = ensure_distinct_coverage(graph, nn_index, coord_keys, ub)
+                graph = _distinct_graph(graph, nn_index, coord_keys, ub)
         return cls.from_graph(
             graph, duplicate_mode=duplicate_mode, coord_keys=coord_keys
         )
@@ -513,65 +514,28 @@ class MaterializationDB:
         )
 
 
-def ensure_distinct_coverage(
+def _distinct_graph(
     graph: NeighborhoodGraph,
     nn_index: NNIndex,
     coord_keys: np.ndarray,
     k: int,
 ) -> NeighborhoodGraph:
-    """The k-distinct-distance neighborhoods, from plain k-NN rows.
+    """``graph`` (the tie-inclusive k-NN row of every point ``nn_index``
+    is fitted on) cut at the k-distinct-distance, short rows re-queried
+    through the index; a row short at ``n - 1`` neighbors raises."""
 
-    ``graph`` holds the tie-inclusive k-NN row of every point
-    ``nn_index`` is fitted on. A row that reaches ``k`` distinct
-    (positive-distance) locations already holds its whole
-    k-distinct-distance ball: tie inclusion puts every point within the
-    row's radius in the row. The rows that fall short (duplicate-saturated
-    ones) are re-queried together, one
-    :meth:`~repro.index.NNIndex.query_batch_with_ties` per probe, the
-    probe starting at ``k`` and growing to ``min(2 * probe, n - 1)``
-    until each reaches ``k`` locations; a row still short at ``n - 1``
-    neighbors raises :class:`ValidationError`. Every row keeps its prefix
-    up to its k-distinct-distance: the closed ball, duplicates of the
-    object inside it included (the analog of Definition 4).
-    """
-    n = graph.n_points
-    counts, covered = _distinct_cut(
-        graph.padded_ids, graph.padded_dists, coord_keys, k
+    def probe_rows(rows: np.ndarray, probe: int):
+        return nn_index.query_batch_with_ties(nn_index.data[rows], probe, exclude=rows)
+
+    ids, dists, short = ensure_distinct_coverage(
+        probe_rows, graph.padded_ids, graph.padded_dists, coord_keys, k,
+        limit=graph.n_points - 1,
     )
-    if covered.all() and np.array_equal(counts, graph.row_lengths):
+    if len(short):
+        raise ValidationError(f"fewer than k={k} distinct coordinate locations exist")
+    if ids is graph.padded_ids:
         return graph
-    rows_ids = [graph.padded_ids[i, :c] for i, c in enumerate(counts)]
-    rows_dists = [graph.padded_dists[i, :c] for i, c in enumerate(counts)]
-    short = np.flatnonzero(~covered)
-    probe = k
-    while len(short):
-        if probe >= n - 1:
-            raise ValidationError(
-                f"fewer than k={k} distinct coordinate locations exist"
-            )
-        probe = min(2 * probe, n - 1)
-        ids, dists = nn_index.query_batch_with_ties(
-            nn_index.data[short], probe, exclude=short
-        )
-        counts, covered = _distinct_cut(ids, dists, coord_keys, k)
-        for j in np.flatnonzero(covered):
-            rows_ids[short[j]] = ids[j, : counts[j]]
-            rows_dists[short[j]] = dists[j, : counts[j]]
-        short = short[~covered]
-    return NeighborhoodGraph.from_rows(rows_ids, rows_dists, k_max=k)
-
-
-def _distinct_cut(
-    ids: np.ndarray, dists: np.ndarray, coord_keys: np.ndarray, k: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """For padded (distance, id)-sorted rows: each row's prefix length up
-    to its k-distinct-distance (0 for a row short of ``k`` locations),
-    and which rows reach ``k`` locations."""
-    steps, offsets = distinct_steps(ids, dists, coord_keys)
-    covered = np.diff(offsets) >= k
-    radii = np.full(len(ids), -np.inf)
-    radii[covered] = steps[offsets[:-1][covered] + (k - 1)]
-    return (dists <= radii[:, None]).sum(axis=1), covered
+    return NeighborhoodGraph(ids, dists, k_max=k)
 
 
 def materialize(

@@ -33,20 +33,6 @@ def tie_threshold(dists: np.ndarray, k: int) -> np.ndarray:
     return np.partition(dists, k - 1, axis=-1)[..., k - 1]
 
 
-def tie_inclusive_row(dists: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Tie-inclusive k-distance neighborhood of ONE distance row.
-
-    Returns ``(ids, kth)``: the indices of every entry at distance not
-    greater than the k-distance (Definition 4 — so ``len(ids) >= k``),
-    sorted by the deterministic ``(distance, id)`` order, plus the
-    k-distance itself.
-    """
-    kth = tie_threshold(dists, k)
-    idx = np.flatnonzero(dists <= kth)
-    order = np.lexsort((idx, dists[idx]))
-    return idx[order], float(kth)
-
-
 def select_tie_inclusive(D: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tie-inclusive k-nearest selection for every row of ``D`` at once.
 

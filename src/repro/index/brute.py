@@ -21,7 +21,8 @@ Two scans share one distance kernel, the metric's row kernel:
   computes each distance with the same subtraction and row kernel as
   ``pairwise_to_point``, so the batch answer equals the per-row answer
   bit for bit, ties included. When the tree is too shallow for the
-  dimension to prune well, the batch runs the per-row scan instead.
+  dimension to prune well, or the batch has fewer than ``PRUNE_ROWS``
+  rows, the batch runs the per-row scan instead.
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ REFINE = 4
 #: at every such (n, d) but one (Gaussian, d = 6, n = 8192: 0.9x) and
 #: lost on spread-out data below (docs/performance.md).
 PRUNE_DEPTH = 3
+#: Fewest rows a batch needs for the pruned scan: below it the batch
+#: runs the per-row scan, whose single rows pay no tree walk. Timed on
+#: the bench mixture at d = 3, k = 20: at n = 8192 one pruned row costs
+#: about 4 per-row scans and eight cost less than eight scans; at
+#: n = 2000 the pruned batch breaks even near 18 rows
+#: (docs/performance.md, "Served queries through the step-1 index").
+PRUNE_ROWS = 8
 
 
 def _flat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -109,10 +117,10 @@ class BruteForceIndex(NNIndex):
     def _query_with_ties(self, q, k, exclude):
         dists = self._distances_to(q, exclude)
         if k < len(dists):
-            kth = tie_threshold(dists, k)
+            idx = np.flatnonzero(dists <= tie_threshold(dists, k))
         else:
-            kth = np.max(dists[np.isfinite(dists)])
-        idx = np.flatnonzero(dists <= kth)
+            # k = n leaves no id to exclude: every point is a neighbor.
+            idx = np.arange(len(dists))
         return self._sort_result(idx, dists[idx])
 
     def _query_radius(self, q, radius, exclude):
@@ -123,10 +131,11 @@ class BruteForceIndex(NNIndex):
     # -- batched scan: box-pruned, bit-identical to the per-row scan ---------
 
     def _query_batch_with_ties(self, Q, k, exclude) -> Tuple[np.ndarray, np.ndarray]:
-        if not self.fast_batch:
-            # Too few leaves to cut every axis several times: the boxes
-            # would leave too much to evaluate, so scan every point per
-            # row (Section 7.4's sequential scan for high dimensions).
+        if not self.fast_batch or Q.shape[0] < PRUNE_ROWS:
+            # Too few leaves to cut every axis several times, so the
+            # boxes would leave too much to evaluate (Section 7.4's
+            # sequential scan for high dimensions), or too few rows to
+            # pay for the walk: scan every point per row.
             return super()._query_batch_with_ties(Q, k, exclude)
         return self._pruned_query(Q, k, exclude)
 

@@ -113,14 +113,19 @@ class Metric:
         return self._pairwise_to_point(X, q)
 
     def paired_distances(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """``d(A[i], B[i])`` for every row ``i`` of two equal-shape blocks.
+        """``d(A[i], B[i])`` for every row ``i`` of two blocks of points
+        that broadcast to one shape ``(..., d)``; the result has shape
+        ``(...)``.
 
         Entry ``i`` equals ``pairwise_to_point(X, B[i])`` at the row of
         ``X`` holding ``A[i]``, bit for bit: both subtract elementwise,
-        then run the same row kernel.
+        then run the same row kernel. So ``paired_distances(X[None],
+        Q[:, None])`` is the stacked ``pairwise_to_point(X, q)`` of every
+        row ``q`` of ``Q``.
         """
-        obs.record_kernel(len(A))
-        return self._row_norms(A - B)
+        diff = A - B
+        obs.record_kernel(diff.size // diff.shape[-1])
+        return self._row_norms(diff.reshape(-1, diff.shape[-1])).reshape(diff.shape[:-1])
 
     def gap_norms(self, gaps: np.ndarray) -> np.ndarray:
         """The row kernel applied to non-negative per-axis box gaps.

@@ -11,10 +11,10 @@ definitions verbatim, with the fitted model supplying every ingredient
 about the training objects:
 
 1. find q's tie-inclusive MinPts-distance neighborhood N(q) among the
-   stored vectors (Definition 4, same ``(distance, id)`` order and the
-   same tie kernels as the batch builders — :mod:`repro.index.batch`).
-   As in Section 7.4, this k-NN runs once per query, at the largest
-   MinPts of the request; every smaller MinPts reads a prefix of it;
+   stored vectors (Definition 4) with the fit's step-1 engine, a brute
+   index on the stored points. As in Section 7.4, this k-NN runs once
+   per query, at the largest MinPts of the request; every smaller
+   MinPts reads a prefix of it;
 2. hand the queries' neighborhoods, as
    :class:`~repro.core.graph.RowPrefixes`, to the active registry
    scorer's ``score_query`` (:mod:`repro.scorers`)
@@ -103,12 +103,12 @@ from . import obs
 from ._validation import check_data
 from .core import scoring
 from .core.bounds import reach_extrema, theorem1_ratios
-from .core.duplicates import k_distinct_balls
+from .core.duplicates import distinct_steps, ensure_distinct_coverage
 from .core.graph import RowPrefixes, _prefix_lengths
 from .core.parallel import fork_available, fork_workers, wait_workers
 from .core.range_lof import _AGGREGATES
 from .exceptions import ReproError, ServeError, ValidationError
-from .index.batch import apply_exclusions, pack_padded, select_tie_inclusive
+from .index.brute import BruteForceIndex
 from .scorers import ScorerContext, get_scorer, list_scorers
 from .store import StoredModel, load_model, store_fingerprint
 
@@ -255,11 +255,11 @@ class OnlineScorer:
 
     The MinPts grid and aggregate default to what the stored estimator
     was fitted with; a bare materialization store scores at its
-    ``min_pts_ub``. A scored batch costs one distance row over the n
-    stored points per novel query, whatever the size of the grid: one
-    tie-inclusive selection at the largest MinPts, read as a prefix at
-    every other one. Stored objects scored with ``exclude=i`` read their
-    graph rows and cost no distance evaluation.
+    ``min_pts_ub``. A scored batch makes one k-NN query per novel point
+    on a brute index over the stored points, whatever the size of the
+    grid: one tie-inclusive selection at the largest MinPts, read as a
+    prefix at every other one. Stored objects scored with ``exclude=i``
+    read their graph rows and cost no distance evaluation.
 
     All public methods are thread-safe: each takes the scorer's one
     lock once and holds it for the whole call (internal helpers marked
@@ -295,6 +295,7 @@ class OnlineScorer:
         self._extrema: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}  # reprolint: lock-guarded
         self._warmed_ks: set = set()  # reprolint: lock-guarded
         self._scorer_points: Dict[str, int] = {}  # reprolint: lock-guarded
+        self._index: Optional[BruteForceIndex] = None  # reprolint: lock-guarded
 
     @property
     def scorer_name(self) -> str:
@@ -546,7 +547,7 @@ class OnlineScorer:
         obs.incr("serve.points_scored", m)
         self._scorer_points[scorer_name] = self._scorer_points.get(scorer_name, 0) + m
 
-    def _score_rows(self, Xq, exclude, ks, scorer) -> np.ndarray:
+    def _score_rows(self, Xq, exclude, ks, scorer) -> np.ndarray:  # reprolint: holds-lock
         matrix = np.empty((len(ks), Xq.shape[0]))
         hoods = self._query_view(Xq, exclude, ks)
         for row_k, (k, (rows, kdist_q)) in enumerate(zip(ks, hoods)):
@@ -555,7 +556,7 @@ class OnlineScorer:
             return matrix[0]
         return _AGGREGATES[self.aggregate](matrix)
 
-    def _query_view(self, Xq, exclude, ks):
+    def _query_view(self, Xq, exclude, ks):  # reprolint: holds-lock
         """The queries' neighborhoods at every MinPts of ``ks``.
 
         Returns one ``(rows, kdist_q)`` pair per k, in ``ks`` order:
@@ -565,9 +566,9 @@ class OnlineScorer:
         own k-distance. Rows whose ``exclude`` id is a stored object
         with bitwise equal coordinates copy that object's graph row —
         the self-consistent path that reproduces fitted values exactly;
-        they evaluate no distance. Novel rows get one distance row each
-        and one tie-inclusive selection at ``max(ks)`` (see
-        :meth:`_novel_rows`). Pure frozen-model reads.
+        they evaluate no distance. Novel rows take one batch k-NN query
+        at ``max(ks)`` (see :meth:`_novel_rows`). Pure frozen-model
+        reads.
         """
         m = Xq.shape[0]
         graph = self.mat.graph
@@ -583,11 +584,10 @@ class OnlineScorer:
         radii = np.empty((len(ks), m), dtype=np.float64)
         width = 0
         if len(novel):
-            flat_ids, flat_dists, counts, novel_radii = self._novel_rows(
+            novel_ids, novel_dists, radii[:, novel] = self._novel_rows(
                 Xq[novel], exclude[novel], ks
             )
-            radii[:, novel] = novel_radii
-            width = int(counts.max())
+            width = novel_ids.shape[1]
         if len(stored):
             width = max(width, graph.width)
         ids = np.full((m, width), -1, dtype=np.int64)
@@ -599,77 +599,68 @@ class OnlineScorer:
             ids[stored, : graph.width] = graph.padded_ids[objects]
             dists[stored, : graph.width] = graph.padded_dists[objects]
         if len(novel):
-            ids[novel], dists[novel] = pack_padded(flat_ids, flat_dists, counts, width)
+            ids[novel, : novel_ids.shape[1]] = novel_ids
+            dists[novel, : novel_dists.shape[1]] = novel_dists
         return [
             (RowPrefixes(ids, dists, _prefix_lengths(dists, radius, k)), radius)
             for k, radius in zip(ks, radii)
         ]
 
-    def _novel_rows(self, Xq, exclude, ks):
+    def _novel_rows(self, Xq, exclude, ks):  # reprolint: holds-lock
         """Each novel query's neighborhood at ``max(ks)`` and its radius
         at every k of ``ks``.
 
-        Returns ``(flat_ids, flat_dists, counts, radii)``: the rows in
-        CSR form, sorted by (distance, id), and the ``(len(ks), m)``
-        radii. One row-local kernel per novel query rather than one GEMM
-        over the stacked block: BLAS picks different kernels for
-        different block shapes (GEMV for one row, GEMM for many), which
-        perturbs last-ulp distances — so a block kernel would make a
-        query's score depend on how many neighbors it shared a coalesced
-        batch with. The row kernel is shape-independent, which is what
-        makes batched scoring bit-identical to per-request scoring by
-        construction.
+        Returns ``(ids, dists, radii)``: padded rows sorted by (distance,
+        id) and the ``(len(ks), m)`` radii, from one
+        :meth:`~repro.index.NNIndex.query_batch_with_ties` of a brute
+        index on the stored points, fitted on first use: the fit's
+        engine. Its per-row scan (fewer than ``PRUNE_ROWS`` rows) and
+        its pruned batch both compute each distance with the metric's
+        row kernel, so a row does not depend on the batch it is in, and
+        batched scoring is bit-identical to per-request scoring. Under
+        ``duplicate_mode='distinct'`` the rows are cut by the fit's own
+        :func:`~repro.core.duplicates.ensure_distinct_coverage`.
 
         The selection at ``max(ks)`` holds each row's floats in
         (distance, id) order, so the k-distance at any smaller k is the
         row's ``k``-th entry and its tie-inclusive neighborhood — every
         entry ``<=`` that distance — is a prefix of the row: the same
-        bits a selection at k would give.
+        bits a selection at k would give. The first k in ``ks`` that
+        some row falls short of raises; a distance that overflows
+        (hostile coordinates) is no candidate.
         """
-        D = np.stack([self.metric.pairwise_to_point(self.X, q) for q in Xq])
-        apply_exclusions(D, exclude)
-        if self.mat.duplicate_mode == "distinct":
-            return self._distinct_rows(D, ks)
-        finite = np.isfinite(D).sum(axis=1)
+        if self._index is None:
+            self._index = BruteForceIndex(metric=self.metric).fit(self.X)
+        index, k_max, cols = self._index, max(ks), np.array(ks) - 1
+        ids, dists = index.query_batch_with_ties(Xq, k_max, exclude)
+        distinct = self.mat.duplicate_mode == "distinct"
+        if distinct:
+            n = index.n_points
+
+            def probe_rows(rows, probe):
+                # A row that excludes an id has one point fewer to reach.
+                cap = n - int(np.any(exclude[rows] >= 0))
+                return index.query_batch_with_ties(Xq[rows], min(probe, cap), exclude[rows])
+
+            ids, dists, _ = ensure_distinct_coverage(
+                probe_rows, ids, dists, self.mat.coord_keys, k_max, limit=n
+            )
+            steps, offsets = distinct_steps(ids, dists, self.mat.coord_keys)
+            found = np.diff(offsets)
+            message = (
+                "fewer than k={k} distinct coordinate locations are "
+                "reachable from the query point"
+            )
+        else:
+            found = np.isfinite(dists).sum(axis=1)
+            message = "query row {row} has only {found} candidate neighbors but MinPts={k}"
         for k in ks:
-            if np.any(finite < k):
-                bad = int(np.flatnonzero(finite < k)[0])
-                raise ValidationError(
-                    f"query row {bad} has only {int(finite[bad])} candidate "
-                    f"neighbors but MinPts={k}"
-                )
-        flat_ids, flat_dists, counts = select_tie_inclusive(D, max(ks))
-        starts = np.cumsum(counts) - counts
-        radii = flat_dists[starts + np.array(ks)[:, None] - 1]
-        return flat_ids, flat_dists, counts, radii
-
-    def _distinct_rows(self, D: np.ndarray, ks):
-        """:meth:`_novel_rows` under the k-distinct-distance policy: each
-        row's closed ball at ``max(ks)`` and its radius at every k, from
-        one sort of the row.
-
-        The same :func:`~repro.core.duplicates.k_distinct_balls` the
-        materialization uses: the radius is the distance at which the
-        k-th distinct coordinate location (at positive distance —
-        co-located duplicates of the query do not count) is reached.
-        The first k in ``ks`` that some row falls short of raises.
-        """
-        balls = [k_distinct_balls(drow, self.mat.coord_keys, ks) for drow in D]
-        for row_k, k in enumerate(ks):
-            if any(row[row_k] is None for row in balls):
-                raise ValidationError(
-                    f"fewer than k={k} distinct coordinate locations are "
-                    "reachable from the query point"
-                )
-        top = ks.index(max(ks))
-        widest = [row[top] for row in balls]
-        radii = np.array([[row[row_k][2] for row in balls] for row_k in range(len(ks))])
-        return (
-            np.concatenate([ball[0] for ball in widest]),
-            np.concatenate([ball[1] for ball in widest]),
-            np.array([len(ball[0]) for ball in widest], dtype=np.int64),
-            radii,
-        )
+            if np.any(found < k):
+                row = int(np.flatnonzero(found < k)[0])
+                raise ValidationError(message.format(row=row, found=found[row], k=k))
+        if distinct:
+            return ids, dists, steps[offsets[:-1] + cols[:, None]]
+        return ids, dists, dists[:, cols].T
 
     def _reach_extrema(self, k: int):  # reprolint: holds-lock
         if k not in self._extrema:

@@ -30,10 +30,11 @@ from repro.core import (
     naive_lof,
     top_n_lof,
 )
-from repro.core.duplicates import k_distinct_radius
 from repro.exceptions import DuplicatePointsError
 from repro.index import get_metric, make_index
 from repro.index.batch import apply_exclusions, pack_padded, select_tie_inclusive
+
+from oracles import loop_k_distinct_radius
 
 
 def duplicate_heavy():
@@ -122,7 +123,7 @@ class TestStaticPathsBitIdentical:
             probe = MIN_PTS
             while True:
                 hood = index.query_with_ties(X[i], probe, exclude=i)
-                radius = k_distinct_radius(hood.ids, hood.distances, keys, MIN_PTS)
+                radius = loop_k_distinct_radius(hood.ids, hood.distances, keys, MIN_PTS)
                 if radius is not None:
                     break
                 probe = min(2 * probe, len(X) - 1)

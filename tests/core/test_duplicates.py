@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import duplicate_groups, has_min_pts_duplicates, k_distinct_distance
-from repro.core.duplicates import distinct_steps, k_distinct_radius
+from repro.core.duplicates import distinct_steps
 from repro.exceptions import ValidationError
+
+from oracles import loop_k_distinct_radius
 
 
 class TestDuplicateGroups:
@@ -71,18 +73,6 @@ class TestKDistinctDistance:
             k_distinct_distance(random_points, 999, k=1)
 
 
-def loop_k_distinct_radius(ids, dists, coord_keys, k):
-    """The per-candidate walk, kept as the reference for the helper."""
-    seen = set()
-    for pid, dist in zip(ids, dists):
-        if dist <= 0.0 or not np.isfinite(dist):
-            continue
-        seen.add(int(coord_keys[pid]))
-        if len(seen) == k:
-            return dist
-    return None
-
-
 class TestKDistinctRadius:
     def test_matches_the_candidate_walk(self):
         rng = np.random.default_rng(4)
@@ -96,7 +86,8 @@ class TestKDistinctRadius:
             ids, dists = ids[order], dists[order]
             for k in range(1, 8):
                 want = loop_k_distinct_radius(ids, dists, coord_keys, k)
-                got = k_distinct_radius(ids, dists, coord_keys, k)
+                steps, offsets = distinct_steps(ids[None, :], dists[None, :], coord_keys)
+                got = steps[k - 1] if offsets[1] >= k else None
                 assert got == want
 
 

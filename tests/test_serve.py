@@ -141,10 +141,10 @@ class TestScoreNew:
         # A query co-located with the duplicate pile still gets a finite
         # score: its neighborhood radius is the 4-distinct-distance.
         assert np.isfinite(sc.score_new([[1.0, 1.0]], min_pts=4)[0])
-        # Degenerate distance row (all zeros): too few distinct
-        # positive-distance locations for the radius to exist.
+        # Coordinates whose distances all overflow to inf: no distinct
+        # location is reachable, so the radius does not exist.
         with pytest.raises(ValidationError, match="distinct coordinate"):
-            sc._distinct_rows(np.zeros((1, len(X))), (4,))
+            sc.score_new([[1e200, 1e200]], min_pts=4)
 
     def test_exclude_validation(self, scorer):
         sc, _ = scorer

@@ -31,7 +31,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro import LocalOutlierFactor, obs
-from repro.core.duplicates import k_distinct_radius
 from repro.core.graph import RowPrefixes
 from repro.core.range_lof import _AGGREGATES
 from repro.exceptions import ReproError, ValidationError
@@ -39,6 +38,8 @@ from repro.index.batch import select_tie_inclusive, tie_threshold
 from repro.scorers import ScorerContext, get_scorer
 from repro.serve import OnlineScorer
 from repro.store import load_model
+
+from oracles import loop_k_distinct_radius
 
 SETTINGS = dict(
     max_examples=40,
@@ -58,7 +59,7 @@ def _oracle_ball(drow, coord_keys, k):
     """The k-distinct ball of one distance row, by a full sort and a
     boolean mask (the membership rule, not a prefix read)."""
     order = np.lexsort((np.arange(len(drow)), drow))
-    radius = k_distinct_radius(order, drow[order], coord_keys, k)
+    radius = loop_k_distinct_radius(order, drow[order], coord_keys, k)
     if radius is None:
         raise ValidationError(
             f"fewer than k={k} distinct coordinate locations are "
