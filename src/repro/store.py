@@ -54,24 +54,40 @@ reader rejects any version it does not know with
 adding new *optional* sections or header keys does not bump the
 version, changing the meaning or layout of existing ones does.
 
+I/O cost
+--------
+Every byte moves once. A save hashes and writes each section straight
+from its contiguous array buffer (no ``tobytes`` copy of the model), so
+saving a fit costs the JSON header in memory, not a second copy of M.
+A load opens the file once: the header and every section come through
+that one handle, and the section table is checked against the file
+size before any section is read. An in-memory load reads each section
+once, straight into its final writable native-order array, and hashes
+that array in the same pass.
+
 Memmap loads
 ------------
-``load_model(path, mmap=True)`` maps the big array sections straight
-from the file instead of reading them into RAM, so a store larger than
-memory still serves every MinPts and online queries; checksum
-verification streams the file in chunks and never materializes a
-section. The returned arrays are read-only.
+``load_model(path, mmap=True)`` maps the file once and cuts every
+section as a read-only view of that one map, so a store larger than
+memory still serves every MinPts and online queries. Checksum
+verification streams the sections through one reused buffer rather
+than through the map, so verifying never faults the mapped pages into
+the process. Because the map is made from the handle the header was
+read from, a store renamed over the path mid-load cannot mix sections
+of two files.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import mmap as _mmap
 import os
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -189,10 +205,6 @@ def _metric_identity(metric) -> Dict:
     if isinstance(metric_obj, MinkowskiMetric):
         ident["p"] = metric_obj.p
     return ident
-
-
-def _section_payload(arr: np.ndarray, dtype: str) -> bytes:
-    return np.ascontiguousarray(arr, dtype=dtype).tobytes()
 
 
 def save_model(
@@ -342,14 +354,17 @@ def _write(path: Path, header: Dict, sections: Dict[str, np.ndarray]) -> Path:
     # counts stabilize after one or two rounds.
     for name, arr in sections.items():
         dtype = _section_dtype(name)
-        payload = _section_payload(arr, dtype)
+        # The section's own buffer: no copy for the usual native-order
+        # float64/int64 arrays. A 0-d array comes back as shape (1,), so
+        # the table takes the shape from ``arr``.
+        payload = np.ascontiguousarray(arr, dtype=dtype)
         table.append(
             {
                 "name": name,
                 "dtype": dtype,
                 "shape": list(np.shape(arr)),
                 "offset": 0,
-                "nbytes": len(payload),
+                "nbytes": int(payload.nbytes),
                 "sha256": hashlib.sha256(payload).hexdigest(),
             }
         )
@@ -431,33 +446,43 @@ def read_header(path: PathLike) -> Dict:
     """Parse and validate the JSON header of a store file (cheap: no
     section data is read)."""
     path = Path(path)
-    with path.open("rb") as fh:
-        fixed = fh.read(_HEADER_FIXED)
-        if len(fixed) < _HEADER_FIXED or fixed[:8] != MAGIC:
-            raise StoreFormatError(
-                f"{path} is not a repro model store (bad or missing magic)"
-            )
-        version = int.from_bytes(fixed[8:12], "little")
-        if version not in _READABLE_VERSIONS:
-            readable = ", ".join(str(v) for v in _READABLE_VERSIONS)
-            raise StoreVersionError(
-                f"{path} uses store format version {version}; this build "
-                f"reads versions {readable} only"
-            )
-        hlen = int.from_bytes(fixed[16:24], "little")
-        blob = fh.read(hlen)
-        if len(blob) < hlen:
-            raise StoreCorruptionError(f"{path} is truncated inside the header")
-        try:
-            header = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise StoreCorruptionError(
-                f"{path} has an unreadable header: {exc}"
-            ) from exc
-    if header.get("kind") not in _KNOWN_KINDS:
+    with open(path, "rb", buffering=0) as fh:
+        return _read_header(fh, path, os.fstat(fh.fileno()).st_size)
+
+
+def _read_header(fh, path: Path, size: int) -> Dict:
+    fixed = fh.read(_HEADER_FIXED)
+    if len(fixed) < _HEADER_FIXED or fixed[:8] != MAGIC:
         raise StoreFormatError(
-            f"{path} declares unknown store kind {header.get('kind')!r}"
+            f"{path} is not a repro model store (bad or missing magic)"
         )
+    version = int.from_bytes(fixed[8:12], "little")
+    if version not in _READABLE_VERSIONS:
+        readable = ", ".join(str(v) for v in _READABLE_VERSIONS)
+        raise StoreVersionError(
+            f"{path} uses store format version {version}; this build "
+            f"reads versions {readable} only"
+        )
+    hlen = int.from_bytes(fixed[16:24], "little")
+    # Checked before reading: a damaged length field must not become a
+    # multi-gigabyte allocation.
+    if hlen > size - _HEADER_FIXED:
+        raise StoreCorruptionError(
+            f"{path} is truncated inside the header: it declares {hlen} "
+            f"header bytes but {size - _HEADER_FIXED} follow"
+        )
+    blob = fh.read(hlen)
+    if len(blob) < hlen:
+        raise StoreCorruptionError(f"{path} is truncated inside the header")
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise StoreCorruptionError(
+            f"{path} has an unreadable header: {exc}"
+        ) from exc
+    kind = header.get("kind") if isinstance(header, dict) else None
+    if kind not in _KNOWN_KINDS:
+        raise StoreFormatError(f"{path} declares unknown store kind {kind!r}")
     if not isinstance(header.get("sections"), list):
         raise StoreCorruptionError(f"{path} header carries no section table")
     return header
@@ -484,109 +509,183 @@ def store_fingerprint(header: Dict) -> str:
     return digest.hexdigest()
 
 
-def _verify_sections(path: Path, header: Dict) -> None:
-    """Stream every section once and compare sha256 digests."""
-    size = path.stat().st_size
-    with path.open("rb") as fh:
-        for entry in header["sections"]:
-            offset, nbytes = int(entry["offset"]), int(entry["nbytes"])
-            if offset + nbytes > size:
-                raise StoreCorruptionError(
-                    f"{path} is truncated: section {entry['name']!r} ends at "
-                    f"byte {offset + nbytes} but the file has {size}"
-                )
-            digest = hashlib.sha256()
-            fh.seek(offset)
-            remaining = nbytes
-            while remaining:
-                chunk = fh.read(min(_HASH_CHUNK, remaining))
-                if not chunk:
-                    raise StoreCorruptionError(
-                        f"{path} is truncated inside section {entry['name']!r}"
-                    )
-                digest.update(chunk)
-                remaining -= len(chunk)
-            if digest.hexdigest() != entry["sha256"]:
-                raise StoreCorruptionError(
-                    f"{path} section {entry['name']!r} fails its checksum; "
-                    "the store is corrupt and will not be scored"
-                )
+class _Section(NamedTuple):
+    name: str
+    dtype: np.dtype
+    shape: Tuple[int, ...]
+    offset: int
+    nbytes: int
+    sha256: str
 
 
-def _load_section(path: Path, entry: Dict, mmap: bool) -> np.ndarray:
-    dtype = np.dtype(entry["dtype"])
-    shape = tuple(int(s) for s in entry["shape"])
-    offset, nbytes = int(entry["offset"]), int(entry["nbytes"])
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
-    if expected != nbytes:
-        raise StoreCorruptionError(
-            f"{path} section {entry['name']!r} declares shape {shape} "
-            f"({expected} bytes) but stores {nbytes} bytes"
+def _section_layout(path: Path, entry: Dict, size: int) -> _Section:
+    """One section-table entry, checked against itself and the file size
+    before any of its bytes are read."""
+    try:
+        section = _Section(
+            str(entry["name"]),
+            np.dtype(entry["dtype"]),
+            tuple(int(s) for s in entry["shape"]),
+            int(entry["offset"]),
+            int(entry["nbytes"]),
+            str(entry["sha256"]),
         )
-    if mmap:
-        arr = np.memmap(path, mode="r", dtype=dtype, shape=shape, offset=offset)
-        return arr
-    with path.open("rb") as fh:
-        fh.seek(offset)
-        raw = fh.read(nbytes)
-    if len(raw) < nbytes:
+    except (KeyError, TypeError, ValueError) as exc:
         raise StoreCorruptionError(
-            f"{path} is truncated inside section {entry['name']!r}"
+            f"{path} has a malformed section table entry: {exc}"
+        ) from exc
+    name, dtype, shape = section.name, section.dtype, section.shape
+    if dtype.kind not in "fiu" or min(shape, default=0) < 0:
+        raise StoreCorruptionError(
+            f"{path} section {name!r} declares dtype {dtype.str} and shape "
+            f"{shape}, which no store holds"
         )
-    arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
-    # frombuffer views are read-only; native-dtype copies make the
-    # in-memory load writable and platform-native.
-    return arr.astype(dtype.newbyteorder("="), copy=True)
+    expected = math.prod(shape) * dtype.itemsize
+    if expected != section.nbytes:
+        raise StoreCorruptionError(
+            f"{path} section {name!r} declares shape {shape} "
+            f"({expected} bytes) but stores {section.nbytes} bytes"
+        )
+    end = section.offset + section.nbytes
+    if section.offset < _HEADER_FIXED or end > size:
+        raise StoreCorruptionError(
+            f"{path} is truncated: section {name!r} spans bytes "
+            f"{section.offset}..{end} but the file has {size}"
+        )
+    return section
+
+
+def _fill(fh, buf: memoryview, path: Path, name: str) -> None:
+    """Read exactly ``len(buf)`` bytes from ``fh`` into ``buf``."""
+    got = 0
+    while got < len(buf):
+        n = fh.readinto(buf[got:])
+        if not n:
+            raise StoreCorruptionError(
+                f"{path} is truncated inside section {name!r}"
+            )
+        got += n
+
+
+def _check_digest(path: Path, section: _Section, digest) -> None:
+    if digest.hexdigest() != section.sha256:
+        raise StoreCorruptionError(
+            f"{path} section {section.name!r} fails its checksum; "
+            "the store is corrupt and will not be scored"
+        )
+
+
+def _read_section(fh, path: Path, section: _Section, verify: bool) -> np.ndarray:
+    """Read one section straight into its final array, hashing it in the
+    same pass."""
+    arr = np.empty(section.shape, section.dtype)
+    buf = memoryview(arr.reshape(-1).view(np.uint8))
+    fh.seek(section.offset)
+    _fill(fh, buf, path, section.name)
+    if verify:
+        _check_digest(path, section, hashlib.sha256(buf))
+    if not arr.dtype.isnative:
+        arr = arr.astype(arr.dtype.newbyteorder("="))
+    return arr
+
+
+def _verify_streamed(fh, path: Path, sections) -> None:
+    """Hash every section through one reused buffer (the memmap load's
+    check: reading through the map would fault every page in)."""
+    largest = max((s.nbytes for s in sections), default=0)
+    scratch = memoryview(bytearray(min(_HASH_CHUNK, largest)))
+    for section in sections:
+        digest = hashlib.sha256()
+        fh.seek(section.offset)
+        remaining = section.nbytes
+        while remaining:
+            chunk = scratch[: min(len(scratch), remaining)]
+            _fill(fh, chunk, path, section.name)
+            digest.update(chunk)
+            remaining -= len(chunk)
+        _check_digest(path, section, digest)
+
+
+def _read_sections(
+    fh, path: Path, header: Dict, size: int, mmap: bool, verify: bool
+) -> Dict[str, np.ndarray]:
+    """Every section of the table, each read once from ``fh``: into
+    fresh writable arrays, or as read-only views of one map of the file."""
+    sections = [_section_layout(path, entry, size) for entry in header["sections"]]
+    if not mmap:
+        return {s.name: _read_section(fh, path, s, verify) for s in sections}
+    if verify:
+        _verify_streamed(fh, path, sections)
+    mapped = _mmap.mmap(fh.fileno(), 0, access=_mmap.ACCESS_READ)
+    return {
+        s.name: np.frombuffer(
+            mapped, dtype=s.dtype, count=s.nbytes // s.dtype.itemsize,
+            offset=s.offset,
+        ).reshape(s.shape)
+        for s in sections
+    }
+
+
+def _check_required(path: Path, header: Dict) -> None:
+    """Reject a section table that lacks what its kind needs, before any
+    section is read."""
+    names = {
+        entry.get("name") for entry in header["sections"] if isinstance(entry, dict)
+    }
+    for required in ("padded_ids", "padded_dists"):
+        if required not in names:
+            raise StoreCorruptionError(
+                f"{path} is missing the required section {required!r}"
+            )
+    if header["kind"] == "estimator":
+        for required in ("lof_matrix", "scores", "min_pts_values"):
+            if required not in names:
+                raise StoreCorruptionError(
+                    f"{path} is an estimator store missing section {required!r}"
+                )
 
 
 def load_model(path: PathLike, mmap: bool = False, verify: bool = True) -> StoredModel:
     """Load a model store written by :func:`save_model`.
 
-    ``mmap=True`` maps the array sections from the file (read-only,
-    suitable for stores larger than RAM); ``verify=False`` skips the
-    streaming checksum pass (integrity errors then surface only as
+    The file is opened once and every section read once (see "I/O
+    cost" above). ``mmap=True`` cuts the array sections from one map of
+    the file (read-only, suitable for stores larger than RAM);
+    ``verify=False`` skips the checksums (integrity errors then surface only as
     wrong-size sections, never silently as wrong scores of the right
     shape — use it only on trusted files).
     """
     from .core.materialization import MaterializationDB
 
     path = Path(path)
-    header = read_header(path)
-    if verify:
-        _verify_sections(path, header)
-    by_name = {entry["name"]: entry for entry in header["sections"]}
-    for required in ("padded_ids", "padded_dists"):
-        if required not in by_name:
-            raise StoreCorruptionError(
-                f"{path} is missing the required section {required!r}"
-            )
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = _read_header(fh, path, size)
+        _check_required(path, header)
+        arrays = _read_sections(fh, path, header, size, mmap, verify)
 
-    def load(name: str) -> np.ndarray:
-        return _load_section(path, by_name[name], mmap)
-
-    coord_keys = load("coord_keys") if "coord_keys" in by_name else None
     mat = MaterializationDB(
-        load("padded_ids"),
-        load("padded_dists"),
+        arrays["padded_ids"],
+        arrays["padded_dists"],
         min_pts_ub=int(header["min_pts_ub"]),
         duplicate_mode=header["duplicate_mode"],
-        coord_keys=coord_keys,
+        coord_keys=arrays.get("coord_keys"),
     )
     lrd_cache: Dict[int, np.ndarray] = {}
     lof_cache: Dict[int, np.ndarray] = {}
     scorer_scores: Dict = {}
     scorer_aux: Dict = {}
-    for name in by_name:
+    for name, arr in arrays.items():
         if name.startswith("lrd@"):
-            lrd_cache[int(name[4:])] = np.asarray(load(name))
+            lrd_cache[int(name[4:])] = arr
         elif name.startswith("lof@"):
-            lof_cache[int(name[4:])] = np.asarray(load(name))
+            lof_cache[int(name[4:])] = arr
         elif name.startswith("score@"):
             _, sname, k = name.split("@")
-            scorer_scores[(sname, int(k))] = np.asarray(load(name))
+            scorer_scores[(sname, int(k))] = arr
         elif name.startswith("aux@"):
             _, sname, aname, k = name.split("@")
-            scorer_aux.setdefault((sname, int(k)), {})[aname] = np.asarray(load(name))
+            scorer_aux.setdefault((sname, int(k)), {})[aname] = arr
     mat.seed_caches(lrd=lrd_cache, lof=lof_cache)
     mat.seed_scorer_caches(scores=scorer_scores, aux=scorer_aux)
 
@@ -596,7 +695,7 @@ def load_model(path: PathLike, mmap: bool = False, verify: bool = True) -> Store
         kind=header["kind"],
         header=header,
         mat=mat,
-        X=load("X") if "X" in by_name else None,
+        X=arrays.get("X"),
         metric=metric_ident.get("name", "euclidean"),
         metric_p=metric_ident.get("p"),
         scorer=str(header.get("scorer", "lof")),
@@ -605,13 +704,8 @@ def load_model(path: PathLike, mmap: bool = False, verify: bool = True) -> Store
         obs_snapshot=header.get("obs_snapshot"),
     )
     if header["kind"] == "estimator":
-        for required in ("lof_matrix", "scores", "min_pts_values"):
-            if required not in by_name:
-                raise StoreCorruptionError(
-                    f"{path} is an estimator store missing section {required!r}"
-                )
-        model.lof_matrix = load("lof_matrix")
-        model.scores = load("scores")
-        model.min_pts_values = np.asarray(load("min_pts_values"))
+        model.lof_matrix = arrays["lof_matrix"]
+        model.scores = arrays["scores"]
+        model.min_pts_values = arrays["min_pts_values"]
     obs.incr("store.loads")
     return model

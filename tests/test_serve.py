@@ -1149,3 +1149,159 @@ class TestFleetCLI:
         # longer accepts connections.
         with pytest.raises((urllib.error.URLError, ConnectionError, OSError)):
             urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz", timeout=5)
+
+
+def _overwrite_under_traffic(port, path, newer, n_reloads):
+    """Hammer ``/score`` on ``port`` from four keep-alive connections;
+    once traffic flows, save the fitted estimator ``newer`` over
+    ``path`` (an atomic rename under the served map) and post
+    ``/admin/reload`` ``n_reloads`` times. Returns the requests, their
+    replies and the reload bodies."""
+    rng = np.random.default_rng(61)
+    pool = rng.uniform(0.0, 40.0, size=(10, 2))
+    n_threads, rounds = 4, 12
+    requests = [
+        pool[rng.integers(0, len(pool), size=1 + j % 3)]
+        for j in range(n_threads * rounds)
+    ]
+    replies = [None] * len(requests)
+    errors = []
+    flowing = threading.Event()
+    done = []
+
+    def hammer(tid):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+        try:
+            for j in range(tid, len(requests), n_threads):
+                conn.request(
+                    "POST", "/score",
+                    body=json.dumps({"points": requests[j].tolist()}),
+                )
+                resp = conn.getresponse()
+                payload = json.loads(resp.read())
+                if resp.status != 200:
+                    raise AssertionError(payload)
+                replies[j] = payload["scores"]
+                done.append(j)
+                if len(done) >= 8:
+                    flowing.set()
+        except Exception as exc:  # pragma: no cover - failure detail
+            errors.append(exc)
+            flowing.set()
+        finally:
+            conn.close()
+
+    threads = [threading.Thread(target=hammer, args=(t,)) for t in range(n_threads)]
+    for t in threads:
+        t.start()
+    assert flowing.wait(timeout=60)
+    newer.save(path)
+    reloads = []
+    for _ in range(n_reloads):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+        try:
+            conn.request("POST", "/admin/reload", body=b"{}")
+            resp = conn.getresponse()
+            reloads.append((resp.status, json.loads(resp.read())))
+        finally:
+            conn.close()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert not errors
+    return requests, replies, reloads
+
+
+class TestOverwriteUnderTraffic:
+    """A refit renamed over a served, memory-mapped store: every reply
+    is the old store's score or the new one's, never a mix, and a reload
+    serves the new store."""
+
+    @pytest.fixture
+    def stores(self, fitted_store, tmp_path, two_density_clusters):
+        path, _ = fitted_store
+        old_copy = tmp_path / "old.rlof"
+        old_copy.write_bytes(path.read_bytes())
+        shifted = two_density_clusters * 1.5 + 2.0
+        newer = LocalOutlierFactor(min_pts=(4, 10)).fit(shifted)
+        new_copy = tmp_path / "new.rlof"
+        newer.save(new_copy)
+        return path, newer, OnlineScorer.from_path(old_copy), OnlineScorer.from_path(new_copy)
+
+    @staticmethod
+    def _assert_old_or_new(requests, replies, old, new):
+        seen = set()
+        for q, got in zip(requests, replies):
+            want_old = [float(s) for s in old.score_new(q, use_cache=False)]
+            want_new = [float(s) for s in new.score_new(q, use_cache=False)]
+            assert want_old != want_new
+            assert got in (want_old, want_new)
+            seen.add("old" if got == want_old else "new")
+        return seen
+
+    def test_in_process_mmap_server(self, stores):
+        path, newer, old, new = stores
+        srv = make_server(path, port=0, mmap=True, max_batch=8)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        try:
+            port = srv.server_address[1]
+            requests, replies, reloads = _overwrite_under_traffic(
+                port, path, newer, n_reloads=1
+            )
+            assert [status for status, _ in reloads] == [200]
+            assert reloads[0][1]["fingerprint"] == store_fingerprint(new.model.header)
+            assert "old" in self._assert_old_or_new(requests, replies, old, new)
+            # After the reload every reply is the new store's.
+            probe = requests[:4]
+            after = [_http_request(srv, "/score", {"points": q.tolist()}) for q in probe]
+            for q, (status, body) in zip(probe, after):
+                assert status == 200
+                assert body["scores"] == [
+                    float(s) for s in new.score_new(q, use_cache=False)
+                ]
+        finally:
+            srv.shutdown()
+            srv.server_close()
+
+    @pytest.mark.skipif(
+        not fork_available(), reason="fleet mode needs the fork start method"
+    )
+    def test_two_worker_fleet(self, stores):
+        path, newer, old, new = stores
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", str(path),
+                "--workers", "2", "--port", "0", "--max-batch", "8",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            banner = {}
+            reader = threading.Thread(
+                target=lambda: banner.update(line=proc.stdout.readline()),
+                daemon=True,
+            )
+            reader.start()
+            reader.join(timeout=30)
+            line = banner.get("line", "")
+            assert "http://127.0.0.1:" in line, f"no banner: {line!r}"
+            port = int(line.split("http://127.0.0.1:")[1].split()[0])
+            # Each reload reaches whichever worker accepts it; the other
+            # keeps serving its map of the replaced file.
+            requests, replies, reloads = _overwrite_under_traffic(
+                port, path, newer, n_reloads=4
+            )
+            want = store_fingerprint(new.model.header)
+            for status, body in reloads:
+                assert status == 200 and body["fingerprint"] == want
+            self._assert_old_or_new(requests, replies, old, new)
+        finally:
+            proc.terminate()
+            try:
+                proc.wait(timeout=15)
+            except subprocess.TimeoutExpired:  # pragma: no cover
+                proc.kill()
+                proc.wait(timeout=15)

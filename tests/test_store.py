@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import copy_store_bytes
 
 from repro import LocalOutlierFactor, MaterializationDB, load_model, save_model
 from repro.exceptions import (
@@ -202,6 +203,22 @@ class TestCorruption:
         with pytest.raises((StoreCorruptionError, StoreFormatError)):
             load_model(bad)
 
+    @pytest.mark.parametrize("hlen", [2**33, 2**40, 2**62, "size+1"])
+    @pytest.mark.parametrize("mmap", [False, True], ids=["inmem", "memmap"])
+    def test_header_length_past_the_file(self, tmp_path, store_bytes, hlen, mmap):
+        # A damaged length field is a typed store error, never a huge
+        # allocation (MemoryError) or a short read parsed as JSON.
+        _, blob = store_bytes
+        if hlen == "size+1":
+            hlen = len(blob) + 1
+        blob[16:24] = hlen.to_bytes(8, "little")
+        bad = tmp_path / "hlen.rlof"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(StoreCorruptionError, match="header"):
+            read_header(bad)
+        with pytest.raises(StoreCorruptionError, match="header"):
+            load_model(bad, mmap=mmap)
+
     def test_read_header_is_cheap_and_typed(self, store_bytes):
         path, _ = store_bytes
         header = read_header(path)
@@ -333,6 +350,194 @@ class TestCrashInjection:
             assert after.mat.padded_dists.tobytes() == want["dists"]
             assert after.X.tobytes() == want["X"]
             assert sorted(p.name for p in tmp_path.iterdir()) == ["m.rlof"]
+
+
+class TestByteIdentity:
+    """The zero-copy writer lays down exactly the bytes of the
+    copy-based reference writer in ``tests/oracles.py``, for the same
+    header and sections."""
+
+    @pytest.fixture
+    def handed_to_writer(self, monkeypatch):
+        """Every (header, sections) pair the save path hands the writer,
+        keyed by target path."""
+        import repro.store as store
+
+        calls = {}
+        real_write = store._write
+
+        def spy(path, header, sections):
+            calls[path] = (header, dict(sections))
+            return real_write(path, header, sections)
+
+        monkeypatch.setattr(store, "_write", spy)
+        return calls
+
+    def _assert_reference_bytes(self, path, handed_to_writer):
+        assert path.read_bytes() == copy_store_bytes(*handed_to_writer[path])
+
+    def test_estimator_store(self, tmp_path, mixed_density, handed_to_writer):
+        path = tmp_path / "est.rlof"
+        LocalOutlierFactor(min_pts=(4, 9)).fit(mixed_density).save(path)
+        self._assert_reference_bytes(path, handed_to_writer)
+
+    def test_loop_aux_and_scalar_sections(
+        self, tmp_path, mixed_density, handed_to_writer
+    ):
+        mat = MaterializationDB.materialize(mixed_density, 8)
+        mat.scores(5, scorer="loop", X=mixed_density, metric="euclidean")
+        # A 0-d aux array: its contiguous buffer has shape (1,), but the
+        # table records the array's own shape ().
+        mat.seed_scorer_caches(aux={("loop", 7): {"scalar": np.array(0.25)}})
+        path = tmp_path / "loop.rlof"
+        save_model(path, mat, X=mixed_density)
+        self._assert_reference_bytes(path, handed_to_writer)
+        shapes = {e["name"]: e["shape"] for e in read_header(path)["sections"]}
+        assert shapes["aux@loop@scalar@7"] == []
+        assert shapes["aux@loop@nplof@5"] == [1]
+        for mmap in (False, True):
+            aux = load_model(path, mmap=mmap).mat.cached_scorer_aux()
+            assert aux[("loop", 7)]["scalar"].shape == ()
+            assert aux[("loop", 7)]["scalar"].tolist() == 0.25
+
+    def test_distinct_store(self, tmp_path, tied_integer_data, handed_to_writer):
+        mat = MaterializationDB.materialize(
+            tied_integer_data, 6, duplicate_mode="distinct"
+        )
+        mat.lof(6)
+        path = tmp_path / "distinct.rlof"
+        save_model(path, mat, X=tied_integer_data)
+        assert "coord_keys" in {e["name"] for e in read_header(path)["sections"]}
+        self._assert_reference_bytes(path, handed_to_writer)
+
+    def test_zero_length_sections(self, tmp_path, mixed_density, handed_to_writer):
+        mat = MaterializationDB.materialize(mixed_density, 6)
+        empty = {"flat": np.empty(0), "wide": np.empty((0, 3))}
+        mat.seed_scorer_caches(aux={("loop", 6): empty})
+        path = tmp_path / "empty.rlof"
+        save_model(path, mat)
+        self._assert_reference_bytes(path, handed_to_writer)
+        # The last section is empty and ends exactly at the end of file.
+        last = read_header(path)["sections"][-1]
+        assert last["nbytes"] == 0 and last["offset"] == path.stat().st_size
+        for mmap in (False, True):
+            aux = load_model(path, mmap=mmap).mat.cached_scorer_aux()[("loop", 6)]
+            assert aux["flat"].shape == (0,) and aux["wide"].shape == (0, 3)
+
+
+class _CountingFile:
+    """A file object that logs the ``(position, length)`` of every read."""
+
+    def __init__(self, fh, log):
+        self._fh = fh
+        self._log = log
+
+    def read(self, size=-1):
+        pos = self._fh.tell()
+        data = self._fh.read(size)
+        self._log.append((pos, len(data)))
+        return data
+
+    def readinto(self, buf):
+        pos = self._fh.tell()
+        n = self._fh.readinto(buf)
+        self._log.append((pos, n))
+        return n
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+class TestIOCost:
+    """Counts, not timings: what one save or load allocates, opens,
+    reads and maps."""
+
+    @pytest.fixture
+    def counted_io(self, monkeypatch):
+        """Patch the store's ``open`` and ``mmap.mmap``; returns the
+        lists of opened paths, ``(position, length)`` reads and maps."""
+        import builtins
+        import mmap as mmap_module
+
+        import repro.store as store
+
+        log = {"opens": [], "reads": [], "maps": []}
+
+        def counting_open(file, *args, **kwargs):
+            log["opens"].append(file)
+            return _CountingFile(builtins.open(file, *args, **kwargs), log["reads"])
+
+        class CountingMap(mmap_module.mmap):
+            def __new__(cls, *args, **kwargs):
+                log["maps"].append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(store, "open", counting_open, raising=False)
+        monkeypatch.setattr(mmap_module, "mmap", CountingMap)
+        return log
+
+    @pytest.fixture
+    def many_sections(self, tmp_path, mixed_density):
+        path = tmp_path / "est.rlof"
+        LocalOutlierFactor(min_pts=(4, 12)).fit(mixed_density).save(path)
+        return path
+
+    @staticmethod
+    def _assert_each_section_read_once(path, header, reads):
+        hits = np.zeros(path.stat().st_size, dtype=np.int64)
+        for pos, n in reads:
+            hits[pos : pos + n] += 1
+        assert hits.max() == 1
+        for entry in header["sections"]:
+            start = entry["offset"]
+            assert (hits[start : start + entry["nbytes"]] == 1).all(), entry["name"]
+
+    def test_save_does_not_copy_the_model(self, tmp_path):
+        import tracemalloc
+
+        # fit_wide's shape: n=2000, d=16, MinPts 10..200, ~390 sections.
+        X = np.random.default_rng(5).normal(size=(2000, 16))
+        est = LocalOutlierFactor(min_pts=(10, 200)).fit(X)
+        path = tmp_path / "wide.rlof"
+        tracemalloc.start()
+        try:
+            save_model(path, est)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        section_bytes = sum(e["nbytes"] for e in read_header(path)["sections"])
+        assert section_bytes > 10_000_000
+        assert peak < section_bytes // 4
+
+    def test_copy_load_opens_once_and_reads_each_byte_once(
+        self, many_sections, counted_io
+    ):
+        header = read_header(many_sections)
+        counted_io["opens"].clear()
+        counted_io["reads"].clear()
+        model = load_model(many_sections)
+        assert len(counted_io["opens"]) == 1
+        assert counted_io["maps"] == []
+        self._assert_each_section_read_once(many_sections, header, counted_io["reads"])
+        assert model.mat.padded_dists.flags.writeable and model.X.flags.writeable
+
+    def test_mmap_load_maps_once(self, many_sections, counted_io):
+        header = read_header(many_sections)
+        counted_io["opens"].clear()
+        counted_io["reads"].clear()
+        model = load_model(many_sections, mmap=True)
+        assert len(counted_io["opens"]) == 1
+        assert len(counted_io["maps"]) == 1
+        # The checksum pass streams each section once beside the map.
+        self._assert_each_section_read_once(many_sections, header, counted_io["reads"])
+        assert not model.mat.padded_dists.flags.writeable
+        assert not model.X.flags.writeable
 
 
 class TestMetadata:
@@ -471,6 +676,33 @@ class TestHeaderValidation:
         bad = _rewrite_header(store_path, tmp_path / "shape.rlof", mutate)
         with pytest.raises(StoreCorruptionError, match="declares shape"):
             load_model(bad, verify=False)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("dtype", "|O", "declares dtype"),
+            ("dtype", "not-a-dtype", "malformed section table entry"),
+            ("shape", None, "malformed section table entry"),
+            ("offset", -64, "truncated"),
+            ("sha256", "missing", "malformed section table entry"),
+        ],
+    )
+    @pytest.mark.parametrize("mmap", [False, True], ids=["inmem", "memmap"])
+    def test_bad_section_entry_rejected(
+        self, tmp_path, store_path, field, value, match, mmap
+    ):
+        # Checked before any section byte is read: an object dtype never
+        # reaches a raw read, a bad offset never reaches a seek.
+        def mutate(header):
+            entry = header["sections"][0]
+            if value == "missing":
+                del entry[field]
+            else:
+                entry[field] = value
+
+        bad = _rewrite_header(store_path, tmp_path / "entry.rlof", mutate)
+        with pytest.raises(StoreCorruptionError, match=match):
+            load_model(bad, mmap=mmap, verify=False)
 
     def test_missing_required_section_rejected(self, tmp_path, store_path):
         def mutate(header):
