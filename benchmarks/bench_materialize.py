@@ -34,13 +34,20 @@ PRs append runs next to it and compare):
     (``materialization=mat``) at the fixed :data:`SWEEP` shape — n=2000,
     d=16, MinPts 10..200, the ``fit_wide`` shape of the repo benchmark
     — whatever ``--sizes`` says, once per case of :data:`SWEEP_CASES`:
-    LOF, LoOP, and LOF under ``duplicate_mode='distinct'`` (whose
-    k-distinct-distances are computed inside the timed sweep). Each case
+    LOF, LoOP, LOF under ``duplicate_mode='distinct'`` (whose
+    k-distinct-distances are computed inside the timed sweep), and
+    LDOF over MinPts 10..60 (M built at 60). Each case
     runs in a fresh interpreter, so its peak RSS is its own and not the
     high-water mark of the rows before it; M is built there untimed,
     but its counters are kept. ``derived.step2_sweep`` lists each case
-    with its ``mscan.passes`` (two scans per MinPts for LOF) and
-    ``graph.builds`` (one graph for the build and the whole sweep).
+    with its ``mscan.passes`` (two scans per MinPts for LOF),
+    ``graph.builds`` (one graph for the build and the whole sweep) and
+    the sweep's own ``distance.evaluations`` (LDOF's inner distances;
+    0 for the others). ``--validate`` checks that every case is there
+    and that the LDOF sweep evaluates each inner pair of M's rows once.
+    In the committed file the LDOF entry also carries ``before``: the
+    same sweep measured on the per-MinPts expanded-form blocks it
+    replaced (recorded by hand; the harness does not emit it).
 ``distinct``
     Step 1 under ``duplicate_mode='distinct'``: the wall time and peak
     RSS of :func:`repro.core.materialize` at the fixed :data:`DISTINCT`
@@ -127,9 +134,15 @@ EVALUATION_FIELDS = ("query_loop_evaluations", "batched_evaluations", "all_pairs
 #: The shape the ``sweep`` path times: the repo benchmark's fit_wide.
 SWEEP = {"n": 2000, "dim": 16, "min_pts_lb": 10, "min_pts_ub": 200}
 
-#: (scorer, duplicate_mode) of every ``sweep`` row. LDOF stays out: its
-#: per-row pairwise block dominates its sweep.
-SWEEP_CASES = (("lof", "inf"), ("loop", "inf"), ("lof", "distinct"))
+#: (scorer, duplicate_mode, min_pts_ub) of every ``sweep`` row, each
+#: swept from ``SWEEP["min_pts_lb"]``. LDOF's inner distances cost
+#: ~MinPts^2 per object, so its sweep stops at 60.
+SWEEP_CASES = (
+    ("lof", "inf", 200),
+    ("loop", "inf", 200),
+    ("lof", "distinct", 200),
+    ("ldof", "inf", 60),
+)
 
 #: The shape the ``distinct`` path times: the repo benchmark's mixture
 #: of 8 Gaussian clusters (``bench/run.py``), on a 0.2 grid.
@@ -160,6 +173,7 @@ SWEEP_FIELDS = {
     "peak_rss_kb": int,
     "mscan_passes": int,
     "graph_builds": int,
+    "distance_evaluations": int,
 }
 
 
@@ -194,11 +208,11 @@ def _run_one(path, X, ub, block_size, index_name, tile_bytes):
     return wall, peak_rss_kb, snap["counters"], snap["timers"]
 
 
-def sweep_child(seed: int, scorer: str, duplicate_mode: str) -> None:
-    """Build M for :data:`SWEEP` untimed, time the step-2 sweep of
-    ``scorer`` over it, and print one JSON record (run in a fresh
-    interpreter by :func:`_run_sweep`). The counters cover the build
-    and the sweep."""
+def sweep_child(seed: int, scorer: str, duplicate_mode: str, min_pts_ub: int) -> None:
+    """Build M at ``min_pts_ub`` for :data:`SWEEP` untimed, time the
+    step-2 sweep of ``scorer`` over it, and print one JSON record (run
+    in a fresh interpreter by :func:`_run_child`). The counters cover
+    the build and the sweep; ``sweep_evaluations`` the sweep alone."""
     from repro import obs
     from repro.core import MaterializationDB
     from repro.core.range_lof import score_range
@@ -206,20 +220,24 @@ def sweep_child(seed: int, scorer: str, duplicate_mode: str) -> None:
     X = np.random.default_rng(seed).normal(size=(SWEEP["n"], SWEEP["dim"]))
     with obs.collect() as snap:
         mat = MaterializationDB.materialize(
-            X, SWEEP["min_pts_ub"], duplicate_mode=duplicate_mode
+            X, min_pts_ub, duplicate_mode=duplicate_mode
         )
+        built = obs.counter("distance.evaluations")
         t0 = time.perf_counter()
         score_range(
+            X=X,
             materialization=mat,
             min_pts_lb=SWEEP["min_pts_lb"],
-            min_pts_ub=SWEEP["min_pts_ub"],
+            min_pts_ub=min_pts_ub,
             scorer=scorer,
         )
         wall = time.perf_counter() - t0
+        sweep_evaluations = obs.counter("distance.evaluations") - built
     peak_rss_kb = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     print(json.dumps({
         "wall_s": wall,
         "peak_rss_kb": peak_rss_kb,
+        "sweep_evaluations": sweep_evaluations,
         "counters": snap["counters"],
         "timers": snap["timers"],
     }))
@@ -283,9 +301,9 @@ def _timers(child: dict) -> dict:
 def run(args) -> dict:
     results = []
     sweep_cases = SWEEP_CASES if "sweep" in args.paths else ()
-    for scorer, duplicate_mode in sweep_cases:
+    for scorer, duplicate_mode, min_pts_ub in sweep_cases:
         child = _run_child(
-            f"sweep_child({args.seed}, {scorer!r}, {duplicate_mode!r})"
+            f"sweep_child({args.seed}, {scorer!r}, {duplicate_mode!r}, {min_pts_ub})"
         )
         results.append(
             {
@@ -294,22 +312,24 @@ def run(args) -> dict:
                 "n": SWEEP["n"],
                 "dim": SWEEP["dim"],
                 "min_pts_lb": SWEEP["min_pts_lb"],
-                "min_pts_ub": SWEEP["min_pts_ub"],
+                "min_pts_ub": min_pts_ub,
                 "path": "sweep",
                 "index": "brute",
                 "block_size": 0,
                 "wall_s": round(child["wall_s"], 6),
                 "peak_rss_kb": child["peak_rss_kb"],
+                "sweep_evaluations": child["sweep_evaluations"],
                 "counters": child["counters"],
                 "timers": _timers(child),
             }
         )
         print(
             f"step 2 {scorer}/{duplicate_mode} n={SWEEP['n']} d={SWEEP['dim']} "
-            f"MinPts {SWEEP['min_pts_lb']}..{SWEEP['min_pts_ub']}: "
+            f"MinPts {SWEEP['min_pts_lb']}..{min_pts_ub}: "
             f"wall={child['wall_s']:8.4f}s "
             f"peak_rss={child['peak_rss_kb'] / 1024:7.1f}MB "
-            f"graph_builds={child['counters'].get('graph.builds', 0)}",
+            f"graph_builds={child['counters'].get('graph.builds', 0)} "
+            f"sweep_evaluations={child['sweep_evaluations']}",
             file=sys.stderr,
         )
     if "distinct" in args.paths:
@@ -430,6 +450,7 @@ def run(args) -> dict:
             },
             "mscan_passes": r["counters"].get("mscan.passes", 0),
             "graph_builds": r["counters"].get("graph.builds", 0),
+            "distance_evaluations": r["sweep_evaluations"],
         }
         for r in results
         if r["path"] == "sweep"
@@ -481,6 +502,32 @@ def _typed(value, typ) -> bool:
     return isinstance(value, typ)
 
 
+def _check_sweep_cases(sweep) -> list:
+    """Every case of :data:`SWEEP_CASES` is recorded, and the LDOF sweep
+    evaluates each unordered pair of a row of M once, for all MinPts
+    together: at most n * ub * (ub - 1) / 2 distances on the SWEEP data,
+    whose rows have no ties past ub (per-MinPts blocks cost n * sum k^2)."""
+    if not all(isinstance(entry, dict) for entry in sweep):
+        return []
+    cases = {(e.get("scorer"), e.get("duplicate_mode"), e.get("min_pts_ub")) for e in sweep}
+    problems = [
+        f"derived.step2_sweep has no {scorer}/{mode} MinPts..{ub} entry"
+        for scorer, mode, ub in SWEEP_CASES
+        if (scorer, mode, ub) not in cases
+    ]
+    for entry in sweep:
+        if entry.get("scorer") != "ldof" or not _typed(entry.get("distance_evaluations"), int):
+            continue
+        n, ub = entry.get("n", 0), entry.get("min_pts_ub", 0)
+        if not 0 < entry["distance_evaluations"] <= n * ub * (ub - 1) // 2:
+            problems.append(
+                f"ldof sweep evaluated {entry['distance_evaluations']} distances; "
+                f"one pass over M's rows takes at most n*ub*(ub-1)/2 = "
+                f"{n * ub * (ub - 1) // 2}"
+            )
+    return problems
+
+
 def validate(payload) -> list:
     """Return a list of schema problems (empty == valid)."""
     problems = []
@@ -524,6 +571,7 @@ def validate(payload) -> list:
                             f"derived.step2_sweep[{i}].{field} must be "
                             f"{typ.__name__}, got {value!r}"
                         )
+            problems.extend(_check_sweep_cases(sweep))
     n_distinct = sum(
         1 for r in results if isinstance(r, dict) and r.get("path") == "distinct"
     )

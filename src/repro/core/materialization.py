@@ -119,6 +119,7 @@ class MaterializationDB:
         self._lof_cache: Dict[int, np.ndarray] = {}
         self._scorer_scores: Dict[Tuple[str, int], np.ndarray] = {}
         self._scorer_aux: Dict[Tuple[str, int], Dict[str, np.ndarray]] = {}
+        self._scorer_state: Dict[str, object] = {}
 
     @classmethod
     def from_graph(
@@ -142,6 +143,7 @@ class MaterializationDB:
         db._lof_cache = {}
         db._scorer_scores = {}
         db._scorer_aux = {}
+        db._scorer_state = {}
         return db
 
     # -- columnar storage (delegated to the graph) ---------------------------
@@ -153,10 +155,6 @@ class MaterializationDB:
     @property
     def padded_dists(self) -> np.ndarray:
         return self.graph.padded_dists
-
-    @property
-    def _row_lengths(self) -> np.ndarray:
-        return self.graph.row_lengths
 
     # -- construction --------------------------------------------------------
 
@@ -417,6 +415,14 @@ class MaterializationDB:
                 name: np.asarray(v, dtype=np.float64) for name, v in aux.items()
             }
         return self._scorer_aux[key]
+
+    def scorer_state(self, scorer_name: str, build):
+        """State a scorer derives from the rows of M once and reads at
+        every MinPts (LDOF's prefix inner sums): ``build()`` on first
+        use, cached like the lrd vectors, but never persisted."""
+        if scorer_name not in self._scorer_state:
+            self._scorer_state[scorer_name] = build()
+        return self._scorer_state[scorer_name]
 
     # -- persistence (repro.store) ----------------------------------------------
 

@@ -11,11 +11,10 @@ of scikit-learn's ``_pairwise_distances_reduction``:
   corpus into column chunks (``y_chunk``); one distance tile of
   ``x_chunk * y_chunk * 8`` bytes is materialized at a time, so peak
   temporary memory is O(chunk · chunk), never O(n²).
-* **One tile kernel.** Per-tile distances come from
-  :meth:`repro.index.metrics.Metric.tile_kernel` — for Euclidean the
-  expanded-form BLAS path with float64 accumulation (float32 inputs are
-  upcast once) and the exact-duplicate zero-snap, shared bit-for-bit
-  with the whole-matrix path.
+* **A private tile kernel.** :func:`_tile_kernel` — for Euclidean the
+  expanded BLAS form ``sqrt(||x||^2 + ||y||^2 - 2<x, y>)`` with the
+  exact-duplicate zero-snap, the package's only use of that form (its
+  bits differ from the :mod:`~repro.index.metrics` row kernel by ulps).
 * **Tie-aware merge.** Per-chunk k-best candidates are merged with
   Definition 4 semantics: after each tile, every candidate at distance
   not greater than the running k-distance (``tie_threshold``) survives.
@@ -48,7 +47,7 @@ import numpy as np
 from .. import obs
 from ..exceptions import ValidationError
 from .batch import apply_exclusions, scatter_padded, select_tie_inclusive, tie_threshold
-from .metrics import get_metric
+from .metrics import EuclideanMetric, get_metric
 
 __all__ = [
     "DEFAULT_TILE_BYTES",
@@ -81,6 +80,39 @@ def _check_matrix(A, name: str) -> np.ndarray:
     if not np.isfinite(A).all():
         raise ValidationError(f"{name} must be finite (no NaN/inf entries)")
     return A
+
+
+def _tile_kernel(metric, X: np.ndarray, Y: np.ndarray):
+    """The engine's instrumented per-tile distance kernel: a callable
+    ``tile(x0, x1, y0, y1)`` giving the distance block between those row
+    ranges of ``X`` and ``Y``, counted as one kernel call, in float64
+    (float32 inputs are upcast once, here). Euclidean tiles use the
+    expanded form with an exact-duplicate zero-snap; the squared row
+    norms are computed once and sliced (einsum row sums are row-local).
+    """
+    X64 = np.ascontiguousarray(X, dtype=np.float64)
+    Y64 = X64 if Y is X else np.ascontiguousarray(Y, dtype=np.float64)
+    if not isinstance(metric, EuclideanMetric):
+        return lambda x0, x1, y0, y1: metric.pairwise(X64[x0:x1], Y64[y0:y1])
+    norms_x = np.einsum("ij,ij->i", X64, X64)
+    norms_y = norms_x if Y64 is X64 else np.einsum("ij,ij->i", Y64, Y64)
+
+    def tile(x0: int, x1: int, y0: int, y1: int) -> np.ndarray:
+        obs.record_kernel((x1 - x0) * (y1 - y0))
+        A, B = X64[x0:x1], Y64[y0:y1]
+        xx, yy = norms_x[x0:x1, None], norms_y[None, y0:y1]
+        sq = xx + yy - 2.0 * (A @ B.T)
+        np.maximum(sq, 0.0, out=sq)
+        # Cancellation leaves exact duplicates at ~1 ulp of ||x||^2
+        # instead of 0 (lrd = inf needs true zeros): entries small for
+        # their scale whose rows are bitwise equal are snapped to zero.
+        rows, cols = np.nonzero(sq <= 1e-10 * np.maximum(xx, yy))
+        if len(rows):
+            equal = np.all(A[rows] == B[cols], axis=1)
+            sq[rows[equal], cols[equal]] = 0.0
+        return np.sqrt(sq)
+
+    return tile
 
 
 def _resolve_plan(
@@ -251,7 +283,7 @@ def argkmin_with_ties(
     k = int(k)
 
     strategy, xc, yc, _ = _resolve_plan(m, n, strategy, x_chunk, y_chunk, tile_bytes)
-    tile = get_metric(metric).tile_kernel(Q, Y)
+    tile = _tile_kernel(get_metric(metric), Q, Y)
     if strategy == "whole":
         obs.incr("argkmin.strategy_whole")
     else:

@@ -17,6 +17,11 @@ through a small object with these capabilities:
     bit-identical to the matching ``pairwise_to_point`` entry (the
     pruned brute scan's stacked candidate pairs);
 
+``pairwise(X, Y)``
+    the full distance matrix, one ``pairwise_to_point`` column per row
+    of ``Y`` (the small quadratic surfaces: the Definition 5 matrix and
+    Knorr & Ng's nested loop);
+
 ``gap_norms(gaps)`` / ``min_distance_to_rect(q, lo, hi)``
     lower bounds between boxes (or a point and a box) from per-axis
     gaps, for many rows at once or for one point, which is what tree
@@ -29,7 +34,10 @@ kernel ``_row_norms(diff)``: ``distance``, ``pairwise_to_point`` and
 it, and the lower bounds reduce gaps with it. The reduction is
 row-local, so a distance does not depend on which other rows share its
 block: a tree index that tests one point against a radius gets the
-same float the brute scan compares.
+same float the brute scan compares, and every surface of the package
+agrees on d(p, q) to the last bit. There is no second kernel here: the
+expanded BLAS form, whose bits depend on the block shape, lives only
+inside the argkmin engine (:mod:`repro.index.argkmin`).
 """
 
 from __future__ import annotations
@@ -40,43 +48,6 @@ import numpy as np
 
 from .. import obs
 from ..exceptions import ValidationError
-
-
-def euclidean_tile(
-    X64: np.ndarray,
-    Y64: np.ndarray,
-    xx: np.ndarray,
-    yy: np.ndarray,
-) -> np.ndarray:
-    """THE shared expanded-form Euclidean tile kernel.
-
-    Computes ``sqrt(||x||^2 + ||y||^2 - 2 <x, y>)`` for one (tile of a)
-    distance matrix, with the exact-duplicate zero-snap applied. Both
-    the whole-matrix path (:meth:`EuclideanMetric._pairwise`) and the
-    chunked argkmin engine's per-tile path run through this one
-    function, so float32-origin tiles keep the paper's duplicate
-    semantics (lrd = inf needs true zero distances) exactly like the
-    whole-matrix path does.
-
-    Parameters
-    ----------
-    X64, Y64 : float64 row blocks (callers own the upcast).
-    xx, yy : squared norms of the rows, shaped ``(m, 1)`` and ``(1, n)``
-        so they broadcast over the tile.
-    """
-    sq = xx + yy - 2.0 * (X64 @ Y64.T)
-    np.maximum(sq, 0.0, out=sq)
-    # Cancellation leaves exact duplicates at ~1 ulp of ||x||^2
-    # instead of 0, which would silently break the paper's duplicate
-    # semantics downstream (lrd = inf needs true zero distances).
-    # Entries that are suspiciously small relative to their scale are
-    # re-checked exactly and snapped to zero — only bitwise-equal
-    # rows are corrected, everything else is untouched.
-    suspect_rows, suspect_cols = np.nonzero(sq <= 1e-10 * np.maximum(xx, yy))
-    if len(suspect_rows):
-        equal = np.all(X64[suspect_rows] == Y64[suspect_cols], axis=1)
-        sq[suspect_rows[equal], suspect_cols[equal]] = 0.0
-    return np.sqrt(sq)
 
 
 class Metric:
@@ -91,8 +62,8 @@ class Metric:
     package: every scalar distance computed anywhere flows through one
     of them, which is where :mod:`repro.obs` counts kernel invocations
     (``distance.kernel_calls``) and scalar evaluations
-    (``distance.evaluations``). Subclasses implement the underscore
-    variants and inherit the instrumented front door.
+    (``distance.evaluations``). Subclasses implement the row kernel
+    ``_row_norms`` and inherit the instrumented front door.
     """
 
     name: str = "abstract"
@@ -110,7 +81,7 @@ class Metric:
     def pairwise_to_point(self, X: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Distances from every row of ``X`` to the single point ``q``."""
         obs.record_kernel(len(X))
-        return self._pairwise_to_point(X, q)
+        return self._row_norms(X - q)
 
     def paired_distances(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """``d(A[i], B[i])`` for every row ``i`` of two blocks of points
@@ -139,47 +110,20 @@ class Metric:
         return self._row_norms(gaps)
 
     def pairwise(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Full (n, m) distance matrix between rows of X and rows of Y."""
+        """Full (n, m) distance matrix between rows of X and rows of Y,
+        built a column at a time: column ``j`` is
+        ``pairwise_to_point(X, Y[j])``, bit for bit."""
         obs.record_kernel(X.shape[0] * Y.shape[0])
-        return self._pairwise(X, Y)
-
-    def tile_kernel(self, X: np.ndarray, Y: np.ndarray):
-        """Instrumented per-tile distance kernel for the chunked argkmin
-        engine (:mod:`repro.index.argkmin`).
-
-        Returns a callable ``tile(x0, x1, y0, y1)`` producing the
-        ``(x1 - x0, y1 - y0)`` distance block between those row ranges
-        of ``X`` and ``Y``. Inputs may be float32; accumulation is
-        always float64 (the upcast happens once, here). Each tile is
-        one instrumented kernel invocation, keeping the distance
-        chokepoint contract intact under tiling.
-        """
-        X64 = np.ascontiguousarray(X, dtype=np.float64)
-        Y64 = X64 if Y is X else np.ascontiguousarray(Y, dtype=np.float64)
-
-        def tile(x0: int, x1: int, y0: int, y1: int) -> np.ndarray:
-            obs.record_kernel((x1 - x0) * (y1 - y0))
-            return self._tile(X64, Y64, x0, x1, y0, y1)
-
-        return tile
+        out = np.empty((X.shape[0], Y.shape[0]))
+        for j in range(Y.shape[0]):
+            out[:, j] = self._row_norms(X - Y[j])
+        return out
 
     # -- kernels (subclass hooks) -------------------------------------------
 
     def _row_norms(self, diff: np.ndarray) -> np.ndarray:
         """The row kernel: the norm of every row of a difference block."""
         raise NotImplementedError
-
-    def _pairwise_to_point(self, X: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return self._row_norms(X - q)
-
-    def _pairwise(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        out = np.empty((X.shape[0], Y.shape[0]))
-        for j in range(Y.shape[0]):
-            out[:, j] = self._pairwise_to_point(X, Y[j])
-        return out
-
-    def _tile(self, X64, Y64, x0: int, x1: int, y0: int, y1: int) -> np.ndarray:
-        return self._pairwise(X64[x0:x1], Y64[y0:y1])
 
     def min_distance_to_rect(
         self, q: np.ndarray, lo: np.ndarray, hi: np.ndarray
@@ -193,8 +137,11 @@ class Metric:
     def max_distance_to_rect(
         self, q: np.ndarray, lo: np.ndarray, hi: np.ndarray
     ) -> float:
-        """Largest possible distance from q to any point in [lo, hi]."""
-        raise NotImplementedError
+        """Largest possible distance from q to any point in [lo, hi]: the
+        row kernel on q's difference to the box's farthest corner, so it
+        is never below a distance computed to a point of the box."""
+        far = np.where(np.abs(q - lo) > np.abs(q - hi), lo, hi)
+        return float(self._row_norms((q - far)[None, :])[0])
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}()"
@@ -208,36 +155,6 @@ class EuclideanMetric(Metric):
     def _row_norms(self, diff):
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
-    def _pairwise(self, X, Y):
-        # ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y, clipped against
-        # rounding, with the exact-duplicate zero-snap — all in the one
-        # shared tile kernel the chunked argkmin path also uses.
-        xx = np.einsum("ij,ij->i", X, X)[:, None]
-        yy = np.einsum("ij,ij->i", Y, Y)[None, :]
-        return euclidean_tile(X, Y, xx, yy)
-
-    def tile_kernel(self, X, Y):
-        # Row norms are computed once over the full arrays and sliced
-        # per tile: einsum row reductions are row-local, so the sliced
-        # values are bit-identical to per-block recomputation.
-        X64 = np.ascontiguousarray(X, dtype=np.float64)
-        Y64 = X64 if Y is X else np.ascontiguousarray(Y, dtype=np.float64)
-        xx = np.einsum("ij,ij->i", X64, X64)
-        yy = xx if Y64 is X64 else np.einsum("ij,ij->i", Y64, Y64)
-
-        def tile(x0, x1, y0, y1):
-            obs.record_kernel((x1 - x0) * (y1 - y0))
-            return euclidean_tile(
-                X64[x0:x1], Y64[y0:y1], xx[x0:x1, None], yy[None, y0:y1]
-            )
-
-        return tile
-
-    def max_distance_to_rect(self, q, lo, hi):
-        far = np.where(np.abs(q - lo) > np.abs(q - hi), lo, hi)
-        diff = q - far
-        return float(np.sqrt(np.dot(diff, diff)))
-
 
 class ManhattanMetric(Metric):
     """The L1 (city-block) metric."""
@@ -247,10 +164,6 @@ class ManhattanMetric(Metric):
     def _row_norms(self, diff):
         return np.sum(np.abs(diff), axis=1)
 
-    def max_distance_to_rect(self, q, lo, hi):
-        far = np.where(np.abs(q - lo) > np.abs(q - hi), lo, hi)
-        return float(np.sum(np.abs(q - far)))
-
 
 class ChebyshevMetric(Metric):
     """The L-infinity metric."""
@@ -259,10 +172,6 @@ class ChebyshevMetric(Metric):
 
     def _row_norms(self, diff):
         return np.max(np.abs(diff), axis=1)
-
-    def max_distance_to_rect(self, q, lo, hi):
-        far = np.where(np.abs(q - lo) > np.abs(q - hi), lo, hi)
-        return float(np.max(np.abs(q - far)))
 
 
 class MinkowskiMetric(Metric):
@@ -278,10 +187,6 @@ class MinkowskiMetric(Metric):
 
     def _row_norms(self, diff):
         return np.sum(np.abs(diff) ** self.p, axis=1) ** (1.0 / self.p)
-
-    def max_distance_to_rect(self, q, lo, hi):
-        far = np.where(np.abs(q - lo) > np.abs(q - hi), lo, hi)
-        return float(np.sum(np.abs(q - far) ** self.p) ** (1.0 / self.p))
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"MinkowskiMetric(p={self.p})"

@@ -26,7 +26,8 @@ Counters (see ``docs/observability.md`` for the full contract)
 --------------------------------------------------------------
 ``distance.kernel_calls``
     Python-level invocations of a distance kernel
-    (``Metric.distance`` / ``pairwise_to_point`` / ``pairwise``).
+    (``Metric.distance`` / ``pairwise_to_point`` / ``paired_distances``
+    / ``pairwise``, and one per tile of the argkmin engine).
 ``distance.evaluations``
     scalar distances computed across those calls (a pairwise block of
     shape (b, n) counts b*n).

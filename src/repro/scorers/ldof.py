@@ -9,10 +9,12 @@ neighborhood's own spread; larger means p lies outside it.
 This is the one registered scorer with ``requires_data``: the
 neighborhood graph stores query-to-neighbor distances but not
 neighbor-to-neighbor distances, so the inner mean reads the dataset
-snapshot through the model's metric. The per-row pairwise block has the
-same shape for a row whether it is scored in a batch or alone, so
-results are shape-independent and the serve-vs-batch bit-identity
-invariant holds.
+snapshot through the metric's row kernel, like every other d(p, q) of
+the package. A row's inner sums are accumulated in one fixed order, so
+the sum over a c-member prefix does not depend on the row's width
+(:class:`_InnerSums`): a fit computes them once per row of M, cached on
+the materialization for every MinPts of a sweep, and a served row from
+its own neighborhood, and all of them agree to the last bit.
 
 Duplicate conventions mirror LOF's (remark after Definition 6):
 ``Dbar = 0`` (every neighbor co-located, or a single-neighbor row)
@@ -33,22 +35,54 @@ from ..exceptions import DuplicatePointsError
 from .base import Scorer, ScorerContext, register
 
 
-def _inner_means(rows, X: np.ndarray, metric) -> np.ndarray:
-    """Mean pairwise distance among each row's neighbors (Dbar).
+class _InnerSums:
+    """Prefix inner sums of padded neighborhood rows, extended on demand.
 
-    One metric.pairwise block per row — per-row rather than one stacked
-    kernel so a row's result never depends on its batchmates' shapes.
+    ``half[i, c - 1]`` sums d(o, o') over the unordered pairs among the
+    first ``c`` members of row ``i``, in the row-major lower triangle's
+    order (whose first c(c-1)/2 pairs are those of the c-prefix), added
+    strictly left to right by ``np.cumsum``. So an entry depends neither
+    on the row's width nor on how many steps extended it.
     """
-    out = np.empty(rows.n_rows, dtype=np.float64)
-    for i in range(rows.n_rows):
-        ids, _ = rows.row(i)
-        c = len(ids)
-        if c < 2:
-            out[i] = 0.0
-            continue
-        block = metric.pairwise(X[ids], X[ids])
-        out[i] = float(block.sum()) / (c * (c - 1))
-    return out
+
+    def __init__(self, ids: np.ndarray, lengths: np.ndarray):
+        self.ids = ids
+        self.lengths = lengths
+        self.half = np.zeros(ids.shape, dtype=np.float64)
+        self.done = np.ones(len(ids), dtype=np.int64)  # a 1-prefix sums to 0
+
+    def inner_means(self, counts: np.ndarray, X: np.ndarray, metric) -> np.ndarray:
+        """Dbar of every row's ``counts``-prefix (0 below two members).
+        A row short of its count grows to at least twice what it had, so
+        a sweep extends it O(log width) times and evaluates each pair once."""
+        pairs = {}
+        for i in np.flatnonzero(counts > self.done):
+            done = int(self.done[i])
+            target = int(min(self.lengths[i], max(counts[i], 2 * done)))
+            if (done, target) not in pairs:
+                pairs[done, target] = _triangle_rows(done, target)
+            P = X[self.ids[i, :target]]
+            r, j, ends = pairs[done, target]
+            d = metric.paired_distances(P[r], P[j])
+            # Continue the row's running sum where the last call left it.
+            d[0] += self.half[i, done - 1]
+            self.half[i, done:target] = np.cumsum(d)[ends]
+            self.done[i] = target
+        c = counts.astype(np.float64)
+        half = self.half[np.arange(len(counts)), counts - 1]
+        with np.errstate(invalid="ignore"):
+            return np.where(counts < 2, 0.0, 2.0 * half / (c * (c - 1.0)))
+
+
+def _triangle_rows(done: int, target: int):
+    """The lower-triangle pairs (r, j), j < r, of rows ``done..target-1``
+    in row-major order, and the position of each row's last pair among
+    them (where the sum over a (r+1)-prefix is complete)."""
+    rows = np.arange(done, target)
+    r = np.repeat(rows, rows)
+    lo = done * (done - 1) // 2
+    j = np.arange(lo, lo + len(r)) - r * (r - 1) // 2
+    return r, j, (rows + 1) * rows // 2 - lo - 1
 
 
 def _ldof_values(dbar: np.ndarray, inner: np.ndarray, duplicate_mode: str) -> np.ndarray:
@@ -79,17 +113,22 @@ class LDOFScorer(Scorer):
     def fit(self, ctx: ScorerContext):
         X, metric = ctx.require_data(self.name)
         obs.incr("scorer.ldof.points", int(ctx.mat.n_points))
-        return self._score(ctx, ctx.mat.prefixes(ctx.k), X, metric), {}
+        # One set of inner sums over M's rows serves every MinPts.
+        sums = ctx.mat.scorer_state(
+            self.name, lambda: _InnerSums(ctx.mat.padded_ids, ctx.mat.graph.row_lengths)
+        )
+        return self._score(ctx, ctx.mat.prefixes(ctx.k), sums, X, metric), {}
 
     def score_query(self, ctx: ScorerContext, rows, qkdist: np.ndarray) -> np.ndarray:
         X, metric = ctx.require_data(self.name)
         obs.incr("scorer.ldof.points", int(rows.n_rows))
-        return self._score(ctx, rows, X, metric)
+        return self._score(ctx, rows, _InnerSums(rows.ids, rows.counts), X, metric)
 
     @staticmethod
-    def _score(ctx: ScorerContext, rows, X: np.ndarray, metric) -> np.ndarray:
+    def _score(ctx: ScorerContext, rows, sums: _InnerSums, X: np.ndarray, metric) -> np.ndarray:
         dbar = scoring.row_means(rows.dists.reshape(-1), rows.starts, rows.stops)
-        return _ldof_values(dbar, _inner_means(rows, X, metric), ctx.duplicate_mode)
+        inner = sums.inner_means(rows.counts, X, metric)
+        return _ldof_values(dbar, inner, ctx.duplicate_mode)
 
 
 register(LDOFScorer())

@@ -10,6 +10,7 @@ from repro.baselines import (
 )
 from repro.datasets import make_ds1
 from repro.exceptions import ValidationError
+from repro.index import get_metric
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +41,14 @@ class TestDefinition:
                 two_density_clusters, pct=pct, dmin=dmin, block_size=17
             )
             np.testing.assert_array_equal(a, b)
+        # dmin exactly at one pair's distance: both algorithms must read
+        # d(0, 1) as the same float, or the closed ball <= dmin counts
+        # the pair on one side only (objects 0 and 1 flip).
+        X = np.random.default_rng(0).normal(size=(60, 3)) * 10
+        dmin = get_metric("euclidean").distance(X[0], X[1])
+        a = db_outliers(X, pct=95.5, dmin=dmin)
+        b = db_outliers_nested_loop(X, pct=95.5, dmin=dmin, block_size=17)
+        np.testing.assert_array_equal(a, b)
 
     def test_binary_not_graded(self, cluster_and_outlier):
         mask = db_outliers(cluster_and_outlier, pct=95.0, dmin=3.0)

@@ -62,7 +62,18 @@ class TestReachabilityMatrix:
         from repro import k_distance
 
         R = reachability_matrix(line4, k=2)
-        np.testing.assert_allclose(np.diag(R), k_distance(line4, k=2))
+        np.testing.assert_array_equal(np.diag(R), k_distance(line4, k=2))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_diagonal_is_m_k_distance(self, seed):
+        # The matrix and M read every d(p, o) from the one row kernel,
+        # so the diagonal is M's k-distance to the last bit.
+        from repro.core import MaterializationDB
+
+        X = np.random.default_rng(seed).normal(size=(80, 3)) * 10
+        R = reachability_matrix(X, k=5)
+        kdist = MaterializationDB.materialize(X, 5).k_distances(5)
+        assert np.diag(R).tobytes() == kdist.tobytes()
 
     def test_smoothing_grows_with_k(self, random_points):
         # Higher k means reach-dists within a neighborhood become more

@@ -212,8 +212,8 @@ class TestDuplicateModes:
 
 
 class TestFloat32ZeroSnapRegression:
-    """The exact-duplicate zero-snap lives in the shared tile kernel
-    (:func:`repro.index.metrics.euclidean_tile`), so float32-origin
+    """The exact-duplicate zero-snap lives in the engine's private tile
+    kernel (:func:`repro.index.argkmin._tile_kernel`), so float32-origin
     tiles keep true zero distances between duplicated rows — without it,
     expanded-form cancellation leaves ~1 ulp of ||x||^2 and silently
     breaks lrd = inf duplicate semantics."""
@@ -227,10 +227,11 @@ class TestFloat32ZeroSnapRegression:
         return X.astype(np.float32)
 
     def test_tiles_report_exact_zero_for_duplicates(self):
+        from repro.index.argkmin import _tile_kernel
         from repro.index.metrics import get_metric
 
         X32 = self.large_magnitude_duplicates()
-        tile = get_metric("euclidean").tile_kernel(X32, X32)
+        tile = _tile_kernel(get_metric("euclidean"), X32, X32)
         for y0 in range(0, len(X32), 3):
             D = tile(0, 4, y0, min(y0 + 3, len(X32)))
             for j in range(D.shape[1]):

@@ -89,14 +89,20 @@ class TestVectorizedAgreement:
             # The trees' one-point bound is the same reduction.
             assert metric.min_distance_to_rect(q, lo, hi) == bound
 
-    def test_euclidean_full_pairwise(self):
+    @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
+    def test_full_pairwise_is_the_row_kernel(self, metric):
+        # One kernel: every column of the matrix is the scan's
+        # pairwise_to_point to that point, bit for bit, and every cell
+        # equals distance() (the expanded form failed this for L2).
         rng = np.random.default_rng(2)
-        X = rng.normal(size=(15, 3))
-        Y = rng.normal(size=(9, 3))
-        metric = EuclideanMetric()
+        X = rng.normal(size=(15, 3)) * 10
+        Y = np.vstack([rng.normal(size=(8, 3)) * 10, X[3]])
         D = metric.pairwise(X, Y)
         assert D.shape == (15, 9)
-        assert D[3, 4] == pytest.approx(metric.distance(X[3], Y[4]))
+        for j in range(Y.shape[0]):
+            assert D[:, j].tobytes() == metric.pairwise_to_point(X, Y[j]).tobytes()
+        assert D[3, 4] == metric.distance(X[3], Y[4])
+        assert D[3, 8] == 0.0
 
 
 class TestRectangleBounds:
