@@ -43,7 +43,7 @@ from .bounds import (
 )
 from .duplicates import duplicate_groups, has_min_pts_duplicates, k_distinct_distance
 from .estimator import LocalOutlierFactor
-from .graph import DynamicNeighborhoodGraph, NeighborhoodGraph, RowPrefixes
+from .graph import DynamicNeighborhoodGraph, GridPrefixes, NeighborhoodGraph, RowPrefixes
 from .handshake import HandshakeResult, lof_optics_handshake
 from .incremental import IncrementalLOF, UpdateReport
 from .streaming import SlidingWindowLOF, StreamEvent, StreamingLOFDetector
@@ -76,6 +76,7 @@ __all__ = [
     "DynamicNeighborhoodGraph",
     "NeighborhoodGraph",
     "RowPrefixes",
+    "GridPrefixes",
     "HandshakeResult",
     "lof_optics_handshake",
     "IncrementalLOF",

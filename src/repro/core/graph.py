@@ -11,6 +11,9 @@ neighborhood layout:
   scoring kernel of :mod:`repro.core.scoring`, every scorer, the
   Theorem-1 bounds, top-n mining, online queries and the dirty-subset
   API read neighborhoods in this form;
+* :class:`GridPrefixes` — the same block read at every MinPts of a grid
+  at once (a ``(K, r)`` matrix of neighborhood sizes): how a served
+  request reaches the scorers;
 * :class:`NeighborhoodGraph` — the static columnar graph: padded
   ``(n, width)`` id/distance arrays covering every ``k <= k_max``,
   handing out :meth:`NeighborhoodGraph.prefixes` per ``k``. Built from
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +49,7 @@ from .._validation import check_data, check_min_pts
 from ..exceptions import ValidationError
 from ..index import make_index
 from ..index.batch import pack_padded, scatter_padded
+from ..index.brute import BLOCK_BYTES
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,66 @@ class RowPrefixes:
         """A fresh float64 array shaped like ``ids`` for the scan's
         gathers and ratios (see :func:`_carve`)."""
         return _carve(self.ids.shape, max(self.capacity, self.ids.size), np.float64)
+
+
+@dataclass(frozen=True)
+class GridPrefixes:
+    """Tie-inclusive neighborhoods of a row set at every MinPts of a grid.
+
+    One padded ``(m, w)`` block sorted by ``(distance, id)``, as in
+    :class:`RowPrefixes`, read at K radii per row: ``radii[j, i]`` is row
+    i's k-distance at the grid's j-th MinPts and ``counts[j, i]`` the
+    size of its Definition-4 neighborhood there, so that neighborhood is
+    the prefix ``ids[i, :counts[j, i]]``. Online scoring builds one per
+    request and scores every MinPts from it at once.
+
+    The kernels take the grid as a stacked ``(K', m, w)`` block over a
+    run of consecutive MinPts (:meth:`spans`, each run's floats within
+    :data:`~repro.index.brute.BLOCK_BYTES`) whose segment ``(j, i)`` is
+    row i's prefix at the run's j-th MinPts (:meth:`segments`).
+    """
+
+    ids: np.ndarray
+    dists: np.ndarray
+    radii: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def from_radii(
+        cls, ids: np.ndarray, dists: np.ndarray, radii: np.ndarray
+    ) -> "GridPrefixes":
+        """The view whose counts are ``#{c : dists[i, c] <= radii[j, i]}``:
+        one comparison of the sorted block against the radii per span."""
+        grid = cls(ids, dists, radii, np.empty(radii.shape, dtype=np.int64))
+        for span in grid.spans():
+            grid.counts[span] = np.count_nonzero(
+                dists <= radii[span, :, None], axis=2
+            )
+        return grid
+
+    def at(self, j: int) -> RowPrefixes:
+        """The rows at the grid's j-th MinPts alone."""
+        return RowPrefixes(self.ids, self.dists, self.counts[j])
+
+    def spans(self) -> List[slice]:
+        """Runs of consecutive MinPts whose stacked float block stays
+        within ``BLOCK_BYTES`` (at least one MinPts each)."""
+        step = max(1, BLOCK_BYTES // (8 * max(1, self.ids.size)))
+        return [slice(lo, lo + step) for lo in range(0, len(self.radii), step)]
+
+    def segments(self, span: slice) -> Tuple[np.ndarray, np.ndarray]:
+        """``(starts, stops)``, shaped like ``counts[span]``, of every
+        neighborhood in the raveled ``(K', m, w)`` block of ``span``."""
+        counts = self.counts[span]
+        starts = np.arange(counts.size, dtype=np.int64).reshape(counts.shape)
+        starts *= self.ids.shape[1]
+        return starts, starts + counts
+
+    def stacked(self, values: np.ndarray, span: slice) -> np.ndarray:
+        """A row-block quantity such as ``dists`` repeated once per MinPts
+        of ``span``: the flat ``(K', m, w)`` block :meth:`segments` indexes."""
+        shape = (len(self.radii[span]),) + values.shape
+        return np.broadcast_to(values, shape).reshape(-1)
 
 
 def _carve(shape: Tuple[int, int], capacity: int, dtype) -> np.ndarray:

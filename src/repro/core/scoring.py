@@ -28,7 +28,11 @@ object of M (the step-2 sweep and the scorers' fits), query points
 
 ``reduceat`` reduces each segment on its own, sequentially, so the
 same neighborhood gives the same bits whatever block carries it —
-batch, subset or single object.
+batch, subset or single object. The kernels also take a ``(K, m)`` grid
+of segments over a stacked ``(K, m, w)`` block
+(:class:`~repro.core.graph.GridPrefixes`: one request's rows at every
+MinPts of a grid) and reduce all of them in the same one pass, with the
+bits of K separate calls.
 
 Conventions (duplicate-heavy data, ``'inf'`` mode):
 
@@ -60,6 +64,7 @@ __all__ = [
     "row_sums",
     "row_means",
     "segment_bounds",
+    "first_row",
 ]
 
 
@@ -89,11 +94,12 @@ def row_sums(
     flat_values: np.ndarray, starts: np.ndarray, stops: np.ndarray
 ) -> np.ndarray:
     """Per-segment sums of ``flat_values[starts[i]:stops[i]]`` (one
-    reduceat pass; segments are never empty)."""
-    if len(starts) == 0:
-        return np.empty(0, dtype=np.float64)
-    bounds = segment_bounds(starts, stops, len(flat_values))
-    return np.add.reduceat(flat_values, bounds)[0::2]
+    reduceat pass; segments are never empty), shaped like ``starts``:
+    a ``(K, m)`` grid of segments is reduced in the same one pass."""
+    if starts.size == 0:
+        return np.empty(starts.shape, dtype=np.float64)
+    bounds = segment_bounds(starts.reshape(-1), stops.reshape(-1), len(flat_values))
+    return np.add.reduceat(flat_values, bounds)[0::2].reshape(starts.shape)
 
 
 def row_means(
@@ -106,6 +112,12 @@ def row_means(
     """
     counts = (stops - starts).astype(np.float64)
     return row_sums(flat_values, starts, stops) / counts
+
+
+def first_row(flags: np.ndarray) -> int:
+    """The row of the first set flag of a ``(m,)`` or ``(K, m)`` array,
+    in MinPts order: the row a per-MinPts loop would report first."""
+    return int(np.argwhere(flags)[0][-1])
 
 
 def reach_dist_values(
@@ -132,7 +144,8 @@ def lrd_values(
 ) -> np.ndarray:
     """Definition 6, one pass: ``lrd(p) = |N(p)| / sum reach-dist``.
 
-    Row p's reach-dists are ``flat_reach[starts[p]:stops[p]]``. The
+    Row p's reach-dists are ``flat_reach[starts[p]:stops[p]]``; a
+    ``(K, m)`` grid of segments gives a ``(K, m)`` result. The
     only division producing local reachability densities in the
     repository. ``duplicate_mode='inf'`` keeps the paper's plain
     definition (MinPts-fold duplicates give ``lrd = inf``);
@@ -141,13 +154,13 @@ def lrd_values(
     needs no special handling here.
     """
     counts = (stops - starts).astype(np.float64)
-    if len(counts) == 0:
-        return np.empty(0, dtype=np.float64)
+    if counts.size == 0:
+        return np.empty(counts.shape, dtype=np.float64)
     sums = row_sums(flat_reach, starts, stops)
     with np.errstate(divide="ignore"):
         lrd = counts / sums
     if duplicate_mode == "error" and np.any(np.isinf(lrd)):
-        bad = int(np.flatnonzero(np.isinf(lrd))[0])
+        bad = first_row(np.isinf(lrd))
         raise DuplicatePointsError(
             f"object {bad} has at least MinPts duplicates; its local "
             f"reachability density is infinite "
@@ -167,17 +180,19 @@ def lof_values(
 
     The only division producing LOF ratios in the repository.
     ``lrd_self`` is per row; ``neighbor_lrd`` is ``lrd[ids]`` over the
-    ``(r, w)`` prefix block, whose row i holds segment i. ``ratio_out`` (shaped like
-    ``neighbor_lrd``, and which may be ``neighbor_lrd`` itself)
-    receives the ratios instead of a new array. Ratio conventions:
+    ``(r, w)`` prefix block, whose row i holds segment i (for a
+    ``(K, m)`` grid of segments they are ``(K, m)`` and ``(K, m, w)``).
+    ``ratio_out`` (shaped like ``neighbor_lrd``, and which may be
+    ``neighbor_lrd`` itself) receives the ratios instead of a new
+    array. Ratio conventions:
     ``inf/inf := 1``; ``finite/inf`` is 0 by IEEE arithmetic;
     ``inf/finite`` stays inf (a finite-density point whose neighbors
     are infinitely dense).
     """
     counts = stops - starts
-    if len(counts) == 0:
-        return np.empty(0, dtype=np.float64)
-    lrd_rep = lrd_self[:, None]
+    if counts.size == 0:
+        return np.empty(counts.shape, dtype=np.float64)
+    lrd_rep = lrd_self[..., None]
     # inf/inf produces NaN; the convention for co-located points is 1.
     both_inf = None
     if np.isinf(lrd_self).any():

@@ -34,10 +34,6 @@ from .base import KBestHeap, Neighborhood, NNIndex, register_index
 # MBR helpers (axis-aligned minimum bounding rectangles as (lo, hi) pairs)
 
 
-def mbr_of_points(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    return pts.min(axis=0), pts.max(axis=0)
-
-
 def mbr_union(a_lo, a_hi, b_lo, b_hi) -> Tuple[np.ndarray, np.ndarray]:
     return np.minimum(a_lo, b_lo), np.maximum(a_hi, b_hi)
 

@@ -189,13 +189,6 @@ class CallGraph:
                 q.append(site.callee)
         return None
 
-    def methods_of(self, class_qual: str) -> List[FunctionInfo]:
-        prefix = class_qual + "."
-        return [
-            info for qual, info in self.functions.items()
-            if qual.startswith(prefix) and "." not in qual[len(prefix):]
-        ]
-
 
 # ---------------------------------------------------------------------------
 # builder

@@ -3,7 +3,9 @@
 A *scorer* turns the per-k neighborhoods of the one shared
 :class:`~repro.core.graph.NeighborhoodGraph` — row prefixes,
 :class:`~repro.core.graph.RowPrefixes` — into per-object outlier
-scores. LOF is the first registered scorer; LDOF,
+scores, and a served request's neighborhoods at every MinPts of a grid
+(:class:`~repro.core.graph.GridPrefixes`) into a ``(K, m)`` score
+matrix. LOF is the first registered scorer; LDOF,
 LoOP and the kth-NN-distance baseline ride the same materialization
 pass, the same Definition-4 tie semantics and the same duplicate-mode
 policy — which is the paper's point that local outlier notions are a
@@ -16,8 +18,10 @@ Every scorer is stateless: all per-dataset state lives in the
 dataset snapshot and metric) and in the *aux* arrays :meth:`Scorer.fit`
 returns, which :class:`~repro.core.materialization.MaterializationDB`
 caches per ``(scorer, k)`` and :mod:`repro.store` persists. The query
-path (:meth:`Scorer.score_query`) must reproduce fitted scores
-bit-for-bit when handed a stored object's own neighborhood row — the
+path (:meth:`Scorer.score_query`) scores a whole MinPts grid in one
+pass over ``(K, n)`` tables stacked once per grid (:meth:`Scorer.tables`),
+and must reproduce fitted scores bit-for-bit when handed a stored
+object's own neighborhood row, at every MinPts of the grid — the
 serve-vs-batch invariant pinned by ``tests/scorers/``.
 
 All scoring arithmetic stays inside modules of this package (plus the
@@ -27,12 +31,12 @@ the containment and that every module here registers its scorer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.graph import RowPrefixes
+from ..core.graph import GridPrefixes
 from ..exceptions import ValidationError
 
 __all__ = [
@@ -52,13 +56,16 @@ class ScorerContext:
     (duck-typed; scorers never import it). ``X``/``metric`` are only
     present when the caller has the dataset snapshot — scorers with
     ``requires_data`` (LDOF needs neighbor-to-neighbor distances the
-    graph does not store) must call :meth:`require_data`.
+    graph does not store) must call :meth:`require_data`. A query
+    context serves a whole MinPts grid: ``k`` is its largest MinPts and
+    ``tables`` holds what :meth:`Scorer.tables` stacked for it.
     """
 
     mat: object
     k: int
     X: Optional[np.ndarray] = None
     metric: object = None
+    tables: Dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def kdist(self) -> np.ndarray:
@@ -110,23 +117,30 @@ class Scorer:
         """
         raise NotImplementedError
 
-    def score_query(
-        self, ctx: ScorerContext, rows: RowPrefixes, qkdist: np.ndarray
-    ) -> np.ndarray:
-        """Score query neighborhoods given as row prefixes.
+    def tables(self, contexts: Sequence[ScorerContext]) -> Dict[str, np.ndarray]:
+        """The per-MinPts inputs :meth:`score_query` reads, stacked over a
+        grid: one per-k context per MinPts, in grid order, in; arrays
+        with one row per MinPts (``(K, n)`` per-object vectors) out.
 
-        ``rows`` holds query points' tie-inclusive neighborhoods among
-        the *stored* objects (ids index the training set); ``qkdist``
-        is each query's own k-distance. Handed a stored object's own
-        row, the result must equal the fitted score bit-for-bit.
+        Called once per (scorer, grid) before the grid's first query; it
+        is the first touch of the materialization's lazy per-k caches
+        (lrd for LOF, the pdist/nPLOF aux state for LoOP). Scorers that
+        read no per-k state return nothing.
+        """
+        return {}
+
+    def score_query(self, ctx: ScorerContext, grid: GridPrefixes) -> np.ndarray:
+        """Score query neighborhoods at every MinPts of a grid at once.
+
+        ``grid`` holds the query points' tie-inclusive neighborhoods
+        among the *stored* objects (ids index the training set) as
+        prefixes of one block, with each query's own k-distance at each
+        MinPts in ``grid.radii``; ``ctx.tables`` holds this scorer's
+        :meth:`tables` for the same grid. Returns the ``(K, m)`` score
+        matrix. Handed a stored object's own row, entry ``(j, i)`` must
+        equal the fitted score at the j-th MinPts bit-for-bit.
         """
         raise NotImplementedError
-
-    def warm(self, ctx: ScorerContext) -> None:
-        """Populate every frozen per-k cache the query path will read,
-        once per (scorer, k), before the first query is scored (see
-        OnlineScorer)."""
-        ctx.mat.k_distances(ctx.k)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Scorer {self.name!r}>"

@@ -34,9 +34,9 @@ class KNNDistScorer(Scorer):
         obs.incr("scorer.knn_dist.points", int(ctx.mat.n_points))
         return np.array(ctx.mat.k_distances(ctx.k), dtype=np.float64, copy=True), {}
 
-    def score_query(self, ctx: ScorerContext, rows, qkdist: np.ndarray) -> np.ndarray:
-        obs.incr("scorer.knn_dist.points", int(rows.n_rows))
-        return np.array(qkdist, dtype=np.float64, copy=True)
+    def score_query(self, ctx: ScorerContext, grid) -> np.ndarray:
+        obs.incr("scorer.knn_dist.points", int(grid.counts.size))
+        return np.array(grid.radii, dtype=np.float64, copy=True)
 
 
 register(KNNDistScorer())

@@ -13,8 +13,9 @@ snapshot through the metric's row kernel, like every other d(p, q) of
 the package. A row's inner sums are accumulated in one fixed order, so
 the sum over a c-member prefix does not depend on the row's width
 (:class:`_InnerSums`): a fit computes them once per row of M, cached on
-the materialization for every MinPts of a sweep, and a served row from
-its own neighborhood, and all of them agree to the last bit.
+the materialization for every MinPts of a sweep, and a served request
+once over its own block for every MinPts of its grid, and all of them
+agree to the last bit.
 
 Duplicate conventions mirror LOF's (remark after Definition 6):
 ``Dbar = 0`` (every neighbor co-located, or a single-neighbor row)
@@ -52,13 +53,15 @@ class _InnerSums:
         self.done = np.ones(len(ids), dtype=np.int64)  # a 1-prefix sums to 0
 
     def inner_means(self, counts: np.ndarray, X: np.ndarray, metric) -> np.ndarray:
-        """Dbar of every row's ``counts``-prefix (0 below two members).
+        """Dbar of every row's ``counts``-prefix (0 below two members);
+        ``counts`` is ``(r,)``, or ``(K, r)`` for K prefixes of each row.
         A row short of its count grows to at least twice what it had, so
         a sweep extends it O(log width) times and evaluates each pair once."""
         pairs = {}
-        for i in np.flatnonzero(counts > self.done):
+        need = np.atleast_2d(counts).max(axis=0)
+        for i in np.flatnonzero(need > self.done):
             done = int(self.done[i])
-            target = int(min(self.lengths[i], max(counts[i], 2 * done)))
+            target = int(min(self.lengths[i], max(need[i], 2 * done)))
             if (done, target) not in pairs:
                 pairs[done, target] = _triangle_rows(done, target)
             P = X[self.ids[i, :target]]
@@ -69,7 +72,7 @@ class _InnerSums:
             self.half[i, done:target] = np.cumsum(d)[ends]
             self.done[i] = target
         c = counts.astype(np.float64)
-        half = self.half[np.arange(len(counts)), counts - 1]
+        half = self.half[np.arange(len(self.ids)), counts - 1]
         with np.errstate(invalid="ignore"):
             return np.where(counts < 2, 0.0, 2.0 * half / (c * (c - 1.0)))
 
@@ -87,7 +90,7 @@ def _triangle_rows(done: int, target: int):
 
 def _ldof_values(dbar: np.ndarray, inner: np.ndarray, duplicate_mode: str) -> np.ndarray:
     if duplicate_mode == "error" and np.any(inner == 0.0):
-        bad = int(np.flatnonzero(inner == 0.0)[0])
+        bad = scoring.first_row(inner == 0.0)
         raise DuplicatePointsError(
             f"object {bad}'s neighborhood has zero inner distance (all "
             f"neighbors co-located); its LDOF is undefined "
@@ -117,17 +120,22 @@ class LDOFScorer(Scorer):
         sums = ctx.mat.scorer_state(
             self.name, lambda: _InnerSums(ctx.mat.padded_ids, ctx.mat.graph.row_lengths)
         )
-        return self._score(ctx, ctx.mat.prefixes(ctx.k), sums, X, metric), {}
-
-    def score_query(self, ctx: ScorerContext, rows, qkdist: np.ndarray) -> np.ndarray:
-        X, metric = ctx.require_data(self.name)
-        obs.incr("scorer.ldof.points", int(rows.n_rows))
-        return self._score(ctx, rows, _InnerSums(rows.ids, rows.counts), X, metric)
-
-    @staticmethod
-    def _score(ctx: ScorerContext, rows, sums: _InnerSums, X: np.ndarray, metric) -> np.ndarray:
+        rows = ctx.mat.prefixes(ctx.k)
         dbar = scoring.row_means(rows.dists.reshape(-1), rows.starts, rows.stops)
         inner = sums.inner_means(rows.counts, X, metric)
+        return _ldof_values(dbar, inner, ctx.duplicate_mode), {}
+
+    def score_query(self, ctx: ScorerContext, grid) -> np.ndarray:
+        X, metric = ctx.require_data(self.name)
+        # One set of inner sums over the request's block serves every
+        # MinPts: each row evaluates the pairs of its widest prefix once.
+        sums = _InnerSums(grid.ids, grid.counts.max(axis=0))
+        inner = sums.inner_means(grid.counts, X, metric)
+        dbar = np.empty(grid.counts.shape)
+        for span in grid.spans():
+            starts, stops = grid.segments(span)
+            dbar[span] = scoring.row_means(grid.stacked(grid.dists, span), starts, stops)
+        obs.incr("scorer.ldof.points", int(grid.counts.size))
         return _ldof_values(dbar, inner, ctx.duplicate_mode)
 
 

@@ -6,9 +6,13 @@ query path is the exact kernel sequence online scoring has always run —
 :func:`~repro.core.scoring.reach_dist_values` against the stored
 k-distances, :func:`~repro.core.scoring.lrd_values` under the
 database's duplicate mode, :func:`~repro.core.scoring.lof_values`
-against the stored training lrd vector. Registry-routed LOF is
-therefore bit-identical to the pre-registry scores by construction
-(and by the cross-path agreement tests).
+against the stored training lrd vector. A served request runs that
+sequence once for its whole MinPts grid: the stored k-distances and lrd
+vectors are stacked into ``(K, n)`` tables once per grid, gathered at
+the request's neighbor ids once, and every (MinPts, query) segment is
+reduced in one pass. Registry-routed LOF is therefore bit-identical to
+the pre-registry scores by construction (and by the cross-path
+agreement tests).
 """
 
 from __future__ import annotations
@@ -33,21 +37,26 @@ class LOFScorer(Scorer):
         obs.incr("scorer.lof.points", int(ctx.mat.n_points))
         return ctx.mat.lof(ctx.k), {}
 
-    def score_query(self, ctx: ScorerContext, rows, qkdist: np.ndarray) -> np.ndarray:
-        mat = ctx.mat
-        k = ctx.k
-        lrd_train = mat.lrd(k)
-        starts, stops = rows.starts, rows.stops
-        reach = scoring.reach_dist_values(rows.dists, mat.k_distances(k)[rows.ids])
-        lrd_q = scoring.lrd_values(
-            reach.reshape(-1), starts, stops, duplicate_mode=mat.duplicate_mode
-        )
-        obs.incr("scorer.lof.points", int(rows.n_rows))
-        return scoring.lof_values(lrd_q, lrd_train[rows.ids], starts, stops)
+    def tables(self, contexts):
+        return {
+            "kdist": np.stack([ctx.kdist for ctx in contexts]),
+            "lrd": np.stack([ctx.mat.lrd(ctx.k) for ctx in contexts]),
+        }
 
-    def warm(self, ctx: ScorerContext) -> None:
-        super().warm(ctx)
-        ctx.mat.lrd(ctx.k)
+    def score_query(self, ctx: ScorerContext, grid) -> np.ndarray:
+        kdist, lrd_train = ctx.tables["kdist"], ctx.tables["lrd"]
+        out = np.empty(grid.counts.shape)
+        for span in grid.spans():
+            starts, stops = grid.segments(span)
+            reach = kdist[span][:, grid.ids]
+            scoring.reach_dist_values(grid.dists, reach, out=reach)
+            lrd_q = scoring.lrd_values(
+                reach.reshape(-1), starts, stops, duplicate_mode=ctx.duplicate_mode
+            )
+            ratios = lrd_train[span][:, grid.ids]
+            out[span] = scoring.lof_values(lrd_q, ratios, starts, stops, ratio_out=ratios)
+        obs.incr("scorer.lof.points", int(grid.counts.size))
+        return out
 
 
 register(LOFScorer())

@@ -43,19 +43,16 @@ _SQRT2 = math.sqrt(2.0)
 _erf = np.vectorize(math.erf, otypes=[np.float64])
 
 
-def _prob_set_dists(rows) -> np.ndarray:
-    """pdist per row: lambda * sqrt(mean squared neighbor distance)."""
-    squared = rows.dists * rows.dists
-    return _LAMBDA * np.sqrt(
-        scoring.row_means(squared.reshape(-1), rows.starts, rows.stops)
-    )
+def _prob_set_dists(flat_squared: np.ndarray, starts, stops) -> np.ndarray:
+    """pdist per segment: lambda * sqrt(mean squared neighbor distance)."""
+    return _LAMBDA * np.sqrt(scoring.row_means(flat_squared, starts, stops))
 
 
 def _plof_values(
     pdist_self: np.ndarray, expected_pdist: np.ndarray, duplicate_mode: str
 ) -> np.ndarray:
     if duplicate_mode == "error" and np.any(pdist_self == 0.0):
-        bad = int(np.flatnonzero(pdist_self == 0.0)[0])
+        bad = scoring.first_row(pdist_self == 0.0)
         raise DuplicatePointsError(
             f"object {bad}'s neighborhood is entirely co-located "
             f"(pdist = 0); its PLOF is undefined "
@@ -68,18 +65,20 @@ def _plof_values(
     return ratio - 1.0
 
 
-def _probabilities(plof: np.ndarray, nplof: float) -> np.ndarray:
+def _probabilities(plof: np.ndarray, nplof) -> np.ndarray:
     """max(0, erf(PLOF / (nPLOF * sqrt(2)))), elementwise.
 
-    Non-finite PLOF (positive pdist over a zero expectation) maps to
-    probability 1; a zero nPLOF (no finite variation at all) maps every
-    finite PLOF to 0.
+    ``nplof`` is a scalar, or one value per row of a ``(K, m)`` ``plof``
+    (shaped ``(K, 1)``). Non-finite PLOF (positive pdist over a zero
+    expectation) maps to probability 1; a zero nPLOF (no finite
+    variation at all) maps every finite PLOF to 0.
     """
     finite = np.isfinite(plof)
     out = np.where(finite, 0.0, 1.0)
-    if nplof > 0.0 and np.any(finite):
-        z = plof[finite] / (nplof * _SQRT2)
-        out[finite] = np.maximum(0.0, _erf(z))
+    scaled = finite & (nplof > 0.0)
+    if np.any(scaled):
+        scale = np.broadcast_to(nplof, plof.shape)[scaled] * _SQRT2
+        out[scaled] = np.maximum(0.0, _erf(plof[scaled] / scale))
     return out
 
 
@@ -94,7 +93,8 @@ class LoOPScorer(Scorer):
 
     def fit(self, ctx: ScorerContext):
         rows = ctx.mat.prefixes(ctx.k)
-        pdist = _prob_set_dists(rows)
+        squared = rows.dists * rows.dists
+        pdist = _prob_set_dists(squared.reshape(-1), rows.starts, rows.stops)
         expected = scoring.row_means(
             pdist[rows.ids].reshape(-1), rows.starts, rows.stops
         )
@@ -111,21 +111,29 @@ class LoOPScorer(Scorer):
         }
         return _probabilities(plof, nplof), aux
 
-    def score_query(self, ctx: ScorerContext, rows, qkdist: np.ndarray) -> np.ndarray:
-        aux = ctx.mat.scorer_aux(self.name, ctx.k, X=ctx.X, metric=ctx.metric)
-        pdist_train = aux["pdist"]
-        nplof = float(aux["nplof"][0])
-        pdist_q = _prob_set_dists(rows)
-        expected = scoring.row_means(
-            pdist_train[rows.ids].reshape(-1), rows.starts, rows.stops
-        )
-        plof_q = _plof_values(pdist_q, expected, ctx.duplicate_mode)
-        obs.incr("scorer.loop.points", int(rows.n_rows))
-        return _probabilities(plof_q, nplof)
+    def tables(self, contexts):
+        aux = [
+            ctx.mat.scorer_aux(self.name, ctx.k, X=ctx.X, metric=ctx.metric)
+            for ctx in contexts
+        ]
+        return {
+            "pdist": np.stack([a["pdist"] for a in aux]),
+            "nplof": np.array([[a["nplof"][0]] for a in aux]),
+        }
 
-    def warm(self, ctx: ScorerContext) -> None:
-        super().warm(ctx)
-        ctx.mat.scorer_aux(self.name, ctx.k, X=ctx.X, metric=ctx.metric)
+    def score_query(self, ctx: ScorerContext, grid) -> np.ndarray:
+        pdist_train, nplof = ctx.tables["pdist"], ctx.tables["nplof"]
+        squared = grid.dists * grid.dists
+        plof = np.empty(grid.counts.shape)
+        for span in grid.spans():
+            starts, stops = grid.segments(span)
+            pdist_q = _prob_set_dists(grid.stacked(squared, span), starts, stops)
+            expected = scoring.row_means(
+                pdist_train[span][:, grid.ids].reshape(-1), starts, stops
+            )
+            plof[span] = _plof_values(pdist_q, expected, ctx.duplicate_mode)
+        obs.incr("scorer.loop.points", int(grid.counts.size))
+        return _probabilities(plof, nplof)
 
 
 register(LoOPScorer())

@@ -15,9 +15,10 @@ about the training objects:
    index on the stored points. As in Section 7.4, this k-NN runs once
    per query, at the largest MinPts of the request; every smaller
    MinPts reads a prefix of it;
-2. hand the queries' neighborhoods, as
-   :class:`~repro.core.graph.RowPrefixes`, to the active registry
-   scorer's ``score_query`` (:mod:`repro.scorers`)
+2. hand the queries' neighborhoods at every MinPts of the request, as
+   one :class:`~repro.core.graph.GridPrefixes`, to the active registry
+   scorer's ``score_query`` (:mod:`repro.scorers`), which scores the
+   whole grid in one pass
    — for LOF that is ``reach-dist(q, o) = max(k-distance(o), d(q, o))``
    over the *stored* k-distances (Definition 5) followed by the shared
    lrd/LOF kernels of :mod:`repro.core.scoring` (Definitions 6-7); this
@@ -36,7 +37,7 @@ Concurrency model
 -----------------
 Each worker owns one :class:`OnlineScorer` at a time, and every public
 call on it runs under the scorer's one lock, start to finish: the
-per-MinPts warm-up, the LRU result cache, the kernels and the counters
+per-grid warm-up, the LRU result cache, the kernels and the counters
 see one caller at a time, so the hit/miss counters are exactly the
 serial values under any interleaving. The frozen model (neighborhood
 graph, k-distance/lrd vectors, the dataset snapshot — read-only memmaps
@@ -104,7 +105,7 @@ from ._validation import check_data
 from .core import scoring
 from .core.bounds import reach_extrema, theorem1_ratios
 from .core.duplicates import distinct_steps, ensure_distinct_coverage
-from .core.graph import RowPrefixes, _prefix_lengths
+from .core.graph import GridPrefixes
 from .core.parallel import fork_available, fork_workers, wait_workers
 from .core.range_lof import _AGGREGATES
 from .exceptions import ReproError, ServeError, ValidationError
@@ -165,6 +166,20 @@ class _PendingScore:
         if self._error is not None:
             raise self._error
         return self._value
+
+
+class _CheckedRows:
+    """Query rows a :class:`ScoreBatcher` validated when they arrived.
+
+    :meth:`OnlineScorer.score_new` takes them without running
+    ``check_data`` a second time; it still checks them against its own
+    model (feature count, MinPts), which a hot swap may have changed.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
 
 
 class LRUCache:
@@ -258,7 +273,8 @@ class OnlineScorer:
     ``min_pts_ub``. A scored batch makes one k-NN query per novel point
     on a brute index over the stored points, whatever the size of the
     grid: one tie-inclusive selection at the largest MinPts, read as a
-    prefix at every other one. Stored objects scored with ``exclude=i``
+    prefix at every other one, and one ``score_query`` call of the
+    scorer for the whole grid. Stored objects scored with ``exclude=i``
     read their graph rows and cost no distance evaluation.
 
     All public methods are thread-safe: each takes the scorer's one
@@ -293,7 +309,7 @@ class OnlineScorer:
         self._lock = threading.Lock()
         self.cache = LRUCache(cache_size)  # reprolint: lock-guarded
         self._extrema: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}  # reprolint: lock-guarded
-        self._warmed_ks: set = set()  # reprolint: lock-guarded
+        self._grids: Dict[Tuple[str, Tuple[int, ...]], ScorerContext] = {}  # reprolint: lock-guarded
         self._scorer_points: Dict[str, int] = {}  # reprolint: lock-guarded
         self._index: Optional[BruteForceIndex] = None  # reprolint: lock-guarded
 
@@ -422,7 +438,6 @@ class OnlineScorer:
     # -- internals, under the lock -------------------------------------------
 
     def _score_new(self, Xq, exclude, ks, active, use_cache=True) -> np.ndarray:  # reprolint: holds-lock
-        self._ensure_ks(ks, active)
         m = Xq.shape[0]
         if not use_cache:
             out = self._score_rows(Xq, exclude, ks, active)
@@ -450,7 +465,6 @@ class OnlineScorer:
         return out
 
     def _classify_new(self, Xq, exclude, ks, active, thr) -> ClassifyResult:  # reprolint: holds-lock
-        self._ensure_ks(ks, active)
         m = Xq.shape[0]
         if not active.supports_bounds:
             exact_scores = self._score_new(Xq, exclude, ks, active)
@@ -466,8 +480,9 @@ class OnlineScorer:
             )
         lowers = np.empty((len(ks), m))
         uppers = np.empty((len(ks), m))
-        hoods = self._query_view(Xq, exclude, ks)
-        for row_k, (k, (rows, _)) in enumerate(zip(ks, hoods)):
+        grid = self._query_view(Xq, exclude, ks)
+        for row_k, k in enumerate(ks):
+            rows = grid.at(row_k)
             reach = scoring.reach_dist_values(
                 rows.dists, self.mat.k_distances(k)[rows.ids]
             )
@@ -502,7 +517,10 @@ class OnlineScorer:
         )
 
     def _check_query(self, Xq, exclude, min_pts):
-        Xq = check_data(Xq, name="Xq", min_rows=1)
+        if isinstance(Xq, _CheckedRows):
+            Xq = Xq.rows
+        else:
+            Xq = check_data(Xq, name="Xq", min_rows=1)
         if Xq.shape[1] != self.X.shape[1]:
             raise ValidationError(
                 f"query points have {Xq.shape[1]} features; the stored "
@@ -526,32 +544,34 @@ class OnlineScorer:
             ks = (self.mat._check_k(int(min_pts)),)
         return Xq, exclude, ks
 
-    def _ensure_ks(self, ks, scorer) -> None:  # reprolint: holds-lock
-        """Warm the frozen per-(scorer, MinPts) inputs once.
+    def _ensure_ks(self, ks, scorer) -> ScorerContext:  # reprolint: holds-lock
+        """The query context of one (scorer, MinPts grid), built once.
 
-        The materialization's per-k caches (k-distances, and
-        whatever the scorer's ``warm`` adds — lrd for LOF, the
-        pdist/nPLOF aux state for LoOP) fill lazily on first touch;
-        doing that first touch once per (scorer, k), under the lock,
-        keeps the step-2 scan counters (``mscan.passes``) exactly serial.
+        Stacking the scorer's :meth:`~repro.scorers.Scorer.tables` is
+        the first touch of the materialization's lazy per-k caches
+        (k-distances, lrd for LOF, the pdist/nPLOF aux state for LoOP);
+        doing it once per (scorer, grid), under the lock, keeps the
+        step-2 scan counters (``mscan.passes``) exactly serial.
         """
-        for k in ks:
-            if (scorer.name, k) not in self._warmed_ks:
-                scorer.warm(self._scorer_context(k))
-                self._warmed_ks.add((scorer.name, k))
-
-    def _scorer_context(self, k: int) -> ScorerContext:
-        return ScorerContext(mat=self.mat, k=k, X=self.X, metric=self.metric)
+        key = (scorer.name, ks)
+        if key not in self._grids:
+            per_k = [
+                ScorerContext(mat=self.mat, k=k, X=self.X, metric=self.metric)
+                for k in ks
+            ]
+            self._grids[key] = ScorerContext(
+                mat=self.mat, k=max(ks), X=self.X, metric=self.metric,
+                tables=scorer.tables(per_k),
+            )
+        return self._grids[key]
 
     def _note_points(self, scorer_name: str, m: int) -> None:  # reprolint: holds-lock
         obs.incr("serve.points_scored", m)
         self._scorer_points[scorer_name] = self._scorer_points.get(scorer_name, 0) + m
 
     def _score_rows(self, Xq, exclude, ks, scorer) -> np.ndarray:  # reprolint: holds-lock
-        matrix = np.empty((len(ks), Xq.shape[0]))
-        hoods = self._query_view(Xq, exclude, ks)
-        for row_k, (k, (rows, kdist_q)) in enumerate(zip(ks, hoods)):
-            matrix[row_k] = scorer.score_query(self._scorer_context(k), rows, kdist_q)
+        ctx = self._ensure_ks(ks, scorer)
+        matrix = scorer.score_query(ctx, self._query_view(Xq, exclude, ks))
         if len(ks) == 1:
             return matrix[0]
         return _AGGREGATES[self.aggregate](matrix)
@@ -559,16 +579,16 @@ class OnlineScorer:
     def _query_view(self, Xq, exclude, ks):  # reprolint: holds-lock
         """The queries' neighborhoods at every MinPts of ``ks``.
 
-        Returns one ``(rows, kdist_q)`` pair per k, in ``ks`` order:
-        :class:`~repro.core.graph.RowPrefixes` over one padded block
-        filled once, at the largest MinPts (Section 7.4: step 1 runs
-        once, and every smaller MinPts reads a prefix), and each query's
-        own k-distance. Rows whose ``exclude`` id is a stored object
-        with bitwise equal coordinates copy that object's graph row —
-        the self-consistent path that reproduces fitted values exactly;
-        they evaluate no distance. Novel rows take one batch k-NN query
-        at ``max(ks)`` (see :meth:`_novel_rows`). Pure frozen-model
-        reads.
+        Returns one :class:`~repro.core.graph.GridPrefixes` over one
+        padded block filled once, at the largest MinPts (Section 7.4:
+        step 1 runs once, and every smaller MinPts reads a prefix), with
+        each query's own k-distance at every k and every prefix length
+        from one comparison of the block against those radii. Rows whose
+        ``exclude`` id is a stored object with bitwise equal coordinates
+        copy that object's graph row — the self-consistent path that
+        reproduces fitted values exactly; they evaluate no distance.
+        Novel rows take one batch k-NN query at ``max(ks)`` (see
+        :meth:`_novel_rows`). Pure frozen-model reads.
         """
         m = Xq.shape[0]
         graph = self.mat.graph
@@ -601,10 +621,7 @@ class OnlineScorer:
         if len(novel):
             ids[novel, : novel_ids.shape[1]] = novel_ids
             dists[novel, : novel_dists.shape[1]] = novel_dists
-        return [
-            (RowPrefixes(ids, dists, _prefix_lengths(dists, radius, k)), radius)
-            for k, radius in zip(ks, radii)
-        ]
+        return GridPrefixes.from_radii(ids, dists, radii)
 
     def _novel_rows(self, Xq, exclude, ks):  # reprolint: holds-lock
         """Each novel query's neighborhood at ``max(ks)`` and its radius
@@ -631,7 +648,7 @@ class OnlineScorer:
         """
         if self._index is None:
             self._index = BruteForceIndex(metric=self.metric).fit(self.X)
-        index, k_max, cols = self._index, max(ks), np.array(ks) - 1
+        index, k_max, grid = self._index, max(ks), np.array(ks)
         ids, dists = index.query_batch_with_ties(Xq, k_max, exclude)
         distinct = self.mat.duplicate_mode == "distinct"
         if distinct:
@@ -654,13 +671,13 @@ class OnlineScorer:
         else:
             found = np.isfinite(dists).sum(axis=1)
             message = "query row {row} has only {found} candidate neighbors but MinPts={k}"
-        for k in ks:
-            if np.any(found < k):
-                row = int(np.flatnonzero(found < k)[0])
-                raise ValidationError(message.format(row=row, found=found[row], k=k))
+        short = found < grid[:, None]
+        if short.any():
+            j, row = np.argwhere(short)[0]
+            raise ValidationError(message.format(row=row, found=found[row], k=ks[j]))
         if distinct:
-            return ids, dists, steps[offsets[:-1] + cols[:, None]]
-        return ids, dists, dists[:, cols].T
+            return ids, dists, steps[offsets[:-1] + grid[:, None] - 1]
+        return ids, dists, dists[:, grid - 1].T
 
     def _reach_extrema(self, k: int):  # reprolint: holds-lock
         if k not in self._extrema:
@@ -693,6 +710,12 @@ class ScoreBatcher:
     from the requests that arrived while a score was running, with no
     timer. An inline run counts as a one-request batch (``inline``
     counts those), so the counters account for every request.
+
+    Each request's points are validated once: an inline request by the
+    ``score_new`` that scores it (it counts as a request before that,
+    and its points once scored); a queued one by :meth:`submit`, before
+    it is queued, and the stacked rows reach ``score_new`` as
+    :class:`_CheckedRows`, which it does not validate again.
 
     Every query row is independent in every kernel on the scoring path
     (pairwise block rows, tie selection, reach/lrd/LOF row reductions),
@@ -760,7 +783,11 @@ class ScoreBatcher:
         """
         if self._closed:
             raise ServeError("the scoring service is shutting down")
-        _, Xq, scorer = self._checked(points, min_pts, scorer)
+        if scorer is not None:
+            scorer = get_scorer(scorer).name
+        # The request's one check_data: _execute hands the rows to
+        # score_new as _CheckedRows.
+        Xq, _, _ = self._scorer_ref()._check_query(points, None, min_pts)
         pending = _PendingScore()
         obs.incr("serve.batch.requests")
         self._queue.put((Xq, min_pts, scorer, pending))
@@ -793,23 +820,18 @@ class ScoreBatcher:
         self._queue.put(None)
         self._thread.join(timeout=timeout)
 
-    def _checked(self, points, min_pts, scorer):
-        """``(current scorer, validated Xq, resolved scorer name)``."""
-        online = self._scorer_ref()
-        if scorer is not None:
-            scorer = get_scorer(scorer).name
-        Xq, _, _ = online._check_query(points, None, min_pts)
-        return online, Xq, scorer
-
     # -- scoring, under the scoring lock --------------------------------------
 
     def _score_inline(self, points, min_pts, scorer) -> np.ndarray:  # reprolint: holds-lock
-        online, Xq, scorer = self._checked(points, min_pts, scorer)
+        """Score one request on the caller's thread. ``score_new``
+        validates it, so the request counts before its rows are known."""
         obs.incr("serve.batch.requests")
         obs.incr("serve.batch.inline")
         self.inline += 1
-        self._count(1, Xq.shape[0])
-        return online.score_new(Xq, min_pts=min_pts, scorer=scorer)
+        self._count(1, 0)
+        scores = self._scorer_ref().score_new(points, min_pts=min_pts, scorer=scorer)
+        self.points += len(scores)
+        return scores
 
     def _count(self, requests: int, points: int) -> None:  # reprolint: holds-lock
         """Account one stacked ``score_new`` over ``requests`` requests."""
@@ -891,7 +913,7 @@ class ScoreBatcher:
             self._count(len(group), stacked.shape[0])
             try:
                 scores = online.score_new(
-                    stacked, min_pts=min_pts, scorer=scorer_name
+                    _CheckedRows(stacked), min_pts=min_pts, scorer=scorer_name
                 )
             except BaseException as exc:
                 for _, _, _, pending in group:

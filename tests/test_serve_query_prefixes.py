@@ -6,9 +6,12 @@ MinPts as a prefix of that (distance, id)-sorted row. This wall pins
 the result to the per-k pipeline it replaced, byte for byte: for each
 MinPts k, a fresh distance row, a tie-inclusive selection at k (or the
 k-distinct ball under ``duplicate_mode='distinct'``), the rows padded
-into :class:`~repro.core.graph.RowPrefixes` of that k alone (every row
-its whole neighborhood) and the scorer's ``score_query``. Stored rows (``exclude=i`` with equal coordinates)
-read their graph prefix, as before.
+into a one-MinPts :class:`~repro.core.graph.GridPrefixes` of that k
+alone (every row its whole neighborhood) and the scorer's
+``score_query`` on it. Stored rows (``exclude=i`` with equal
+coordinates) read their graph prefix, as before. ``classify_new`` is
+compared against a scorer whose request views are assembled from the
+same per-k selections.
 
 The corpora are tie-heavy on purpose (a 1e-3 grid, duplicate blocks of
 at least MinPts points, integer tie rings, the smallest legal n), since
@@ -31,7 +34,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro import LocalOutlierFactor, obs
-from repro.core.graph import RowPrefixes
+from repro.core.graph import GridPrefixes
 from repro.core.range_lof import _AGGREGATES
 from repro.exceptions import ReproError, ValidationError
 from repro.index.batch import select_tie_inclusive, tie_threshold
@@ -102,31 +105,47 @@ def oracle_view(sc, Xq, exclude, k):
     for i, c in enumerate(counts):
         ids[i, :c] = rows_ids[i]
         dists[i, :c] = rows_dists[i]
-    return RowPrefixes(ids, dists, counts), kdist_q
+    return GridPrefixes(ids, dists, kdist_q[None], counts[None])
 
 
 def oracle_scores(sc, Xq, exclude, min_pts, scorer):
     """``score_new`` as one k-NN and one kernel per MinPts, in order."""
     active = get_scorer(scorer)
     ks = sc.min_pts_grid if min_pts is None else (min_pts,)
-    sc._ensure_ks(ks, active)
     matrix = np.empty((len(ks), len(Xq)))
     for row_k, k in enumerate(ks):
-        view, kdist_q = oracle_view(sc, Xq, exclude, k)
+        view = oracle_view(sc, Xq, exclude, k)
         ctx = ScorerContext(mat=sc.mat, k=k, X=sc.X, metric=sc.metric)
-        matrix[row_k] = active.score_query(ctx, view, kdist_q)
+        ctx.tables = active.tables([ctx])
+        matrix[row_k] = active.score_query(ctx, view)[0]
     if len(ks) == 1:
         return matrix[0]
     return _AGGREGATES[sc.aggregate](matrix)
+
+
+def oracle_grid(sc, Xq, exclude, ks):
+    """A request's view at every k of ``ks``, assembled from one oracle
+    view per k: every k's own selection must be a prefix of the widest
+    k's rows, and brings its own radii and neighborhood sizes."""
+    views = [oracle_view(sc, Xq, exclude, k) for k in ks]
+    widest = views[int(np.argmax(ks))]
+    for view in views:
+        for i, c in enumerate(view.counts[0]):
+            assert view.ids[i, :c].tobytes() == widest.ids[i, :c].tobytes()
+            assert view.dists[i, :c].tobytes() == widest.dists[i, :c].tobytes()
+    return GridPrefixes(
+        widest.ids,
+        widest.dists,
+        np.vstack([view.radii for view in views]),
+        np.vstack([view.counts for view in views]),
+    )
 
 
 def oracle_scorer(model):
     """An OnlineScorer whose query views come from the per-k oracle, so
     ``classify_new``'s brackets and exact fallbacks read oracle views."""
     sc = OnlineScorer(model, cache_size=0)
-    sc._query_view = lambda Xq, exclude, ks: [
-        oracle_view(sc, Xq, exclude, k) for k in ks
-    ]
+    sc._query_view = lambda Xq, exclude, ks: oracle_grid(sc, Xq, exclude, ks)
     return sc
 
 
