@@ -39,15 +39,19 @@ PRs append runs next to it and compare):
     LDOF over MinPts 10..60 (M built at 60). Each case
     runs in a fresh interpreter, so its peak RSS is its own and not the
     high-water mark of the rows before it; M is built there untimed,
-    but its counters are kept. ``derived.step2_sweep`` lists each case
+    but its counters are kept. Each case then checks its score matrix
+    against the per-MinPts oracle (:func:`per_k_scores`: a scan of
+    ``graph.prefixes(k)`` per MinPts for LOF, the scorer's per-k fit on
+    a fresh database otherwise) and records ``matches_per_k``.
+    ``derived.step2_sweep`` lists each case
     with its ``mscan.passes`` (two scans per MinPts for LOF),
     ``graph.builds`` (one graph for the build and the whole sweep) and
     the sweep's own ``distance.evaluations`` (LDOF's inner distances;
     0 for the others). ``--validate`` checks that every case is there
-    and that the LDOF sweep evaluates each inner pair of M's rows once.
-    In the committed file the LDOF entry also carries ``before``: the
-    same sweep measured on the per-MinPts expanded-form blocks it
-    replaced (recorded by hand; the harness does not emit it).
+    and matches the oracle, and that the LDOF sweep evaluates each
+    inner pair of M's rows once. In the committed file the entries also
+    carry ``before``: the same sweep measured at an earlier commit
+    (recorded by hand; the harness does not emit it).
 ``distinct``
     Step 1 under ``duplicate_mode='distinct'``: the wall time and peak
     RSS of :func:`repro.core.materialize` at the fixed :data:`DISTINCT`
@@ -174,6 +178,7 @@ SWEEP_FIELDS = {
     "mscan_passes": int,
     "graph_builds": int,
     "distance_evaluations": int,
+    "matches_per_k": bool,
 }
 
 
@@ -208,6 +213,36 @@ def _run_one(path, X, ub, block_size, index_name, tile_bytes):
     return wall, peak_rss_kb, snap["counters"], snap["timers"]
 
 
+def per_k_scores(mat, scorer: str, ks, X) -> np.ndarray:
+    """The ``(K, n)`` scores of ``scorer`` one MinPts at a time, on a
+    fresh database over ``mat``'s graph: for LOF, Definitions 5-7 as a
+    scan of ``graph.prefixes(k)`` per MinPts through the scoring
+    kernels; for any other scorer, its per-k fit."""
+    from repro.core import MaterializationDB, scoring
+
+    fresh = MaterializationDB.from_graph(
+        mat.graph, duplicate_mode=mat.duplicate_mode, coord_keys=mat.coord_keys
+    )
+    if scorer != "lof":
+        return np.vstack([
+            fresh.scores(int(k), scorer, X=X, metric="euclidean") for k in ks
+        ])
+    rows_out = []
+    for k in ks:
+        radii = fresh.k_distances(int(k))
+        rows = mat.graph.prefixes(int(k), kdist=radii)
+        block = np.empty(rows.ids.shape)
+        np.take(radii, rows.ids, out=block, mode="clip")
+        reach = scoring.reach_dist_values(rows.dists, block, out=block)
+        lrd = scoring.lrd_values(
+            reach.reshape(-1), rows.starts, rows.stops,
+            duplicate_mode=mat.duplicate_mode,
+        )
+        np.take(lrd, rows.ids, out=block, mode="clip")
+        rows_out.append(scoring.lof_values(lrd, block, rows.starts, rows.stops))
+    return np.vstack(rows_out)
+
+
 def sweep_child(seed: int, scorer: str, duplicate_mode: str, min_pts_ub: int) -> None:
     """Build M at ``min_pts_ub`` for :data:`SWEEP` untimed, time the
     step-2 sweep of ``scorer`` over it, and print one JSON record (run
@@ -224,7 +259,7 @@ def sweep_child(seed: int, scorer: str, duplicate_mode: str, min_pts_ub: int) ->
         )
         built = obs.counter("distance.evaluations")
         t0 = time.perf_counter()
-        score_range(
+        result = score_range(
             X=X,
             materialization=mat,
             min_pts_lb=SWEEP["min_pts_lb"],
@@ -234,10 +269,12 @@ def sweep_child(seed: int, scorer: str, duplicate_mode: str, min_pts_ub: int) ->
         wall = time.perf_counter() - t0
         sweep_evaluations = obs.counter("distance.evaluations") - built
     peak_rss_kb = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    oracle = per_k_scores(mat, scorer, result.min_pts_values, X)
     print(json.dumps({
         "wall_s": wall,
         "peak_rss_kb": peak_rss_kb,
         "sweep_evaluations": sweep_evaluations,
+        "matches_per_k": result.lof_matrix.tobytes() == oracle.tobytes(),
         "counters": snap["counters"],
         "timers": snap["timers"],
     }))
@@ -319,6 +356,7 @@ def run(args) -> dict:
                 "wall_s": round(child["wall_s"], 6),
                 "peak_rss_kb": child["peak_rss_kb"],
                 "sweep_evaluations": child["sweep_evaluations"],
+                "matches_per_k": child["matches_per_k"],
                 "counters": child["counters"],
                 "timers": _timers(child),
             }
@@ -329,7 +367,8 @@ def run(args) -> dict:
             f"wall={child['wall_s']:8.4f}s "
             f"peak_rss={child['peak_rss_kb'] / 1024:7.1f}MB "
             f"graph_builds={child['counters'].get('graph.builds', 0)} "
-            f"sweep_evaluations={child['sweep_evaluations']}",
+            f"sweep_evaluations={child['sweep_evaluations']} "
+            f"matches_per_k={child['matches_per_k']}",
             file=sys.stderr,
         )
     if "distinct" in args.paths:
@@ -451,6 +490,7 @@ def run(args) -> dict:
             "mscan_passes": r["counters"].get("mscan.passes", 0),
             "graph_builds": r["counters"].get("graph.builds", 0),
             "distance_evaluations": r["sweep_evaluations"],
+            "matches_per_k": r["matches_per_k"],
         }
         for r in results
         if r["path"] == "sweep"
@@ -495,8 +535,8 @@ def run(args) -> dict:
 
 
 def _typed(value, typ) -> bool:
-    if isinstance(value, bool):
-        return False
+    if isinstance(value, bool) or typ is bool:
+        return isinstance(value, bool) and typ is bool
     if typ is float:
         return isinstance(value, (int, float))
     return isinstance(value, typ)
@@ -514,6 +554,12 @@ def _check_sweep_cases(sweep) -> list:
         f"derived.step2_sweep has no {scorer}/{mode} MinPts..{ub} entry"
         for scorer, mode, ub in SWEEP_CASES
         if (scorer, mode, ub) not in cases
+    ]
+    problems += [
+        f"the {e.get('scorer')}/{e.get('duplicate_mode')} sweep differs from "
+        "the per-MinPts oracle"
+        for e in sweep
+        if e.get("matches_per_k") is False
     ]
     for entry in sweep:
         if entry.get("scorer") != "ldof" or not _typed(entry.get("distance_evaluations"), int):

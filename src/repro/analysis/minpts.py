@@ -87,7 +87,7 @@ def sweep_min_pts(
             min_pts_lb, min_pts_ub, materialization.n_points
         )
     grid = np.arange(lb, ub + 1)
-    matrix = np.vstack([materialization.lof(int(k)) for k in grid])
+    matrix = materialization.lof_table(grid).copy()
     return MinPtsSweep(min_pts_values=grid, lof_matrix=matrix)
 
 

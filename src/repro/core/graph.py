@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,14 +64,12 @@ class RowPrefixes:
     ``starts[i]:stops[i]`` — the layout the scoring kernels take. The
     rows are a graph's objects (:meth:`NeighborhoodGraph.prefixes`),
     query points (online scoring) or a dirty subset
-    (:meth:`DynamicNeighborhoodGraph.subview`). ``capacity`` sizes the
-    scratch :meth:`block` (at least ``ids.size``).
+    (:meth:`DynamicNeighborhoodGraph.subview`).
     """
 
     ids: np.ndarray
     dists: np.ndarray
     counts: np.ndarray
-    capacity: int = 0
 
     @property
     def n_rows(self) -> int:
@@ -89,13 +87,7 @@ class RowPrefixes:
         """(ids, dists) of row ``i``'s neighborhood."""
         return self.ids[i, : self.counts[i]], self.dists[i, : self.counts[i]]
 
-    def block(self) -> np.ndarray:
-        """A fresh float64 array shaped like ``ids`` for the scan's
-        gathers and ratios (see :func:`_carve`)."""
-        return _carve(self.ids.shape, max(self.capacity, self.ids.size), np.float64)
 
-
-@dataclass(frozen=True)
 class GridPrefixes:
     """Tie-inclusive neighborhoods of a row set at every MinPts of a grid.
 
@@ -104,31 +96,48 @@ class GridPrefixes:
     i's k-distance at the grid's j-th MinPts and ``counts[j, i]`` the
     size of its Definition-4 neighborhood there, so that neighborhood is
     the prefix ``ids[i, :counts[j, i]]``. Online scoring builds one per
-    request and scores every MinPts from it at once.
+    request and scores every MinPts from it at once; the fit's step-2
+    sweep reads M as one per tile (:meth:`NeighborhoodGraph.tiles`).
 
     The kernels take the grid as a stacked ``(K', m, w)`` block over a
     run of consecutive MinPts (:meth:`spans`, each run's floats within
     :data:`~repro.index.brute.BLOCK_BYTES`) whose segment ``(j, i)`` is
     row i's prefix at the run's j-th MinPts (:meth:`segments`).
+    ``counts`` may be passed in; otherwise they are counted from the
+    radii on first read (a scorer that reads only the radii never pays
+    for them).
     """
 
-    ids: np.ndarray
-    dists: np.ndarray
-    radii: np.ndarray
-    counts: np.ndarray
+    def __init__(
+        self,
+        ids: np.ndarray,
+        dists: np.ndarray,
+        radii: np.ndarray,
+        counts: Optional[np.ndarray] = None,
+    ):
+        self.ids = ids
+        self.dists = dists
+        self.radii = radii
+        if counts is not None:
+            self.counts = counts
 
     @classmethod
     def from_radii(
         cls, ids: np.ndarray, dists: np.ndarray, radii: np.ndarray
     ) -> "GridPrefixes":
-        """The view whose counts are ``#{c : dists[i, c] <= radii[j, i]}``:
-        one comparison of the sorted block against the radii per span."""
-        grid = cls(ids, dists, radii, np.empty(radii.shape, dtype=np.int64))
-        for span in grid.spans():
-            grid.counts[span] = np.count_nonzero(
-                dists <= radii[span, :, None], axis=2
+        """The view whose counts are ``#{c : dists[i, c] <= radii[j, i]}``,
+        counted on first read."""
+        return cls(ids, dists, radii)
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """One comparison of the sorted block against the radii per span."""
+        counts = np.empty(self.radii.shape, dtype=np.int64)
+        for span in self.spans():
+            counts[span] = np.count_nonzero(
+                self.dists <= self.radii[span, :, None], axis=2
             )
-        return grid
+        return counts
 
     def at(self, j: int) -> RowPrefixes:
         """The rows at the grid's j-th MinPts alone."""
@@ -153,17 +162,6 @@ class GridPrefixes:
         of ``span``: the flat ``(K', m, w)`` block :meth:`segments` indexes."""
         shape = (len(self.radii[span]),) + values.shape
         return np.broadcast_to(values, shape).reshape(-1)
-
-
-def _carve(shape: Tuple[int, int], capacity: int, dtype) -> np.ndarray:
-    """A fresh C-contiguous ``shape`` array cut from ``capacity`` elements.
-
-    Step 2 asks for the graph's full ``n × width`` at every MinPts, so
-    the allocator hands back the memory the previous MinPts freed; a
-    block sized to each (growing) prefix width would fault in fresh
-    pages every time, which costs as much as the scan itself.
-    """
-    return np.empty(capacity, dtype=dtype)[: shape[0] * shape[1]].reshape(shape)
 
 
 def _prefix_lengths(dists: np.ndarray, radii: np.ndarray, k: int) -> np.ndarray:
@@ -352,8 +350,8 @@ class NeighborhoodGraph:
 
         ``kdist`` overrides the per-object cutoff radii (the
         k-*distinct*-distance duplicate policy's radii exceed the plain
-        k-distances). Nothing is cached: each call allocates its own
-        ``(n, w)`` id block, never wider than the graph.
+        k-distances). The ids and distances are views of the padded
+        arrays cut at the widest prefix: nothing is copied or cached.
         """
         k = self._check_k(k)
         radii = (
@@ -362,15 +360,44 @@ class NeighborhoodGraph:
         )
         counts = _prefix_lengths(self.padded_dists, radii, k)
         width = int(counts.max())
-        capacity = self.padded_ids.size
-        ids = _carve((self.n_points, width), capacity, np.int64)
-        ids[...] = self.padded_ids[:, :width]
         return RowPrefixes(
-            ids=ids,
+            ids=self.padded_ids[:, :width],
             dists=self.padded_dists[:, :width],
             counts=counts,
-            capacity=capacity,
         )
+
+    def prefix_counts(self, ks: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        """``(K, n)`` neighborhood sizes at each MinPts of ``ks`` within
+        the ``(K, n)`` cutoff ``radii``: row j holds the counts
+        :meth:`prefixes` gives at ``ks[j]``."""
+        return np.stack([
+            _prefix_lengths(self.padded_dists, r, int(k)) for k, r in zip(ks, radii)
+        ])
+
+    def tiles(
+        self, radii: np.ndarray, counts: np.ndarray
+    ) -> Iterator[Tuple[slice, GridPrefixes]]:
+        """Every object's neighborhoods at a run of MinPts, in row blocks.
+
+        ``radii`` and ``counts`` are ``(K', n)``, one row per MinPts of
+        the run. Each block of rows is yielded with its
+        :class:`GridPrefixes`: views of the padded arrays cut at the
+        block's widest prefix (no copy of M), and the block's radii and
+        counts. A block holds as many rows as keep its stacked
+        ``(K', b, w)`` floats within :data:`~repro.index.brute.BLOCK_BYTES`
+        at the run's widest prefix (at least one row).
+        """
+        n_ks, n = counts.shape
+        step = max(1, BLOCK_BYTES // (8 * n_ks * int(counts.max())))
+        for lo in range(0, n, step):
+            rows = slice(lo, min(lo + step, n))
+            width = int(counts[:, rows].max())
+            yield rows, GridPrefixes(
+                self.padded_ids[rows, :width],
+                self.padded_dists[rows, :width],
+                radii[:, rows],
+                counts[:, rows],
+            )
 
     def neighborhood_of(
         self, i: int, k: int, radius: Optional[float] = None

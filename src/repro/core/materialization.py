@@ -18,10 +18,22 @@ Section 7.4 of the paper describes the production algorithm:
 refactor, a thin *policy layer*: neighborhood storage lives in
 :class:`~repro.core.graph.NeighborhoodGraph`, all lrd/LOF arithmetic in
 the :mod:`~repro.core.scoring` kernels, and this class adds the
-duplicate-mode policy, per-MinPts caching and persistence metadata on
-top. Each step-2 scan reads the graph's rows in place: a MinPts
-neighborhood is a prefix of its (distance, id)-sorted row, so no
-per-MinPts copy of M is built or kept.
+duplicate-mode policy, the per-MinPts tables and persistence metadata
+on top.
+
+k-distance, lrd and LOF are each one ``(MinPtsUB, n)`` table whose row
+``k - 1`` holds MinPts k once computed; :meth:`~MaterializationDB.lrd`,
+:meth:`~MaterializationDB.lof` and the grid accessors hand out rows or
+views of them. Step 2 fills a whole grid at once, in tiles: a run of
+consecutive MinPts × a block of M's rows, within
+:data:`~repro.index.brute.BLOCK_BYTES`. A tile reads its rows' ids and
+distances as views of M cut at the run's widest neighborhood (a MinPts
+neighborhood is a prefix of its (distance, id)-sorted row, so no copy
+of M is built or kept) and runs the scoring kernels over its
+``(K', b)`` grid of segments. Each segment holds the values a scan at
+that MinPts alone would reduce, in the same order, so the bits do not
+depend on the tiling. The two scans of each MinPts stay two scans: the
+lrd of a run is finished for every object before its LOF scan reads it.
 
 Tie semantics follow Definition 4: the k-distance neighborhood contains
 *every* object at distance not greater than the k-distance, so rows can
@@ -45,8 +57,9 @@ mode:
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +67,7 @@ from .. import obs
 from .._validation import check_data, check_min_pts
 from ..exceptions import ValidationError
 from ..index import NNIndex
+from ..index.brute import BLOCK_BYTES
 from . import scoring
 from .duplicates import distinct_steps, ensure_distinct_coverage
 from .graph import NeighborhoodGraph, RowPrefixes, resolve_index
@@ -69,6 +83,12 @@ def _check_duplicate_mode(duplicate_mode: str) -> str:
     return duplicate_mode
 
 
+def _check_policy(duplicate_mode: str, coord_keys) -> None:
+    _check_duplicate_mode(duplicate_mode)
+    if duplicate_mode == "distinct" and coord_keys is None:
+        raise ValidationError("duplicate_mode='distinct' requires coord_keys")
+
+
 def _coord_keys_for(X: np.ndarray) -> np.ndarray:
     """Exact-coordinate group keys for the 'distinct' duplicate policy."""
     _, coord_keys = np.unique(X, axis=0, return_inverse=True)
@@ -78,6 +98,68 @@ def _coord_keys_for(X: np.ndarray) -> np.ndarray:
             "all points are identical; no distinct neighborhood exists"
         )
     return coord_keys
+
+
+class _KTable:
+    """One per-MinPts quantity of every object: a ``(min_pts_ub, n)``
+    float table whose row ``k - 1`` holds MinPts k once ``filled``.
+
+    Rows are written (and so paged in) only when their MinPts is
+    computed or seeded. :meth:`row` hands out the same view of a row on
+    every call.
+    """
+
+    def __init__(self, n_ks: int, n: int):
+        self.values = np.empty((n_ks, n), dtype=np.float64)
+        self.filled = np.zeros(n_ks, dtype=bool)
+        self._views: List[Optional[np.ndarray]] = [None] * n_ks
+
+    def row(self, k: int) -> np.ndarray:
+        view = self._views[k - 1]
+        if view is None:
+            view = self._views[k - 1] = self.values[k - 1]
+        return view
+
+    def rows(self, ks: np.ndarray) -> np.ndarray:
+        """The ``(K, n)`` rows of ``ks``: a view when ``ks`` is a run of
+        consecutive MinPts, else a copy."""
+        lo = int(ks[0]) - 1
+        if np.array_equal(ks, np.arange(lo + 1, lo + 1 + len(ks))):
+            return self.values[lo : lo + len(ks)]
+        return self.values[ks - 1]
+
+    def write(self, ks: np.ndarray, values: np.ndarray) -> None:
+        self.values[ks - 1] = values
+        self.filled[ks - 1] = True
+
+    def filled_rows(self) -> Dict[int, np.ndarray]:
+        return {int(k): self.row(int(k)) for k in np.flatnonzero(self.filled) + 1}
+
+
+def _sorted_set(ks: np.ndarray) -> np.ndarray:
+    # Not np.unique: its first call imports numpy.ma (20-40 ms), which a
+    # served model would pay on its first request.
+    return np.array(sorted(set(ks.tolist())), dtype=np.int64)
+
+
+def _runs(ks: np.ndarray) -> List[np.ndarray]:
+    """Sorted MinPts cut into the runs that one tile spans.
+
+    A run from ``k0`` takes the MinPts up to ``k0 + k0 // 8``, so its
+    widest prefixes exceed its narrowest by about an eighth (ties
+    aside), and no more of them than one row of each fits in
+    :data:`~repro.index.brute.BLOCK_BYTES`.
+    """
+    runs = []
+    lo = 0
+    while lo < len(ks):
+        k0 = int(ks[lo])
+        reach = k0 + k0 // 8
+        size = min(len(ks) - lo, max(1, BLOCK_BYTES // (8 * reach)))
+        hi = min(lo + size, int(np.searchsorted(ks, reach, side="right")))
+        runs.append(ks[lo:hi])
+        lo = hi
+    return runs
 
 
 class MaterializationDB:
@@ -106,20 +188,12 @@ class MaterializationDB:
         duplicate_mode: str = "inf",
         coord_keys: Optional[np.ndarray] = None,
     ):
-        _check_duplicate_mode(duplicate_mode)
-        if duplicate_mode == "distinct" and coord_keys is None:
-            raise ValidationError("duplicate_mode='distinct' requires coord_keys")
-        self.graph = NeighborhoodGraph(padded_ids, padded_dists, k_max=min_pts_ub)
-        self.min_pts_ub = int(min_pts_ub)
-        self.duplicate_mode = duplicate_mode
-        self.coord_keys = coord_keys
-        self.n_points = self.graph.n_points
-        self._kdist_cache: Dict[int, np.ndarray] = {}
-        self._lrd_cache: Dict[int, np.ndarray] = {}
-        self._lof_cache: Dict[int, np.ndarray] = {}
-        self._scorer_scores: Dict[Tuple[str, int], np.ndarray] = {}
-        self._scorer_aux: Dict[Tuple[str, int], Dict[str, np.ndarray]] = {}
-        self._scorer_state: Dict[str, object] = {}
+        _check_policy(duplicate_mode, coord_keys)
+        self._setup(
+            NeighborhoodGraph(padded_ids, padded_dists, k_max=min_pts_ub),
+            duplicate_mode,
+            coord_keys,
+        )
 
     @classmethod
     def from_graph(
@@ -129,22 +203,24 @@ class MaterializationDB:
         coord_keys: Optional[np.ndarray] = None,
     ) -> "MaterializationDB":
         """Wrap a prebuilt neighborhood graph in the database policy layer."""
+        _check_policy(duplicate_mode, coord_keys)
         db = cls.__new__(cls)
-        _check_duplicate_mode(duplicate_mode)
-        if duplicate_mode == "distinct" and coord_keys is None:
-            raise ValidationError("duplicate_mode='distinct' requires coord_keys")
-        db.graph = graph
-        db.min_pts_ub = graph.k_max
-        db.duplicate_mode = duplicate_mode
-        db.coord_keys = coord_keys
-        db.n_points = graph.n_points
-        db._kdist_cache = {}
-        db._lrd_cache = {}
-        db._lof_cache = {}
-        db._scorer_scores = {}
-        db._scorer_aux = {}
-        db._scorer_state = {}
+        db._setup(graph, duplicate_mode, coord_keys)
         return db
+
+    def _setup(self, graph: NeighborhoodGraph, duplicate_mode: str, coord_keys) -> None:
+        self.graph = graph
+        self.min_pts_ub = graph.k_max
+        self.duplicate_mode = duplicate_mode
+        self.coord_keys = coord_keys
+        self.n_points = graph.n_points
+        shape = (self.min_pts_ub, self.n_points)
+        self._kdist = _KTable(*shape)
+        self._lrd = _KTable(*shape)
+        self._lof = _KTable(*shape)
+        self._scorer_scores: Dict[Tuple[str, int], np.ndarray] = {}
+        self._scorer_aux: Dict[Tuple[str, int], Dict[str, np.ndarray]] = {}
+        self._scorer_state: Dict[str, object] = {}
 
     # -- columnar storage (delegated to the graph) ---------------------------
 
@@ -248,14 +324,30 @@ class MaterializationDB:
     # -- Definition 3: k-distance ---------------------------------------------
 
     def k_distances(self, min_pts: int) -> np.ndarray:
-        """The MinPts-distance of every object (Definition 3), from M."""
+        """The MinPts-distance of every object (Definition 3), from M: a
+        row of the k-distance table."""
         k = self._check_k(min_pts)
-        if k not in self._kdist_cache:
-            if self.duplicate_mode == "distinct":
-                self._kdist_cache[k] = self._distinct_k_distances(k)
-            else:
-                self._kdist_cache[k] = self.graph.k_distances(k)
-        return self._kdist_cache[k]
+        if not self._kdist.filled[k - 1]:
+            self._fill_k_distances(np.array([k]))
+        return self._kdist.row(k)
+
+    def k_distance_table(self, ks: Sequence[int]) -> np.ndarray:
+        """``(K, n)`` k-distances at every MinPts of ``ks``, one row each:
+        rows of the k-distance table (a view when ``ks`` is a run of
+        consecutive MinPts)."""
+        ks = self._check_ks(ks)
+        self._fill_k_distances(_sorted_set(ks))
+        return self._kdist.rows(ks)
+
+    def _fill_k_distances(self, ks: np.ndarray) -> None:
+        todo = ks[~self._kdist.filled[ks - 1]]
+        if not len(todo):
+            return
+        if self.duplicate_mode == "distinct":
+            for k in todo:
+                self._kdist.write(k, self._distinct_k_distances(int(k)))
+        else:
+            self._kdist.write(todo, self.padded_dists[:, todo - 1].T)
 
     @cached_property
     def _distinct_steps(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -275,9 +367,9 @@ class MaterializationDB:
 
     def prefixes(self, min_pts: int) -> RowPrefixes:
         """Every object's MinPts-distance neighborhood as a prefix of its
-        row of M — step 2's input, and every scorer's. Under the
-        'distinct' policy the cutoff radii are the
-        k-distinct-distances rather than the plain k-distances."""
+        row of M — every scorer's input. Under the 'distinct' policy the
+        cutoff radii are the k-distinct-distances rather than the plain
+        k-distances."""
         k = self._check_k(min_pts)
         return self.graph.prefixes(k, kdist=self.k_distances(k))
 
@@ -288,66 +380,47 @@ class MaterializationDB:
         i = int(i)
         return self.graph.neighborhood_of(i, k, radius=self.k_distances(k)[i])
 
-    # -- Definition 5/6: reachability distances and lrd -------------------------
-
-    def _lrd_scan(self, k: int, rows, block: np.ndarray) -> np.ndarray:
-        """Scan 1 at MinPts=k over the row prefixes, working in ``block``.
-
-        Pads (-1) gather with ``mode='clip'`` and sit outside every
-        segment, so their values never reach a sum.
-        """
-        obs.incr("mscan.passes")
-        np.take(self.k_distances(k), rows.ids, out=block, mode="clip")
-        reach = scoring.reach_dist_values(rows.dists, block, out=block)
-        lrd = scoring.lrd_values(
-            reach.reshape(-1),
-            rows.starts,
-            rows.stops,
-            duplicate_mode=self.duplicate_mode,
-        )
-        self._lrd_cache[k] = lrd
-        return lrd
+    # -- Definitions 5-7: step 2, the sweep of M ---------------------------------
 
     def lrd(self, min_pts: int) -> np.ndarray:
-        """Local reachability density of every object (Definition 6).
-
-        This is the first O(n) scan of step 2, one
-        :func:`repro.core.scoring.lrd_values` kernel pass over the row
-        prefixes of M.
-        """
+        """Local reachability density of every object (Definition 6):
+        a row of the lrd table, filled by step 2's first scan of M."""
         k = self._check_k(min_pts)
-        if k not in self._lrd_cache:
-            rows = self.prefixes(k)
-            self._lrd_scan(k, rows, rows.block())
-        return self._lrd_cache[k]
+        if not self._lrd.filled[k - 1]:
+            self._sweep(np.array([k]), lof=False)
+        return self._lrd.row(k)
 
     def lof(self, min_pts: int) -> np.ndarray:
-        """Local outlier factor of every object (Definition 7).
-
-        This is the second O(n) scan of step 2, one
-        :func:`repro.core.scoring.lof_values` kernel pass over the same
-        row prefixes as :meth:`lrd`. Ratio convention for
-        duplicate-heavy data in mode 'inf': inf/inf := 1,
+        """Local outlier factor of every object (Definition 7): a row of
+        the LOF table, filled by step 2's second scan of M. Ratio
+        convention for duplicate-heavy data in mode 'inf': inf/inf := 1,
         finite/inf := 0.
 
-        Results are cached per ``min_pts`` (like k-distances and lrd), so
-        a repeated call — e.g. the Section 6.2 max-LOF sweep revisiting a
-        value — reads M zero additional times; ``mscan.passes`` counts
-        only cache misses.
+        Rows stay in the tables, so a repeated call — e.g. the Section
+        6.2 max-LOF sweep revisiting a value — reads M zero additional
+        times; ``mscan.passes`` counts only MinPts not yet computed.
         """
         k = self._check_k(min_pts)
-        if k not in self._lof_cache:
-            rows = self.prefixes(k)
-            block = rows.block()
-            lrd = self._lrd_cache.get(k)
-            if lrd is None:
-                lrd = self._lrd_scan(k, rows, block)
-            obs.incr("mscan.passes")
-            np.take(lrd, rows.ids, out=block, mode="clip")
-            self._lof_cache[k] = scoring.lof_values(
-                lrd, block, rows.starts, rows.stops, ratio_out=block
-            )
-        return self._lof_cache[k]
+        if not self._lof.filled[k - 1]:
+            self._sweep(np.array([k]), lof=True)
+        return self._lof.row(k)
+
+    def lrd_table(self, ks: Sequence[int]) -> np.ndarray:
+        """``(K, n)`` lrd at every MinPts of ``ks``: rows of the lrd table
+        (a view when ``ks`` is a run of consecutive MinPts), the missing
+        ones filled in one tiled sweep."""
+        ks = self._check_ks(ks)
+        self._sweep(_sorted_set(ks), lof=False)
+        return self._lrd.rows(ks)
+
+    def lof_table(self, ks: Sequence[int]) -> np.ndarray:
+        """``(K, n)`` LOF at every MinPts of ``ks``: rows of the LOF table
+        (a view when ``ks`` is a run of consecutive MinPts), the missing
+        ones filled in one tiled sweep — Section 6.2's grid as one
+        request."""
+        ks = self._check_ks(ks)
+        self._sweep(_sorted_set(ks), lof=True)
+        return self._lof.rows(ks)
 
     def lof_range(self, min_pts_lb: int, min_pts_ub: int) -> Dict[int, np.ndarray]:
         """LOF vectors for every MinPts in [lb, ub] (Section 6.2 sweep)."""
@@ -355,7 +428,70 @@ class MaterializationDB:
         ub = self._check_k(min_pts_ub)
         if lb > ub:
             raise ValidationError(f"min_pts_lb={lb} exceeds min_pts_ub={ub}")
-        return {k: self.lof(k) for k in range(lb, ub + 1)}
+        self.lof_table(range(lb, ub + 1))
+        return {k: self._lof.row(k) for k in range(lb, ub + 1)}
+
+    def _sweep(self, ks: np.ndarray, lof: bool) -> None:
+        """Step 2 at every MinPts of the sorted ``ks`` not in the tables.
+
+        The grid is cut into runs of consecutive MinPts (:func:`_runs`)
+        and each run's scans into row blocks
+        (:meth:`NeighborhoodGraph.tiles`): a tile reads its rows'
+        prefixes of M only up to the widest neighborhood of its run.
+        Scan 1 fills the run's lrd rows for every object; scan 2 (with
+        ``lof``) then reads them from the table for the LOF rows. Each
+        scan counts one ``mscan.passes`` per MinPts.
+        """
+        todo = ~self._lrd.filled[ks - 1]
+        if lof:
+            todo |= ~self._lof.filled[ks - 1]
+        for run in _runs(ks[todo]):
+            self._fill_k_distances(run)
+            radii = self._kdist.rows(run)
+            counts = self.graph.prefix_counts(run, radii)
+            self._scan(run, radii, counts, self._lrd)
+            if lof:
+                self._scan(run, radii, counts, self._lof)
+
+    def _scan(self, ks, radii, counts, table: _KTable) -> None:
+        """One scan of M at every MinPts of the run ``ks`` whose row of
+        ``table`` is missing, tile by tile: reach-dists and lrd into the
+        lrd table, or lrd ratios and LOF into the LOF table.
+
+        Each tile gathers a neighbor quantity at its ``(b, w)`` id view
+        into a ``(K', b, w)`` block carved from one reused buffer; pads
+        (-1) gather with ``mode='clip'`` and sit outside every segment.
+        Every segment holds the values of one Definition-4 neighborhood
+        in row order, so the kernels give the bits of a scan per MinPts.
+        """
+        need = ~table.filled[ks - 1]
+        if not need.any():
+            return
+        if not need.all():
+            ks, radii, counts = ks[need], radii[need], counts[need]
+        obs.incr("mscan.passes", len(ks))
+        scan_lof = table is self._lof
+        source = self._lrd.rows(ks) if scan_lof else radii
+        buf = np.empty(BLOCK_BYTES // 8)
+        for rows, grid in self.graph.tiles(radii, counts):
+            shape = grid.counts.shape + (grid.ids.shape[1],)
+            size = math.prod(shape)
+            if buf.size < size:
+                buf = np.empty(size)
+            block = buf[:size].reshape(shape)
+            np.take(source, grid.ids, axis=1, out=block, mode="clip")
+            starts, stops = grid.segments(slice(None))
+            if scan_lof:
+                values = scoring.lof_values(
+                    source[:, rows], block, starts, stops, ratio_out=block
+                )
+            else:
+                reach = scoring.reach_dist_values(grid.dists, block, out=block)
+                values = scoring.lrd_values(reach.reshape(-1), starts, stops)
+            table.values[ks - 1, rows] = values
+        if not scan_lof and self.duplicate_mode == "error":
+            scoring.check_finite_lrd(table.values[ks - 1])
+        table.filled[ks - 1] = True
 
     # -- the scorer registry (repro.scorers) -----------------------------------
 
@@ -427,23 +563,26 @@ class MaterializationDB:
     # -- persistence (repro.store) ----------------------------------------------
 
     def cached_lrd(self) -> Dict[int, np.ndarray]:
-        """Copy of the per-MinPts lrd cache (what a save persists)."""
-        return dict(self._lrd_cache)
+        """The filled rows of the lrd table by MinPts (what a save
+        persists)."""
+        return self._lrd.filled_rows()
 
     def cached_lof(self) -> Dict[int, np.ndarray]:
-        """Copy of the per-MinPts LOF cache (what a save persists)."""
-        return dict(self._lof_cache)
+        """The filled rows of the LOF table by MinPts (what a save
+        persists)."""
+        return self._lof.filled_rows()
 
     def seed_caches(self, lrd=None, lof=None) -> None:
-        """Pre-populate the per-MinPts caches from persisted vectors.
+        """Fill rows of the lrd and LOF tables from persisted vectors.
 
         Used by :mod:`repro.store` on load so step-2 queries against a
         reloaded M serve the exact vectors computed at fit time without
         a recompute (``mscan.passes`` stays 0 for seeded values). Every
         key must be a valid MinPts for this database and every vector
-        must cover all ``n_points`` objects.
+        must cover all ``n_points`` objects; the vectors are copied into
+        the tables.
         """
-        for cache, seeds in ((self._lrd_cache, lrd), (self._lof_cache, lof)):
+        for table, seeds in ((self._lrd, lrd), (self._lof, lof)):
             for k, vec in (seeds or {}).items():
                 k = self._check_k(int(k))
                 vec = np.asarray(vec, dtype=np.float64)
@@ -452,7 +591,7 @@ class MaterializationDB:
                         f"cache vector for MinPts={k} has shape {vec.shape}, "
                         f"expected ({self.n_points},)"
                     )
-                cache[k] = vec
+                table.write(k, vec)
 
     def cached_scorer_scores(self) -> Dict[Tuple[str, int], np.ndarray]:
         """Copy of the per-(scorer, MinPts) score cache (what a save persists)."""
@@ -503,6 +642,12 @@ class MaterializationDB:
         """Number of (id, distance) records stored — the paper's n·MinPtsUB
         figure, plus any tie overhang."""
         return self.graph.size_in_records()
+
+    def _check_ks(self, ks: Sequence[int]) -> np.ndarray:
+        ks = np.array([self._check_k(int(k)) for k in ks], dtype=np.int64)
+        if not len(ks):
+            raise ValidationError("a MinPts grid needs at least one value")
+        return ks
 
     def _check_k(self, min_pts: int) -> int:
         k = check_min_pts(min_pts, self.n_points)

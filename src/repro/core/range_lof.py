@@ -118,12 +118,7 @@ def score_range(
                 f"{materialization.min_pts_ub}"
             )
     grid = np.arange(lb, ub + 1)
-    matrix = np.vstack(
-        [
-            materialization.scores(int(k), scorer_obj, X=X, metric=metric)
-            for k in grid
-        ]
-    )
+    matrix = scorer_obj.fit_grid(materialization, grid, X=X, metric=metric)
     scores = _AGGREGATES[aggregate](matrix)
     return RangeLOFResult(
         min_pts_values=grid,

@@ -65,6 +65,7 @@ __all__ = [
     "row_means",
     "segment_bounds",
     "first_row",
+    "check_finite_lrd",
 ]
 
 
@@ -159,14 +160,22 @@ def lrd_values(
     sums = row_sums(flat_reach, starts, stops)
     with np.errstate(divide="ignore"):
         lrd = counts / sums
-    if duplicate_mode == "error" and np.any(np.isinf(lrd)):
+    if duplicate_mode == "error":
+        check_finite_lrd(lrd)
+    return lrd
+
+
+def check_finite_lrd(lrd: np.ndarray) -> None:
+    """``duplicate_mode='error'``: raise :class:`DuplicatePointsError`
+    naming the first infinite lrd of a ``(m,)`` or ``(K, m)`` array, in
+    MinPts order (:func:`first_row`)."""
+    if np.any(np.isinf(lrd)):
         bad = first_row(np.isinf(lrd))
         raise DuplicatePointsError(
             f"object {bad} has at least MinPts duplicates; its local "
             f"reachability density is infinite "
             f"(use duplicate_mode='distinct' or 'inf')"
         )
-    return lrd
 
 
 def lof_values(

@@ -279,6 +279,16 @@ class NNIndex(ABC):
         ids, distances : (m, L) padded arrays, ``L >= k``.
         """
         Q, exclude, k = self._check_batch(Q, k, exclude)
+        return self.query_batch_unchecked(Q, k, exclude)
+
+    def query_batch_unchecked(
+        self, Q: np.ndarray, k: int, exclude: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`query_batch_with_ties` for a caller that has already
+        checked its input: ``Q`` a C-contiguous, finite float64 ``(m, d)``
+        block of the fitted dimension (``m >= 1``), ``exclude`` an
+        ``(m,)`` int64 array of stored ids or -1, and ``k`` a valid
+        neighbor count for every row. Counted like any batch query."""
         self._count_batch(Q.shape[0])
         return self._query_batch_with_ties(Q, k, exclude)
 

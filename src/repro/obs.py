@@ -52,7 +52,8 @@ Counters (see ``docs/observability.md`` for the full contract)
     merge (the ``strategy="auto"`` heuristic's decisions, made exact).
 ``mscan.passes``
     O(n) scans over the materialization database M (one per lrd pass,
-    one per lof pass — the paper's "step 2" scans).
+    one per lof pass — the paper's "step 2" scans): two per MinPts,
+    however a grid's scans are cut into tiles.
 ``store.saves`` / ``store.loads``
     model-store files written / read by :mod:`repro.store`.
 ``serve.points_scored``

@@ -19,7 +19,7 @@ dataset snapshot and metric) and in the *aux* arrays :meth:`Scorer.fit`
 returns, which :class:`~repro.core.materialization.MaterializationDB`
 caches per ``(scorer, k)`` and :mod:`repro.store` persists. The query
 path (:meth:`Scorer.score_query`) scores a whole MinPts grid in one
-pass over ``(K, n)`` tables stacked once per grid (:meth:`Scorer.tables`),
+pass over ``(K, n)`` tables taken once per grid (:meth:`Scorer.tables`),
 and must reproduce fitted scores bit-for-bit when handed a stored
 object's own neighborhood row, at every MinPts of the grid — the
 serve-vs-batch invariant pinned by ``tests/scorers/``.
@@ -58,7 +58,7 @@ class ScorerContext:
     ``requires_data`` (LDOF needs neighbor-to-neighbor distances the
     graph does not store) must call :meth:`require_data`. A query
     context serves a whole MinPts grid: ``k`` is its largest MinPts and
-    ``tables`` holds what :meth:`Scorer.tables` stacked for it.
+    ``tables`` holds what :meth:`Scorer.tables` returned for it.
     """
 
     mat: object
@@ -117,15 +117,25 @@ class Scorer:
         """
         raise NotImplementedError
 
+    def fit_grid(self, mat, ks: Sequence[int], X=None, metric=None) -> np.ndarray:
+        """Per-object scores at every MinPts of ``ks``, one row each: the
+        ``(K, n)`` matrix of Section 6.2's sweep. By default the rows of
+        ``mat.scores`` (cached per ``(scorer, k)``) stacked into a new
+        array; a scorer whose materialization keeps a ``(K, n)`` table
+        may return its rows instead."""
+        return np.vstack([mat.scores(int(k), self, X=X, metric=metric) for k in ks])
+
     def tables(self, contexts: Sequence[ScorerContext]) -> Dict[str, np.ndarray]:
-        """The per-MinPts inputs :meth:`score_query` reads, stacked over a
-        grid: one per-k context per MinPts, in grid order, in; arrays
-        with one row per MinPts (``(K, n)`` per-object vectors) out.
+        """The per-MinPts inputs :meth:`score_query` reads, over a grid:
+        one per-k context per MinPts, in grid order, in; arrays with one
+        row per MinPts (``(K, n)`` per-object vectors) out — for LOF,
+        rows (views, for a run of consecutive MinPts) of the
+        materialization's k-distance and lrd tables.
 
         Called once per (scorer, grid) before the grid's first query; it
-        is the first touch of the materialization's lazy per-k caches
-        (lrd for LOF, the pdist/nPLOF aux state for LoOP). Scorers that
-        read no per-k state return nothing.
+        is the first touch of the materialization's per-MinPts state
+        (the lrd table for LOF, the pdist/nPLOF aux state for LoOP).
+        Scorers that read no per-k state return nothing.
         """
         return {}
 

@@ -35,7 +35,7 @@ class KNNDistScorer(Scorer):
         return np.array(ctx.mat.k_distances(ctx.k), dtype=np.float64, copy=True), {}
 
     def score_query(self, ctx: ScorerContext, grid) -> np.ndarray:
-        obs.incr("scorer.knn_dist.points", int(grid.counts.size))
+        obs.incr("scorer.knn_dist.points", int(grid.radii.size))
         return np.array(grid.radii, dtype=np.float64, copy=True)
 
 

@@ -40,8 +40,9 @@ call on it runs under the scorer's one lock, start to finish: the
 per-grid warm-up, the LRU result cache, the kernels and the counters
 see one caller at a time, so the hit/miss counters are exactly the
 serial values under any interleaving. The frozen model (neighborhood
-graph, k-distance/lrd vectors, the dataset snapshot — read-only memmaps
-under ``mmap=True``) is never written after load.
+graph and dataset snapshot — read-only memmaps under ``mmap=True`` —
+and the k-distance/lrd/LOF tables, filled once per MinPts) is never
+rewritten after load.
 
 Scoring is embarrassingly batchable (each query row is independent in
 every kernel), which :class:`ScoreBatcher` exploits on the HTTP path;
@@ -547,9 +548,9 @@ class OnlineScorer:
     def _ensure_ks(self, ks, scorer) -> ScorerContext:  # reprolint: holds-lock
         """The query context of one (scorer, MinPts grid), built once.
 
-        Stacking the scorer's :meth:`~repro.scorers.Scorer.tables` is
-        the first touch of the materialization's lazy per-k caches
-        (k-distances, lrd for LOF, the pdist/nPLOF aux state for LoOP);
+        The scorer's :meth:`~repro.scorers.Scorer.tables` are the first
+        touch of the materialization's per-MinPts state (the k-distance
+        and lrd tables for LOF, the pdist/nPLOF aux state for LoOP);
         doing it once per (scorer, grid), under the lock, keeps the
         step-2 scan counters (``mscan.passes``) exactly serial.
         """
@@ -629,9 +630,9 @@ class OnlineScorer:
 
         Returns ``(ids, dists, radii)``: padded rows sorted by (distance,
         id) and the ``(len(ks), m)`` radii, from one
-        :meth:`~repro.index.NNIndex.query_batch_with_ties` of a brute
-        index on the stored points, fitted on first use: the fit's
-        engine. Its per-row scan (fewer than ``PRUNE_ROWS`` rows) and
+        :meth:`~repro.index.NNIndex.query_batch_unchecked` (the rows
+        were checked once, by :meth:`score_new`) of a brute index on the
+        stored points, fitted on first use: the fit's engine. Its per-row scan (fewer than ``PRUNE_ROWS`` rows) and
         its pruned batch both compute each distance with the metric's
         row kernel, so a row does not depend on the batch it is in, and
         batched scoring is bit-identical to per-request scoring. Under
@@ -649,7 +650,8 @@ class OnlineScorer:
         if self._index is None:
             self._index = BruteForceIndex(metric=self.metric).fit(self.X)
         index, k_max, grid = self._index, max(ks), np.array(ks)
-        ids, dists = index.query_batch_with_ties(Xq, k_max, exclude)
+        # score_new has checked the rows, the ids and the grid already.
+        ids, dists = index.query_batch_unchecked(Xq, k_max, exclude)
         distinct = self.mat.duplicate_mode == "distinct"
         if distinct:
             n = index.n_points
@@ -657,7 +659,7 @@ class OnlineScorer:
             def probe_rows(rows, probe):
                 # A row that excludes an id has one point fewer to reach.
                 cap = n - int(np.any(exclude[rows] >= 0))
-                return index.query_batch_with_ties(Xq[rows], min(probe, cap), exclude[rows])
+                return index.query_batch_unchecked(Xq[rows], min(probe, cap), exclude[rows])
 
             ids, dists, _ = ensure_distinct_coverage(
                 probe_rows, ids, dists, self.mat.coord_keys, k_max, limit=n

@@ -11,7 +11,12 @@ import pytest
 
 from repro import obs
 from repro.core import scoring
-from repro.core.graph import DynamicNeighborhoodGraph, NeighborhoodGraph, RowPrefixes
+from repro.core.graph import (
+    DynamicNeighborhoodGraph,
+    GridPrefixes,
+    NeighborhoodGraph,
+    RowPrefixes,
+)
 from repro.core.materialization import MaterializationDB
 from repro.exceptions import ValidationError
 from repro.index import make_index
@@ -172,3 +177,27 @@ class TestDynamicGraph:
         lrd = scoring.lrd_of(dyn, rows)
         assert lrd.tobytes() == mat.lrd(4).tobytes()
         assert scoring.lof_of(dyn, rows, lrd).tobytes() == mat.lof(4).tobytes()
+
+
+class TestGridPrefixes:
+    def test_counts_are_counted_on_first_read(self):
+        g = NeighborhoodGraph.from_index(tied_grid(), 6)
+        radii = np.stack([g.k_distances(k) for k in (2, 4, 6)])
+        grid = GridPrefixes.from_radii(g.padded_ids, g.padded_dists, radii)
+        assert "counts" not in vars(grid)
+        want = np.stack([g.prefixes(k).counts for k in (2, 4, 6)])
+        assert grid.counts.tobytes() == want.tobytes()
+        assert "counts" in vars(grid)
+
+    def test_tiles_are_views_cut_at_the_block_width(self):
+        g = NeighborhoodGraph.from_index(tied_grid(), 6)
+        ks = np.array([3, 4, 5])
+        radii = np.stack([g.k_distances(k) for k in ks])
+        counts = g.prefix_counts(ks, radii)
+        seen = np.zeros(g.n_points, dtype=int)
+        for rows, tile in g.tiles(radii, counts):
+            seen[rows] += 1
+            assert np.shares_memory(tile.ids, g.padded_ids)
+            assert tile.ids.shape[1] == counts[:, rows].max()
+            assert tile.counts.tobytes() == counts[:, rows].tobytes()
+        assert (seen == 1).all()

@@ -87,6 +87,27 @@ class TestScoreNew:
             sc.score_new(Q), _AGGREGATES[sc.aggregate](per_k)
         )
 
+    def test_served_rows_are_checked_once(self, scorer, monkeypatch):
+        # score_new checks the rows; the k-NN behind it skips the index's
+        # own batch checks but still counts as one batch of m queries.
+        from repro.index.base import NNIndex
+
+        sc, _ = scorer
+        Q = np.random.default_rng(8).uniform(0.0, 40.0, size=(5, 2))
+        want = sc.score_new(Q, use_cache=False)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("served rows checked twice")
+
+        monkeypatch.setattr(NNIndex, "_check_batch", fail)
+        with obs.collect() as snap:
+            got = sc.score_new(Q, use_cache=False)
+        assert got.tobytes() == want.tobytes()
+        assert snap["counters"]["knn.queries"] == 5
+        assert snap["counters"]["knn.batch_queries"] == 1
+        with pytest.raises(ValidationError):
+            sc.score_new(np.array([[np.nan, 0.0]]))
+
     def test_self_path_bit_identical(self, scorer):
         sc, est = scorer
         X = est.X_
