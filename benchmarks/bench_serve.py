@@ -17,7 +17,12 @@ service's, not the generator's). Emits a schema-validated
   worker is handler state, not another copy of the model;
 * the server's own ``/stats`` batcher counters (requests, batches,
   coalesced), so the coalescing rate behind a throughput number is
-  recorded next to it.
+  recorded next to it;
+* ``server_cpu_us_per_req`` — the server's user plus system CPU over
+  the measured requests (``/proc/<pid>/stat``, summed over the serving
+  process and every fleet worker it forked), per request answered; the
+  median over the repeats. Unlike req/s, the client's share of the
+  cores cannot move it.
 
 A ``batch`` of ``0`` in the grid means one request per turn
 (``--max-batch 1``: every request is scored alone, one after another)
@@ -51,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import socket
 import statistics
@@ -83,6 +89,7 @@ RESULT_FIELDS = {
     "p99_ms": float,
     "worker_rss_kb": dict,
     "server_batcher": dict,
+    "server_cpu_us_per_req": float,
 }
 
 
@@ -130,6 +137,22 @@ def start_server(store, workers, batched, cache_size, max_batch):
                 raise
             time.sleep(0.05)
     return proc, port
+
+
+def server_cpu_s(pid: int) -> float:
+    """User plus system CPU seconds of process ``pid`` and of its live
+    children (the workers of a fleet), from ``/proc/<pid>/stat``."""
+    ticks = 0
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # After the parenthesized command name: state, ppid, ...;
+            # utime and stime are the 14th and 15th fields of the line.
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # the process exited while we looked
+            continue
+        if stat.parent.name == str(pid) or int(fields[1]) == pid:
+            ticks += int(fields[11]) + int(fields[12])
+    return ticks / os.sysconf("SC_CLK_TCK")
 
 
 def _encode_requests(payloads):
@@ -284,6 +307,7 @@ def run(args) -> dict:
     # cells whose *ratio* the gate reads temporally adjacent instead of
     # minutes apart on a machine that may have changed speed.
     runs = {cell: [] for cell in cells}
+    cpu_of = {cell: [] for cell in cells}
     errors_of = {cell: 0 for cell in cells}
     samples = {cell: ({}, {}) for cell in cells}
     for round_i in range(max(1, args.repeats)):
@@ -295,10 +319,13 @@ def run(args) -> dict:
             try:
                 # Warmup: fill caches and fault the memmap in.
                 run_load(port, args.concurrency, args.warmup, payloads)
+                cpu_i = server_cpu_s(proc.pid)
                 wall_i, lat_i, err_i = run_load(
                     port, args.concurrency, args.requests, payloads
                 )
+                cpu_i = server_cpu_s(proc.pid) - cpu_i
                 errors_of[cell] += err_i
+                cpu_of[cell].append(1e6 * cpu_i / max(len(lat_i) - err_i, 1))
                 if not runs[cell] or len(lat_i) / wall_i > max(
                     r[0] for r in runs[cell]
                 ):
@@ -339,6 +366,7 @@ def run(args) -> dict:
             ),
             "worker_rss_kb": rss,
             "server_batcher": batcher,
+            "server_cpu_us_per_req": round(statistics.median(cpu_of[cell]), 1),
         }
         results.append(record)
         print(
@@ -347,6 +375,7 @@ def run(args) -> dict:
             f"{record['req_per_s']:8.1f} req/s  "
             f"p50={record['p50_ms']:6.2f}ms "
             f"p99={record['p99_ms']:6.2f}ms "
+            f"cpu={record['server_cpu_us_per_req']:7.1f}us/req "
             f"errors={errors}",
             file=sys.stderr,
         )
@@ -461,6 +490,11 @@ def validate(payload) -> list:
         if record.get("errors", 0):
             problems.append(
                 f"results[{i}] recorded {record['errors']} request errors"
+            )
+        cpu = record.get("server_cpu_us_per_req")
+        if isinstance(cpu, (int, float)) and not cpu > 0:
+            problems.append(
+                f"results[{i}].server_cpu_us_per_req must be positive, got {cpu!r}"
             )
         rss = record.get("worker_rss_kb")
         if isinstance(rss, dict) and not all(

@@ -77,3 +77,16 @@ class ServeError(ReproError):
     (e.g. the request queue is closed because the server is shutting
     down). Distinct from :class:`ValidationError`: the request may be
     perfectly well-formed — it is the service that is unavailable."""
+
+
+class RequestHeadError(ValidationError):
+    """An HTTP request head the server will not read: a header line or a
+    header count past the server's limits (431) or a malformed field
+    line (400). ``status`` is the reply's code; ``reason`` and
+    ``explain`` are the reply's reason phrase and error text."""
+
+    def __init__(self, status: int, reason: str, explain: str):
+        super().__init__(explain)
+        self.status = status
+        self.reason = reason
+        self.explain = explain

@@ -72,6 +72,11 @@ HTTP/1.1 JSON::
     GET  /stats         cache, batcher and scoring counters
     GET  /healthz       liveness probe
 
+The request line is parsed by the stdlib's rules, and the header
+fields by :func:`read_fields` into a :class:`HeadFields` map, without
+the ``email`` parser the stdlib would run on every request. A
+``Content-Length`` must be digits, and repeated ones must agree.
+
 ``repro-lof serve --workers N`` forks N worker processes that all
 memmap-load the same store file (the OS page cache backs every worker
 with the same physical pages, so marginal RSS per worker is near zero)
@@ -88,6 +93,7 @@ from __future__ import annotations
 import json
 import os
 import queue
+import re
 import signal
 import socket
 import threading
@@ -95,6 +101,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -109,7 +116,7 @@ from .core.duplicates import distinct_steps, ensure_distinct_coverage
 from .core.graph import GridPrefixes
 from .core.parallel import fork_available, fork_workers, wait_workers
 from .core.range_lof import _AGGREGATES
-from .exceptions import ReproError, ServeError, ValidationError
+from .exceptions import ReproError, RequestHeadError, ServeError, ValidationError
 from .index.brute import BruteForceIndex
 from .scorers import ScorerContext, get_scorer, list_scorers
 from .store import StoredModel, load_model, store_fingerprint
@@ -1086,6 +1093,121 @@ class _ModelHTTPServer(ThreadingHTTPServer):
         super().server_close()
 
 
+# -- the request head ---------------------------------------------------------
+
+#: The stdlib's limits on a request head (``http.client``): a longer
+#: header line, or more lines than this before the blank line that ends
+#: the head (that line included), is answered 431.
+MAX_HEAD_LINE = 65536
+MAX_HEAD_LINES = 100
+
+#: A field line ``name ":" OWS value``: a name of printable ASCII other
+#: than ":" (the ``email`` parser's header grammar), the value, and the
+#: line ending.
+_FIELD_LINE = re.compile(r"([!-9;-~]+):[ \t]*([^\r\n]*)(\r?\n)?\Z")
+
+
+class HeadFields:
+    """The header fields of one request, by case-insensitive name.
+
+    ``get`` returns the first value of a repeated field, as
+    :meth:`email.message.Message.get` does; ``get_all`` returns every
+    value in arrival order."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: Dict[str, List[str]]):
+        self._values = values
+
+    def get(self, name: str, default=None):
+        values = self._values.get(name.lower())
+        return values[0] if values else default
+
+    def get_all(self, name: str) -> List[str]:
+        return list(self._values.get(name.lower(), ()))
+
+
+def read_fields(readline: Callable[[int], bytes]) -> HeadFields:
+    """Read a request's header lines, up to and including the blank line
+    that ends the head, from ``readline`` (a buffered reader's
+    ``readline``, or ``io.BytesIO(head).readline`` for a head already in
+    memory).
+
+    Each field keeps what :func:`http.client.parse_headers` would give
+    it, without the ``email`` package: the value after the colon with
+    leading spaces and tabs dropped, and each obs-fold continuation line
+    (one that begins with a space or a tab) appended to it after the
+    previous line's ending, as received. A continuation with no field
+    open, a line ``:value`` with no name and a ``From `` envelope line
+    are skipped. Any other line that is not a field ends the fields; the
+    lines after it are read and dropped. A bare CR in a header line is a
+    400 (RFC 9112 §2.2), where the ``email`` parser would start a new
+    line there.
+
+    Raises :class:`~repro.exceptions.RequestHeadError`: 431 for a line
+    longer than :data:`MAX_HEAD_LINE` or more than :data:`MAX_HEAD_LINES`
+    lines, with the stdlib's reason and text, and 400 for a bare CR.
+    """
+    values: Dict[str, List[str]] = {}
+    name = None  # the field that a continuation line extends
+    eol = ""  # the line ending of the field's last line
+    ended = False
+    count = 0
+    while True:
+        line = readline(MAX_HEAD_LINE + 1)
+        if len(line) > MAX_HEAD_LINE:
+            raise RequestHeadError(
+                HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long",
+                f"got more than {MAX_HEAD_LINE} bytes when reading header line",
+            )
+        count += 1
+        if count > MAX_HEAD_LINES:
+            raise RequestHeadError(
+                HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers",
+                f"got more than {MAX_HEAD_LINES} headers",
+            )
+        if line in (b"\r\n", b"\n", b""):
+            return HeadFields(values)
+        if ended:
+            continue
+        text = line.decode("iso-8859-1")
+        match = _FIELD_LINE.match(text)
+        if match is not None:
+            name, value, eol = match[1].lower(), match[2], match[3] or ""
+            if name in values:
+                values[name].append(value)
+            else:
+                values[name] = [value]
+            continue
+        cut = -2 if text.endswith("\r\n") else -1 if text.endswith("\n") else len(text)
+        if "\r" in text[:cut]:
+            raise RequestHeadError(
+                HTTPStatus.BAD_REQUEST, "Bad request", "bare CR in a header line"
+            )
+        if text[0] in " \t":
+            if name is not None:
+                values[name][-1] += eol + text[:cut]
+                eol = text[cut:]
+            continue
+        name = None
+        ended = not (text.startswith("From ") or text.startswith(":"))
+
+
+def _version_number(version: str) -> Optional[Tuple[int, int]]:
+    """``(major, minor)`` of an ``HTTP/x.y`` version word, or None when
+    the stdlib would answer it 400 (RFC 2145 §3.1: one dot, digits
+    only, leading zeros ignored)."""
+    if not version.startswith("HTTP/"):
+        return None
+    parts = version[5:].split(".")
+    if len(parts) != 2 or any(not p.isdigit() or len(p) > 10 for p in parts):
+        return None
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:  # a non-ASCII digit
+        return None
+
+
 class _Handler(BaseHTTPRequestHandler):
     server: _ModelHTTPServer
 
@@ -1104,6 +1226,70 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # request logging off; /stats carries the counters
+
+    def parse_request(self) -> bool:
+        """Parse ``raw_requestline`` and read the header fields.
+
+        The request line follows :meth:`BaseHTTPRequestHandler.parse_request`
+        to the letter: its 400 and 505 replies, the HTTP/1.0 and HTTP/0.9
+        defaults and the folding of a leading ``//``. The fields come from
+        :func:`read_fields`, not the ``email`` parser. ``Connection`` and
+        ``Expect: 100-continue`` are handled as the stdlib does for a
+        server that speaks HTTP/1.1. Returns False when there is nothing
+        to do or an error reply has been sent."""
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _version_number(version)
+            if number is None:
+                self.send_error(HTTPStatus.BAD_REQUEST, "Bad request version (%r)" % version)
+                return False
+            if number >= (1, 1):
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    "Invalid HTTP version (%s)" % version[5:],
+                )
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST, "Bad request syntax (%r)" % requestline)
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST, "Bad HTTP/0.9 request type (%r)" % command
+                )
+                return False
+        self.command = command
+        # gh-87389: a leading "//" reads as a scheme-relative URI.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = read_fields(self.rfile.readline)
+        except RequestHeadError as exc:
+            self.send_error(exc.status, exc.reason, exc.explain)
+            return False
+        conntype = self.headers.get("Connection", "").lower()
+        if conntype == "close":
+            self.close_connection = True
+        elif conntype == "keep-alive":
+            self.close_connection = False
+        if (
+            self.headers.get("Expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
 
     def _reply(self, status: int, payload: Dict) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -1133,11 +1319,21 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"error": f"unknown path {self.path!r}"})
 
     def _content_length(self) -> int:
-        """The declared body length; -1 when it is not an integer."""
-        try:
-            return int(self.headers.get("Content-Length", 0))
-        except ValueError:
+        """The declared body length; -1 unless every ``Content-Length``
+        field is ``1*DIGIT`` (RFC 9110 §8.6, around optional spaces and
+        tabs) and all of them give the same number."""
+        lengths = set()
+        for value in self.headers.get_all("Content-Length"):
+            value = value.strip(" \t")
+            if not (value.isascii() and value.isdigit()):
+                return -1
+            try:
+                lengths.add(int(value))
+            except ValueError:  # more digits than int() will convert
+                return -1
+        if len(lengths) > 1:
             return -1
+        return lengths.pop() if lengths else 0
 
     def _read_json_body(self):
         length = self._content_length()

@@ -379,7 +379,11 @@ class TestHTTPServer:
         status, body = self._request(srv, "/score", {"wrong": 1})
         assert status == 400
 
-    @pytest.mark.parametrize("length", [b"-1", b"abc"], ids=["negative", "non-integer"])
+    @pytest.mark.parametrize(
+        "length",
+        [b"-1", b"abc", b"+10", b"1_0", b"5\r\nContent-Length: 6"],
+        ids=["negative", "non-integer", "plus-sign", "underscore", "conflicting-repeat"],
+    )
     def test_bad_content_length_gets_400_and_worker_survives(self, server, length):
         srv, _ = server
         port = srv.server_address[1]
