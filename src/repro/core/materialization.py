@@ -101,39 +101,44 @@ def _coord_keys_for(X: np.ndarray) -> np.ndarray:
 
 
 class _KTable:
-    """One per-MinPts quantity of every object: a ``(min_pts_ub, n)``
-    float table whose row ``k - 1`` holds MinPts k once ``filled``.
+    """One per-MinPts quantity: a ``(min_pts_ub, ...)`` float table whose
+    row ``k - 1`` holds MinPts k once ``filled``.
 
-    Rows are written (and so paged in) only when their MinPts is
-    computed or seeded. :meth:`row` hands out the same view of a row on
-    every call.
+    A new table is zeros (paged in only where written), so rows never
+    computed stay zero and a save writes the same bytes for the same
+    computed MinPts. A table adopted from a memory-mapped store is
+    read-only; the first write copies it. :meth:`row` hands out the same
+    view of a row on every call until such a copy.
     """
 
-    def __init__(self, n_ks: int, n: int):
-        self.values = np.empty((n_ks, n), dtype=np.float64)
-        self.filled = np.zeros(n_ks, dtype=bool)
-        self._views: List[Optional[np.ndarray]] = [None] * n_ks
+    def __init__(self, values: np.ndarray, filled: Optional[np.ndarray] = None):
+        self.values = values
+        self.filled = np.zeros(len(values), dtype=bool) if filled is None else filled
+        self._views: List[Optional[np.ndarray]] = [None] * len(values)
 
     def row(self, k: int) -> np.ndarray:
         view = self._views[k - 1]
         if view is None:
-            view = self._views[k - 1] = self.values[k - 1]
+            view = self._views[k - 1] = self.values[k - 1, ...]
         return view
 
     def rows(self, ks: np.ndarray) -> np.ndarray:
-        """The ``(K, n)`` rows of ``ks``: a view when ``ks`` is a run of
-        consecutive MinPts, else a copy."""
+        """The rows of ``ks``: a view when ``ks`` is a run of consecutive
+        MinPts, else a copy."""
         lo = int(ks[0]) - 1
         if np.array_equal(ks, np.arange(lo + 1, lo + 1 + len(ks))):
             return self.values[lo : lo + len(ks)]
         return self.values[ks - 1]
 
-    def write(self, ks: np.ndarray, values: np.ndarray) -> None:
-        self.values[ks - 1] = values
-        self.filled[ks - 1] = True
+    def writable(self) -> np.ndarray:
+        if not self.values.flags.writeable:
+            self.values = self.values.copy()
+            self._views = [None] * len(self.values)
+        return self.values
 
-    def filled_rows(self) -> Dict[int, np.ndarray]:
-        return {int(k): self.row(int(k)) for k in np.flatnonzero(self.filled) + 1}
+    def write(self, ks: np.ndarray, values: np.ndarray) -> None:
+        self.writable()[ks - 1] = values
+        self.filled[ks - 1] = True
 
 
 def _sorted_set(ks: np.ndarray) -> np.ndarray:
@@ -201,26 +206,52 @@ class MaterializationDB:
         graph: NeighborhoodGraph,
         duplicate_mode: str = "inf",
         coord_keys: Optional[np.ndarray] = None,
+        tables: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None,
     ) -> "MaterializationDB":
-        """Wrap a prebuilt neighborhood graph in the database policy layer."""
+        """Wrap a prebuilt neighborhood graph in the database policy layer.
+
+        ``tables`` (as :meth:`tables` returns them) are adopted as the
+        per-MinPts tables, without a copy: how :mod:`repro.store` loads
+        a model."""
         _check_policy(duplicate_mode, coord_keys)
         db = cls.__new__(cls)
-        db._setup(graph, duplicate_mode, coord_keys)
+        db._setup(graph, duplicate_mode, coord_keys, tables)
         return db
 
-    def _setup(self, graph: NeighborhoodGraph, duplicate_mode: str, coord_keys) -> None:
+    def _setup(
+        self, graph: NeighborhoodGraph, duplicate_mode: str, coord_keys, tables=None
+    ) -> None:
         self.graph = graph
         self.min_pts_ub = graph.k_max
         self.duplicate_mode = duplicate_mode
         self.coord_keys = coord_keys
         self.n_points = graph.n_points
-        shape = (self.min_pts_ub, self.n_points)
-        self._kdist = _KTable(*shape)
-        self._lrd = _KTable(*shape)
-        self._lof = _KTable(*shape)
-        self._scorer_scores: Dict[Tuple[str, int], np.ndarray] = {}
-        self._scorer_aux: Dict[Tuple[str, int], Dict[str, np.ndarray]] = {}
         self._scorer_state: Dict[str, object] = {}
+        self._tables = {
+            name: _KTable(values, np.array(filled, dtype=bool))
+            for name, (values, filled) in (tables or {}).items()
+        }
+        if tables is None:
+            # A new database allocates its tables up front, so a sweep's
+            # peak memory is its own temporaries.
+            self._kdist = self._new_table()
+        self._lrd, self._lof = self._table("lrd"), self._table("lof")
+
+    def _new_table(self, row_shape=None) -> _KTable:
+        row_shape = (self.n_points,) if row_shape is None else row_shape
+        return _KTable(np.zeros((self.min_pts_ub, *row_shape)))
+
+    @cached_property
+    def _kdist(self) -> _KTable:
+        # Not persisted: a loaded database derives k-distances from M.
+        return self._new_table()
+
+    def _table(self, name: str, row_shape=None) -> _KTable:
+        """The per-MinPts table ``name``, created on first use with rows
+        of ``row_shape`` (default ``(n_points,)``)."""
+        if name not in self._tables:
+            self._tables[name] = self._new_table(row_shape)
+        return self._tables[name]
 
     # -- columnar storage (delegated to the graph) ---------------------------
 
@@ -472,6 +503,7 @@ class MaterializationDB:
         obs.incr("mscan.passes", len(ks))
         scan_lof = table is self._lof
         source = self._lrd.rows(ks) if scan_lof else radii
+        out = table.writable()
         buf = np.empty(BLOCK_BYTES // 8)
         for rows, grid in self.graph.tiles(radii, counts):
             shape = grid.counts.shape + (grid.ids.shape[1],)
@@ -488,9 +520,9 @@ class MaterializationDB:
             else:
                 reach = scoring.reach_dist_values(grid.dists, block, out=block)
                 values = scoring.lrd_values(reach.reshape(-1), starts, stops)
-            table.values[ks - 1, rows] = values
+            out[ks - 1, rows] = values
         if not scan_lof and self.duplicate_mode == "error":
-            scoring.check_finite_lrd(table.values[ks - 1])
+            scoring.check_finite_lrd(out[ks - 1])
         table.filled[ks - 1] = True
 
     # -- the scorer registry (repro.scorers) -----------------------------------
@@ -512,45 +544,60 @@ class MaterializationDB:
             metric_obj = get_metric(metric)
         return ScorerContext(mat=self, k=k, X=X, metric=metric_obj)
 
-    def scores(self, min_pts: int, scorer="lof", X=None, metric=None) -> np.ndarray:
-        """Per-object scores of any registered scorer (Section 7.4 step 2,
-        generalized): cached per ``(scorer, MinPts)``, computed from the
-        one materialized neighborhood graph.
-
-        ``scorer='lof'`` reads the classic :meth:`lof` cache, so routing
-        LOF through the registry is bit-identical to calling :meth:`lof`
-        directly. Scorers with ``requires_data`` (LDOF) additionally
-        need the dataset snapshot ``X`` and the ``metric``.
-        """
+    def _fit_scorer(self, scorer, min_pts: int, X=None, metric=None):
+        """``(scorer, k, score table)`` with MinPts k filled in the
+        scorer's score table (LOF's is the LOF table) and in one aux
+        table per aux array it returns (rows shaped like the array)."""
         from ..scorers import get_scorer
 
-        scorer = get_scorer(scorer)
-        k = self._check_k(min_pts)
-        key = (scorer.name, k)
-        if key not in self._scorer_scores:
+        scorer, k = get_scorer(scorer), self._check_k(min_pts)
+        name = "lof" if scorer.name == "lof" else f"score@{scorer.name}"
+        if name not in self._tables or not self._tables[name].filled[k - 1]:
             vec, aux = scorer.fit(self._scorer_context(k, X=X, metric=metric))
-            self._scorer_scores[key] = np.asarray(vec, dtype=np.float64)
-            self._scorer_aux.setdefault(
-                key, {name: np.asarray(v, dtype=np.float64) for name, v in aux.items()}
-            )
-        return self._scorer_scores[key]
+            rows = {f"aux@{scorer.name}@{a}": v for a, v in aux.items()}
+            for tname, value in {**rows, name: vec}.items():
+                value = np.asarray(value, dtype=np.float64)
+                table = self._table(tname, value.shape)
+                if not table.filled[k - 1]:
+                    table.write(k, value)
+        return scorer, k, self._tables[name]
+
+    def scores(self, min_pts: int, scorer="lof", X=None, metric=None) -> np.ndarray:
+        """Per-object scores of any registered scorer (Section 7.4 step 2,
+        generalized): a row of its score table, computed from the one
+        materialized neighborhood graph — for ``'lof'``, :meth:`lof`
+        itself. Scorers with ``requires_data`` (LDOF) additionally need
+        the dataset snapshot ``X`` and the ``metric``.
+        """
+        _, k, table = self._fit_scorer(scorer, min_pts, X=X, metric=metric)
+        return table.row(k)
 
     def scorer_aux(self, scorer, min_pts: int, X=None, metric=None) -> Dict[str, np.ndarray]:
         """The aux arrays a scorer persists for its query path (for
-        example LoOP's per-object pdist vector and nPLOF scalar),
-        computed and cached alongside :meth:`scores`."""
-        from ..scorers import get_scorer
+        example LoOP's per-object pdist vector and nPLOF scalar), by
+        name: rows of its aux tables, filled alongside :meth:`scores`."""
+        scorer, k, _ = self._fit_scorer(scorer, min_pts, X=X, metric=metric)
+        prefix = f"aux@{scorer.name}@"
+        return {
+            name[len(prefix) :]: table.row(k)
+            for name, table in self._tables.items()
+            if name.startswith(prefix)
+        }
 
-        scorer = get_scorer(scorer)
-        k = self._check_k(min_pts)
-        key = (scorer.name, k)
-        if key not in self._scorer_aux:
-            vec, aux = scorer.fit(self._scorer_context(k, X=X, metric=metric))
-            self._scorer_scores.setdefault(key, np.asarray(vec, dtype=np.float64))
-            self._scorer_aux[key] = {
-                name: np.asarray(v, dtype=np.float64) for name, v in aux.items()
-            }
-        return self._scorer_aux[key]
+    def score_table(
+        self, ks: Sequence[int], scorer="lof", X=None, metric=None, aux=None
+    ) -> np.ndarray:
+        """Rows of a scorer's score table (or, with ``aux``, of its aux
+        table of that name) at every MinPts of ``ks``, the missing ones
+        fitted: a read-only view when ``ks`` is a run, else a copy."""
+        ks = self._check_ks(ks)
+        for k in _sorted_set(ks):
+            scorer, _, table = self._fit_scorer(scorer, k, X=X, metric=metric)
+        if aux is not None:
+            table = self._tables[f"aux@{scorer.name}@{aux}"]
+        matrix = table.rows(ks).view()
+        matrix.flags.writeable = False
+        return matrix
 
     def scorer_state(self, scorer_name: str, build):
         """State a scorer derives from the rows of M once and reads at
@@ -562,63 +609,16 @@ class MaterializationDB:
 
     # -- persistence (repro.store) ----------------------------------------------
 
-    def cached_lrd(self) -> Dict[int, np.ndarray]:
-        """The filled rows of the lrd table by MinPts (what a save
-        persists)."""
-        return self._lrd.filled_rows()
-
-    def cached_lof(self) -> Dict[int, np.ndarray]:
-        """The filled rows of the LOF table by MinPts (what a save
-        persists)."""
-        return self._lof.filled_rows()
-
-    def seed_caches(self, lrd=None, lof=None) -> None:
-        """Fill rows of the lrd and LOF tables from persisted vectors.
-
-        Used by :mod:`repro.store` on load so step-2 queries against a
-        reloaded M serve the exact vectors computed at fit time without
-        a recompute (``mscan.passes`` stays 0 for seeded values). Every
-        key must be a valid MinPts for this database and every vector
-        must cover all ``n_points`` objects; the vectors are copied into
-        the tables.
-        """
-        for table, seeds in ((self._lrd, lrd), (self._lof, lof)):
-            for k, vec in (seeds or {}).items():
-                k = self._check_k(int(k))
-                vec = np.asarray(vec, dtype=np.float64)
-                if vec.shape != (self.n_points,):
-                    raise ValidationError(
-                        f"cache vector for MinPts={k} has shape {vec.shape}, "
-                        f"expected ({self.n_points},)"
-                    )
-                table.write(k, vec)
-
-    def cached_scorer_scores(self) -> Dict[Tuple[str, int], np.ndarray]:
-        """Copy of the per-(scorer, MinPts) score cache (what a save persists)."""
-        return dict(self._scorer_scores)
-
-    def cached_scorer_aux(self) -> Dict[Tuple[str, int], Dict[str, np.ndarray]]:
-        """Copy of the per-(scorer, MinPts) aux cache (what a save persists)."""
-        return {key: dict(mapping) for key, mapping in self._scorer_aux.items()}
-
-    def seed_scorer_caches(self, scores=None, aux=None) -> None:
-        """Pre-populate the registry caches from persisted sections, so a
-        reloaded store serves every scorer's fitted vectors (and aux
-        state such as LoOP's pdist/nPLOF) without a recompute."""
-        for (name, k), vec in (scores or {}).items():
-            k = self._check_k(int(k))
-            vec = np.asarray(vec, dtype=np.float64)
-            if vec.shape != (self.n_points,):
-                raise ValidationError(
-                    f"score vector for scorer={name!r}, MinPts={k} has shape "
-                    f"{vec.shape}, expected ({self.n_points},)"
-                )
-            self._scorer_scores[(str(name), k)] = vec
-        for (name, k), mapping in (aux or {}).items():
-            k = self._check_k(int(k))
-            self._scorer_aux[(str(name), k)] = {
-                str(a): np.asarray(v, dtype=np.float64) for a, v in mapping.items()
-            }
+    def tables(self) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+        """Every per-MinPts table but k-distance with a filled row, in
+        name order (``lrd``, ``lof``, ``score@{scorer}``,
+        ``aux@{scorer}@{name}``), as its values and filled-row mask:
+        what a save writes and :meth:`from_graph` adopts on load."""
+        return {
+            name: (table.values, table.filled)
+            for name, table in sorted(self._tables.items())
+            if table.filled.any()
+        }
 
     def save(self, path, X=None, metric="euclidean"):
         """Persist M (plus an optional dataset snapshot ``X`` for online

@@ -17,7 +17,8 @@ Every scorer is stateless: all per-dataset state lives in the
 :class:`ScorerContext` (the materialization database, optionally the
 dataset snapshot and metric) and in the *aux* arrays :meth:`Scorer.fit`
 returns, which :class:`~repro.core.materialization.MaterializationDB`
-caches per ``(scorer, k)`` and :mod:`repro.store` persists. The query
+keeps in one ``(MinPtsUB, ...)`` table per scorer and aux name, and
+:mod:`repro.store` persists. The query
 path (:meth:`Scorer.score_query`) scores a whole MinPts grid in one
 pass over ``(K, n)`` tables taken once per grid (:meth:`Scorer.tables`),
 and must reproduce fitted scores bit-for-bit when handed a stored
@@ -120,10 +121,9 @@ class Scorer:
     def fit_grid(self, mat, ks: Sequence[int], X=None, metric=None) -> np.ndarray:
         """Per-object scores at every MinPts of ``ks``, one row each: the
         ``(K, n)`` matrix of Section 6.2's sweep. By default the rows of
-        ``mat.scores`` (cached per ``(scorer, k)``) stacked into a new
-        array; a scorer whose materialization keeps a ``(K, n)`` table
-        may return its rows instead."""
-        return np.vstack([mat.scores(int(k), self, X=X, metric=metric) for k in ks])
+        the scorer's score table in ``mat`` (:meth:`fit` at each MinPts
+        not yet in it); LOF fills its rows in one tiled sweep."""
+        return mat.score_table(ks, self, X=X, metric=metric)
 
     def tables(self, contexts: Sequence[ScorerContext]) -> Dict[str, np.ndarray]:
         """The per-MinPts inputs :meth:`score_query` reads, over a grid:

@@ -112,13 +112,11 @@ class LoOPScorer(Scorer):
         return _probabilities(plof, nplof), aux
 
     def tables(self, contexts):
-        aux = [
-            ctx.mat.scorer_aux(self.name, ctx.k, X=ctx.X, metric=ctx.metric)
-            for ctx in contexts
-        ]
+        # Rows of the aux tables: pdist (K, n), nplof (K, 1).
+        ctx, ks = contexts[0], [c.k for c in contexts]
         return {
-            "pdist": np.stack([a["pdist"] for a in aux]),
-            "nplof": np.array([[a["nplof"][0]] for a in aux]),
+            name: ctx.mat.score_table(ks, self, X=ctx.X, metric=ctx.metric, aux=name)
+            for name in ("pdist", "nplof")
         }
 
     def score_query(self, ctx: ScorerContext, grid) -> np.ndarray:

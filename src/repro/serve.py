@@ -90,6 +90,7 @@ saved without a dataset snapshot fails at startup with
 
 from __future__ import annotations
 
+import email.utils
 import json
 import os
 import queue
@@ -1224,8 +1225,22 @@ class _Handler(BaseHTTPRequestHandler):
     # keep-alive request. TCP_NODELAY removes it.
     disable_nagle_algorithm = True
 
+    # (whole second, its Date text), replaced as one tuple: a handler
+    # thread reads a matching pair without a lock.
+    _date = (-1, "")
+
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # request logging off; /stats carries the counters
+
+    def date_time_string(self, timestamp=None) -> str:
+        """The stdlib's ``Date`` text, formatted once per whole second."""
+        if timestamp is not None:
+            return super().date_time_string(timestamp)
+        second, cached = int(time.time()), _Handler._date
+        if cached[0] != second:
+            text = email.utils.formatdate(second, usegmt=True)
+            cached = _Handler._date = (second, text)
+        return cached[1]
 
     def parse_request(self) -> bool:
         """Parse ``raw_requestline`` and read the header fields.

@@ -14,32 +14,33 @@ A store holds, in one self-describing binary file:
   neighbor-id / distance arrays, ``k_max``);
 * the duplicate-mode policy and, for ``'distinct'``, the coordinate
   group keys;
-* every per-MinPts lrd/LOF cache vector the model had computed;
-* every non-LOF registry score vector (``score@{scorer}@{k}``) and
-  scorer aux array (``aux@{scorer}@{name}@{k}``) the model had computed
-  — e.g. LoOP's per-object pdist vector and nPLOF scalar — plus the
-  active scorer's name in the header;
+* every per-MinPts table the model had filled (``lrd``, ``lof``,
+  ``score@{scorer}``, ``aux@{scorer}@{name}``), one section each,
+  shaped as in memory: row ``k - 1`` is MinPts k, rows never computed
+  are zeros; row t of the ``filled`` section marks the computed rows
+  of the t-th table in name order;
+* the active scorer's name in the header;
 * optionally the dataset snapshot ``X`` (required for online scoring of
-  new points) and the fitted-estimator results (per-MinPts LOF matrix,
-  aggregated scores, the MinPts grid and aggregate);
+  new points) and the fitted-estimator results (aggregated scores, the
+  MinPts grid and aggregate; a load rebuilds the per-MinPts matrix from
+  the rows of the scorer's table at the grid);
 * the metric identity and, when available, the instrumentation (obs)
   snapshot of the fit.
 
-File format (version 3)
+File format (version 4)
 -----------------------
 Everything is little-endian::
 
     magic    8 bytes   b"REPROLOF"
-    version  u32       format version (currently 3)
+    version  u32       format version (currently 4)
     reserved u32       zero
     hlen     u64       byte length of the JSON header that follows
     header   hlen      UTF-8 JSON (metadata + section table)
     ...      ...       zero padding to the first 64-byte boundary
     sections           raw array bytes, each starting 64-byte aligned
 
-Version 3 adds the ``scorer`` header key and the per-scorer
-``score@``/``aux@`` sections; version 2 files (no scorer metadata) are
-still readable and load as ``scorer='lof'``.
+Version 4 is the only readable version: v2/v3 stores (one section per
+MinPts) raise :class:`~repro.exceptions.StoreVersionError`; re-fit them.
 
 The header's ``sections`` table lists, per section: ``name``, ``dtype``
 (numpy little-endian string), ``shape``, ``offset`` (absolute, 64-byte
@@ -49,10 +50,10 @@ default — a flipped bit raises :class:`~repro.exceptions.
 StoreCorruptionError` rather than ever producing garbage scores.
 
 Versioning rules (see ``docs/serving.md``): the magic never changes; a
-reader rejects any version it does not know with
+reader rejects any version but its own with
 :class:`~repro.exceptions.StoreVersionError` (no silent coercion);
-adding new *optional* sections or header keys does not bump the
-version, changing the meaning or layout of existing ones does.
+adding new *optional* header keys does not bump the version, changing
+the meaning or layout of a section does.
 
 I/O cost
 --------
@@ -63,13 +64,15 @@ A load opens the file once: the header and every section come through
 that one handle, and the section table is checked against the file
 size before any section is read. An in-memory load reads each section
 once, straight into its final writable native-order array, and hashes
-that array in the same pass.
+that array in the same pass; a table section is the table itself.
 
 Memmap loads
 ------------
 ``load_model(path, mmap=True)`` maps the file once and cuts every
 section as a read-only view of that one map, so a store larger than
-memory still serves every MinPts and online queries. Checksum
+memory still serves every MinPts and online queries. The tables are
+those views; the first MinPts the store lacks copies its table before
+the row is written, never the file. Checksum
 verification streams the sections through one reused buffer rather
 than through the map, so verifying never faults the mapped pages into
 the process. Because the map is made from the handle the header was
@@ -103,17 +106,16 @@ from .exceptions import (
 PathLike = Union[str, Path]
 
 MAGIC = b"REPROLOF"
-FORMAT_VERSION = 3
-#: Versions this build can load. v2 lacks the scorer metadata and the
-#: per-scorer score/aux sections; it loads as scorer='lof'.
-_READABLE_VERSIONS = (2, 3)
+FORMAT_VERSION = 4
+_READABLE_VERSIONS = (4,)
 _ALIGN = 64
 _HEADER_FIXED = 8 + 4 + 4 + 8  # magic + version + reserved + hlen
-_HASH_CHUNK = 1 << 22  # 4 MiB per read while verifying checksums
+_HASH_CHUNK = 1 << 20  # 1 MiB per read while verifying checksums
 
-#: Sections a reader of version 2 understands. Unknown section names are
-#: ignored on load (forward compatibility for optional additions).
 _KNOWN_KINDS = ("materialization", "estimator")
+_INT_SECTIONS = ("padded_ids", "coord_keys", "filled", "min_pts_values")
+#: Every other section is a per-MinPts table.
+_FIXED_SECTIONS = _INT_SECTIONS + ("padded_dists", "X", "scores")
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +127,8 @@ class StoredModel:
     """Everything :func:`load_model` recovered from one store file.
 
     ``mat`` is a fully functional :class:`~repro.core.materialization.
-    MaterializationDB` with its per-MinPts lrd/LOF caches re-seeded from
-    the file, so step-2 queries hit the persisted vectors instead of
+    MaterializationDB` whose per-MinPts tables are the file's table
+    sections, so step-2 queries read the persisted rows instead of
     recomputing. ``X`` is the dataset snapshot (``None`` if the store
     was saved without one); online scoring requires it.
     """
@@ -248,7 +250,12 @@ def save_model(
 
 
 def _mat_sections(mat, X) -> Dict[str, np.ndarray]:
+    tables = mat.tables()
+    # 'filled' first: with no table it is empty, and an empty last
+    # section would end the file on unchecked padding.
+    filled = [mask for _, mask in tables.values()]
     sections: Dict[str, np.ndarray] = {
+        "filled": np.array(filled, np.int64).reshape(len(tables), mat.min_pts_ub),
         "padded_ids": mat.padded_ids,
         "padded_dists": mat.padded_dists,
     }
@@ -256,24 +263,9 @@ def _mat_sections(mat, X) -> Dict[str, np.ndarray]:
         sections["coord_keys"] = np.asarray(mat.coord_keys)
     if X is not None:
         sections["X"] = X
-    for k, vec in sorted(mat.cached_lrd().items()):
-        sections[f"lrd@{k}"] = vec
-    for k, vec in sorted(mat.cached_lof().items()):
-        sections[f"lof@{k}"] = vec
-    # Registry caches. LOF score vectors are skipped: lof@{k} above is
-    # the same data, and the loader re-seeds the lof scorer from it.
-    for (name, k), vec in sorted(mat.cached_scorer_scores().items()):
-        if name == "lof":
-            continue
-        sections[f"score@{name}@{k}"] = vec
-    for (name, k), mapping in sorted(mat.cached_scorer_aux().items()):
-        for aname, arr in sorted(mapping.items()):
-            sections[f"aux@{name}@{aname}@{k}"] = arr
+    for name, (values, _) in tables.items():
+        sections[name] = values
     return sections
-
-
-def _section_dtype(name: str) -> str:
-    return "<i8" if name in ("padded_ids", "coord_keys", "min_pts_values") else "<f8"
 
 
 def _save_database(
@@ -336,7 +328,6 @@ def _save_estimator(path: Path, est, lineage=None) -> Path:
     if lineage is not None:
         header["lineage"] = lineage
     sections = _mat_sections(mat, X)
-    sections["lof_matrix"] = result.lof_matrix
     sections["scores"] = result.scores
     sections["min_pts_values"] = np.asarray(result.min_pts_values)
     return _write(path, header, sections)
@@ -353,7 +344,7 @@ def _write(path: Path, header: Dict, sections: Dict[str, np.ndarray]) -> Path:
     # Converges fast — offsets only grow with header length, and digit
     # counts stabilize after one or two rounds.
     for name, arr in sections.items():
-        dtype = _section_dtype(name)
+        dtype = "<i8" if name in _INT_SECTIONS else "<f8"
         # The section's own buffer: no copy for the usual native-order
         # float64/int64 arrays. A 0-d array comes back as shape (1,), so
         # the table takes the shape from ``arr``.
@@ -461,7 +452,8 @@ def _read_header(fh, path: Path, size: int) -> Dict:
         readable = ", ".join(str(v) for v in _READABLE_VERSIONS)
         raise StoreVersionError(
             f"{path} uses store format version {version}; this build "
-            f"reads versions {readable} only"
+            f"reads version {readable} only — re-fit the model to write "
+            "a store this build reads"
         )
     hlen = int.from_bytes(fixed[16:24], "little")
     # Checked before reading: a damaged length field must not become a
@@ -632,13 +624,13 @@ def _check_required(path: Path, header: Dict) -> None:
     names = {
         entry.get("name") for entry in header["sections"] if isinstance(entry, dict)
     }
-    for required in ("padded_ids", "padded_dists"):
+    for required in ("padded_ids", "padded_dists", "filled"):
         if required not in names:
             raise StoreCorruptionError(
                 f"{path} is missing the required section {required!r}"
             )
     if header["kind"] == "estimator":
-        for required in ("lof_matrix", "scores", "min_pts_values"):
+        for required in ("scores", "min_pts_values"):
             if required not in names:
                 raise StoreCorruptionError(
                     f"{path} is an estimator store missing section {required!r}"
@@ -655,6 +647,7 @@ def load_model(path: PathLike, mmap: bool = False, verify: bool = True) -> Store
     wrong-size sections, never silently as wrong scores of the right
     shape — use it only on trusted files).
     """
+    from .core.graph import NeighborhoodGraph
     from .core.materialization import MaterializationDB
 
     path = Path(path)
@@ -664,30 +657,19 @@ def load_model(path: PathLike, mmap: bool = False, verify: bool = True) -> Store
         _check_required(path, header)
         arrays = _read_sections(fh, path, header, size, mmap, verify)
 
-    mat = MaterializationDB(
-        arrays["padded_ids"],
-        arrays["padded_dists"],
-        min_pts_ub=int(header["min_pts_ub"]),
+    ub = int(header["min_pts_ub"])
+    names = sorted(set(arrays) - set(_FIXED_SECTIONS))
+    filled = arrays["filled"]
+    if filled.shape != (len(names), ub) or any(
+        arrays[n].shape[:1] != (ub,) for n in names
+    ):
+        raise StoreCorruptionError(f"{path} has tables that do not fit 'filled'")
+    mat = MaterializationDB.from_graph(
+        NeighborhoodGraph(arrays["padded_ids"], arrays["padded_dists"], k_max=ub),
         duplicate_mode=header["duplicate_mode"],
         coord_keys=arrays.get("coord_keys"),
+        tables={name: (arrays[name], mask) for name, mask in zip(names, filled)},
     )
-    lrd_cache: Dict[int, np.ndarray] = {}
-    lof_cache: Dict[int, np.ndarray] = {}
-    scorer_scores: Dict = {}
-    scorer_aux: Dict = {}
-    for name, arr in arrays.items():
-        if name.startswith("lrd@"):
-            lrd_cache[int(name[4:])] = arr
-        elif name.startswith("lof@"):
-            lof_cache[int(name[4:])] = arr
-        elif name.startswith("score@"):
-            _, sname, k = name.split("@")
-            scorer_scores[(sname, int(k))] = arr
-        elif name.startswith("aux@"):
-            _, sname, aname, k = name.split("@")
-            scorer_aux.setdefault((sname, int(k)), {})[aname] = arr
-    mat.seed_caches(lrd=lrd_cache, lof=lof_cache)
-    mat.seed_scorer_caches(scores=scorer_scores, aux=scorer_aux)
 
     metric_ident = header.get("metric") or {"name": "euclidean"}
     model = StoredModel(
@@ -704,8 +686,8 @@ def load_model(path: PathLike, mmap: bool = False, verify: bool = True) -> Store
         obs_snapshot=header.get("obs_snapshot"),
     )
     if header["kind"] == "estimator":
-        model.lof_matrix = arrays["lof_matrix"]
-        model.scores = arrays["scores"]
         model.min_pts_values = arrays["min_pts_values"]
+        model.lof_matrix = mat.score_table(model.min_pts_values, model.scorer)
+        model.scores = arrays["scores"]
     obs.incr("store.loads")
     return model

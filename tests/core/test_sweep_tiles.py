@@ -174,8 +174,9 @@ def test_rows_are_views_of_the_tables():
     assert mat.lof(9) is mat.lof(9)
     assert np.shares_memory(mat.lof(9), table)
     assert np.shares_memory(mat.lrd_table([7, 8]), mat.lrd(7))
-    assert set(mat.cached_lof()) == set(range(4, 21))
-    assert all(np.shares_memory(v, table) for v in mat.cached_lof().values())
+    values, filled = mat.tables()["lof"]
+    assert set(np.flatnonzero(filled) + 1) == set(range(4, 21))
+    assert all(np.shares_memory(values[k - 1], table) for k in range(4, 21))
 
 
 def test_fit_wide_sweep_peak_memory():

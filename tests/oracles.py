@@ -26,13 +26,16 @@ def loop_k_distinct_radius(ids, dists, coord_keys, k):
 
 
 def copy_store_bytes(header, sections):
-    """The bytes of a version-3 model store, by the copy-based writer:
+    """The bytes of a version-4 model store, by the copy-based writer:
     every section is first copied out with ``tobytes()`` and hashed from
     that copy, and the section table's offsets are iterated to a
     fixpoint (they depend on the header's length, which depends on the
     digits of the offsets). ``header`` is the metadata without the
     format version and section table; ``sections`` maps each section's
-    name to its array, in file order."""
+    name to its array, in file order. The integer sections are the
+    graph's ids, the coordinate keys, the tables' ``filled`` rows and
+    the estimator's MinPts grid; every other section (the graph's
+    distances, ``X``, each per-MinPts table, the scores) is float64."""
     import hashlib
     import json
 
@@ -41,7 +44,8 @@ def copy_store_bytes(header, sections):
 
     table, payloads = [], []
     for name, arr in sections.items():
-        dtype = "<i8" if name in ("padded_ids", "coord_keys", "min_pts_values") else "<f8"
+        integer = name in ("padded_ids", "coord_keys", "filled", "min_pts_values")
+        dtype = "<i8" if integer else "<f8"
         payload = np.ascontiguousarray(arr, dtype=dtype).tobytes()
         table.append(
             {
@@ -54,7 +58,7 @@ def copy_store_bytes(header, sections):
             }
         )
         payloads.append(payload)
-    header = dict(header, format_version=3, sections=table)
+    header = dict(header, format_version=4, sections=table)
     fixed = 8 + 4 + 4 + 8
     blob = None
     while True:
@@ -67,7 +71,7 @@ def copy_store_bytes(header, sections):
             break
         blob = encoded
     out = bytearray(b"REPROLOF")
-    out += (3).to_bytes(4, "little") + bytes(4) + len(blob).to_bytes(8, "little")
+    out += (4).to_bytes(4, "little") + bytes(4) + len(blob).to_bytes(8, "little")
     out += blob
     for entry, payload in zip(table, payloads):
         out += bytes(entry["offset"] - len(out))

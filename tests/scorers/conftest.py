@@ -25,11 +25,11 @@ def dup_heavy():
 @pytest.fixture
 def zoo_store(tmp_path, two_density_clusters):
     """A store whose materialization carries fitted vectors for every
-    registered scorer at k = 5 and k = 8."""
+    registered scorer at k = 5, 7 and 8 (a grid with a gap at 6)."""
     X = two_density_clusters
     mat = materialize(X, 10)
     fitted = {}
-    for k in (5, 8):
+    for k in (5, 7, 8):
         for name in ("lof", "ldof", "loop", "knn_dist"):
             fitted[(name, k)] = mat.scores(k, scorer=name, X=X, metric="euclidean")
     path = tmp_path / "zoo.rlof"

@@ -19,10 +19,12 @@ Two differences are deliberate and asserted on their own:
 
 A live server then answers every kind of request with
 :func:`http.client.parse_headers` and the ``email`` feed parser patched
-to raise, so serving never reaches them.
+to raise, so serving never reaches them. The reply ``Date`` is the
+stdlib's text, formatted once per whole second.
 """
 
 import email.feedparser
+import email.utils
 import http.client
 import io
 import json
@@ -286,3 +288,75 @@ def test_serving_never_calls_the_email_parser(live):
     assert reply.startswith(b"HTTP/1.1 400 ") and b"bad request body" in reply
     reply = exchange(srv, post("/score", b"", length=str(MAX_BODY_BYTES + 1).encode()))
     assert reply.startswith(b"HTTP/1.1 413 ") and b"exceeds the" in reply
+
+
+class TestDateHeader:
+    """``Date`` is formatted once per whole second, with the stdlib's
+    text: ``email.utils.formatdate(t, usegmt=True)`` at every instant."""
+
+    def test_one_format_per_second(self, monkeypatch):
+        import time
+
+        formatdate = email.utils.formatdate
+        formatted = []
+
+        def counting(*args, **kwargs):
+            formatted.append(args)
+            return formatdate(*args, **kwargs)
+
+        clock = [0.0]
+        monkeypatch.setattr(time, "time", lambda: clock[0])
+        monkeypatch.setattr(email.utils, "formatdate", counting)
+        monkeypatch.setattr(_Handler, "_date", (-1, ""))
+        handler = _Handler.__new__(_Handler)
+        boundary = 1_700_000_000
+        instants = [boundary - 0.75, boundary - 0.001, boundary, boundary + 0.001]
+        instants += [boundary + 0.999, boundary + 1.5]
+        for t in instants:
+            clock[0] = t
+            assert handler.date_time_string() == formatdate(t, usegmt=True), t
+        # Seconds boundary - 1, boundary and boundary + 1: one each.
+        assert len(formatted) == 3
+        # An explicit timestamp is the stdlib's, uncached.
+        assert handler.date_time_string(86_400.5) == formatdate(86_400.5, usegmt=True)
+        assert _Handler._date[0] == boundary + 1
+
+    def test_threads_always_read_a_matching_pair(self, monkeypatch):
+        # More threads than cores on a clock that ticks a second every
+        # few calls, with a short switch interval: every reply's Date is
+        # the text of the second its own clock read gave.
+        import itertools
+        import sys
+        import time
+
+        formatdate = email.utils.formatdate
+        ticks = itertools.count()
+        seen = threading.local()
+
+        def clock():
+            seen.t = 1_700_000_000 + next(ticks) / 7
+            return seen.t
+
+        monkeypatch.setattr(time, "time", clock)
+        monkeypatch.setattr(_Handler, "_date", (-1, ""))
+        handler = _Handler.__new__(_Handler)
+        bad = []
+
+        def work():
+            for _ in range(400):
+                text = handler.date_time_string()
+                if text != formatdate(int(seen.t), usegmt=True):
+                    bad.append((seen.t, text))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert bad == []

@@ -22,6 +22,7 @@ from repro.exceptions import (
     StoreVersionError,
     ValidationError,
 )
+from repro.scorers import Scorer
 from repro.store import FORMAT_VERSION, MAGIC, read_header
 
 
@@ -386,19 +387,22 @@ class TestByteIdentity:
     ):
         mat = MaterializationDB.materialize(mixed_density, 8)
         mat.scores(5, scorer="loop", X=mixed_density, metric="euclidean")
-        # A 0-d aux array: its contiguous buffer has shape (1,), but the
-        # table records the array's own shape ().
-        mat.seed_scorer_caches(aux={("loop", 7): {"scalar": np.array(0.25)}})
+        # A 0-d aux array: its table is (MinPtsUB,), and a row comes back
+        # with the array's own shape ().
+        stub = _AuxStub({"scalar": np.array(0.25)})
+        mat.scores(7, scorer=stub)
         path = tmp_path / "loop.rlof"
         save_model(path, mat, X=mixed_density)
         self._assert_reference_bytes(path, handed_to_writer)
         shapes = {e["name"]: e["shape"] for e in read_header(path)["sections"]}
-        assert shapes["aux@loop@scalar@7"] == []
-        assert shapes["aux@loop@nplof@5"] == [1]
+        assert shapes["aux@aux_stub@scalar"] == [8]
+        assert shapes["aux@loop@nplof"] == [8, 1]
         for mmap in (False, True):
-            aux = load_model(path, mmap=mmap).mat.cached_scorer_aux()
-            assert aux[("loop", 7)]["scalar"].shape == ()
-            assert aux[("loop", 7)]["scalar"].tolist() == 0.25
+            mat = load_model(path, mmap=mmap).mat
+            scalar = mat.scorer_aux(stub, 7)["scalar"]
+            assert scalar.shape == ()
+            assert scalar.tolist() == 0.25
+            assert mat.scorer_aux("loop", 5)["nplof"].shape == (1,)
 
     def test_distinct_store(self, tmp_path, tied_integer_data, handed_to_writer):
         mat = MaterializationDB.materialize(
@@ -412,17 +416,39 @@ class TestByteIdentity:
 
     def test_zero_length_sections(self, tmp_path, mixed_density, handed_to_writer):
         mat = MaterializationDB.materialize(mixed_density, 6)
-        empty = {"flat": np.empty(0), "wide": np.empty((0, 3))}
-        mat.seed_scorer_caches(aux={("loop", 6): empty})
+        # Zero-length aux arrays, and a zero-length score vector so the
+        # last table in name order is empty too.
+        stub = _AuxStub(
+            {"flat": np.empty(0), "wide": np.empty((0, 3))}, scores=np.empty(0)
+        )
+        mat.scores(6, scorer=stub)
         path = tmp_path / "empty.rlof"
         save_model(path, mat)
         self._assert_reference_bytes(path, handed_to_writer)
+        shapes = {e["name"]: e["shape"] for e in read_header(path)["sections"]}
+        assert shapes["aux@aux_stub@flat"] == [6, 0]
+        assert shapes["aux@aux_stub@wide"] == [6, 0, 3]
         # The last section is empty and ends exactly at the end of file.
         last = read_header(path)["sections"][-1]
         assert last["nbytes"] == 0 and last["offset"] == path.stat().st_size
         for mmap in (False, True):
-            aux = load_model(path, mmap=mmap).mat.cached_scorer_aux()[("loop", 6)]
+            aux = load_model(path, mmap=mmap).mat.scorer_aux(stub, 6)
             assert aux["flat"].shape == (0,) and aux["wide"].shape == (0, 3)
+
+
+class _AuxStub(Scorer):
+    """An unregistered scorer that returns the aux arrays it was built
+    with, and zero scores (or the ``scores`` it was given)."""
+
+    name = "aux_stub"
+
+    def __init__(self, aux, scores=None):
+        self.aux = aux
+        self.scores = scores
+
+    def fit(self, ctx):
+        scores = np.zeros(ctx.mat.n_points) if self.scores is None else self.scores
+        return scores, self.aux
 
 
 class _CountingFile:
@@ -498,22 +524,50 @@ class TestIOCost:
             start = entry["offset"]
             assert (hits[start : start + entry["nbytes"]] == 1).all(), entry["name"]
 
-    def test_save_does_not_copy_the_model(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def wide_fit(self):
+        # fit_wide's shape: n=2000, d=16, MinPts 10..200.
+        X = np.random.default_rng(5).normal(size=(2000, 16))
+        return LocalOutlierFactor(min_pts=(10, 200)).fit(X)
+
+    def test_save_does_not_copy_the_model(self, tmp_path, wide_fit):
         import tracemalloc
 
-        # fit_wide's shape: n=2000, d=16, MinPts 10..200, ~390 sections.
-        X = np.random.default_rng(5).normal(size=(2000, 16))
-        est = LocalOutlierFactor(min_pts=(10, 200)).fit(X)
         path = tmp_path / "wide.rlof"
         tracemalloc.start()
         try:
-            save_model(path, est)
+            save_model(path, wide_fit)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         section_bytes = sum(e["nbytes"] for e in read_header(path)["sections"])
         assert section_bytes > 10_000_000
         assert peak < section_bytes // 4
+
+    def test_mmap_load_does_not_copy_the_tables(self, tmp_path, wide_fit):
+        import tracemalloc
+
+        path = tmp_path / "wide.rlof"
+        save_model(path, wide_fit)
+        # Every lrd and LOF byte of the store, whatever its sections.
+        table_bytes = sum(
+            e["nbytes"]
+            for e in read_header(path)["sections"]
+            if e["name"].startswith(("lrd", "lof"))
+        )
+        assert table_bytes > 6_000_000
+        tracemalloc.start()
+        try:
+            model = load_model(path, mmap=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes // 4
+        # A stored MinPts is a row of the map itself.
+        for k in (10, 200):
+            assert not model.mat.lrd(k).flags.writeable
+            assert not model.mat.lof(k).flags.writeable
+        assert np.array_equal(model.mat.lof(200), wide_fit.lof_matrix_[-1])
 
     def test_copy_load_opens_once_and_reads_each_byte_once(
         self, many_sections, counted_io
