@@ -41,10 +41,11 @@ PRs append runs next to it and compare):
     high-water mark of the rows before it; M is built there untimed,
     but its counters are kept. Each case then checks its score matrix
     against the per-MinPts oracle (:func:`per_k_scores`: a scan of
-    ``graph.prefixes(k)`` per MinPts for LOF, the scorer's per-k fit on
-    a fresh database otherwise) and records ``matches_per_k``.
+    ``graph.prefixes(k)`` per MinPts for LOF, a one-MinPts fit per
+    MinPts on a fresh database otherwise) and records ``matches_per_k``.
     ``derived.step2_sweep`` lists each case
-    with its ``mscan.passes`` (two scans per MinPts for LOF),
+    with its ``mscan.passes`` (per MinPts: two scans for LOF, three for
+    LoOP, one for LDOF),
     ``graph.builds`` (one graph for the build and the whole sweep) and
     the sweep's own ``distance.evaluations`` (LDOF's inner distances;
     0 for the others). ``--validate`` checks that every case is there
@@ -217,7 +218,9 @@ def per_k_scores(mat, scorer: str, ks, X) -> np.ndarray:
     """The ``(K, n)`` scores of ``scorer`` one MinPts at a time, on a
     fresh database over ``mat``'s graph: for LOF, Definitions 5-7 as a
     scan of ``graph.prefixes(k)`` per MinPts through the scoring
-    kernels; for any other scorer, its per-k fit."""
+    kernels; for any other scorer, its fit of a one-MinPts grid per
+    MinPts (the same kernels in other tiles: a tiling-independence
+    oracle)."""
     from repro.core import MaterializationDB, scoring
 
     fresh = MaterializationDB.from_graph(

@@ -121,14 +121,6 @@ class GridPrefixes:
         if counts is not None:
             self.counts = counts
 
-    @classmethod
-    def from_radii(
-        cls, ids: np.ndarray, dists: np.ndarray, radii: np.ndarray
-    ) -> "GridPrefixes":
-        """The view whose counts are ``#{c : dists[i, c] <= radii[j, i]}``,
-        counted on first read."""
-        return cls(ids, dists, radii)
-
     @cached_property
     def counts(self) -> np.ndarray:
         """One comparison of the sorted block against the radii per span."""

@@ -14,26 +14,22 @@ Section 7.4 of the paper describes the production algorithm:
     (Definition 7). The original database D is not needed. Each scan is
     O(n).
 
-:class:`MaterializationDB` is that database M — since the columnar
-refactor, a thin *policy layer*: neighborhood storage lives in
-:class:`~repro.core.graph.NeighborhoodGraph`, all lrd/LOF arithmetic in
-the :mod:`~repro.core.scoring` kernels, and this class adds the
-duplicate-mode policy, the per-MinPts tables and persistence metadata
-on top.
+:class:`MaterializationDB` is that database M — a thin *policy layer*:
+neighborhood storage lives in :class:`~repro.core.graph.NeighborhoodGraph`,
+all score arithmetic in the :mod:`~repro.scorers` kernels over the
+:mod:`~repro.core.scoring` segment reductions, and this class adds the
+duplicate-mode policy, the per-MinPts tables and persistence metadata.
 
-k-distance, lrd and LOF are each one ``(MinPtsUB, n)`` table whose row
-``k - 1`` holds MinPts k once computed; :meth:`~MaterializationDB.lrd`,
-:meth:`~MaterializationDB.lof` and the grid accessors hand out rows or
-views of them. Step 2 fills a whole grid at once, in tiles: a run of
+Each per-MinPts quantity is one ``(MinPtsUB, ...)`` table whose row
+``k - 1`` holds MinPts k once computed. :meth:`MaterializationDB.fit`
+fills any scorer's tables for a whole grid in tiles: a run of
 consecutive MinPts × a block of M's rows, within
-:data:`~repro.index.brute.BLOCK_BYTES`. A tile reads its rows' ids and
-distances as views of M cut at the run's widest neighborhood (a MinPts
-neighborhood is a prefix of its (distance, id)-sorted row, so no copy
-of M is built or kept) and runs the scoring kernels over its
-``(K', b)`` grid of segments. Each segment holds the values a scan at
+:data:`~repro.index.brute.BLOCK_BYTES`, read as views of M cut at the
+run's widest neighborhood (a MinPts neighborhood is a prefix of its
+(distance, id)-sorted row). Each segment holds the values a scan at
 that MinPts alone would reduce, in the same order, so the bits do not
-depend on the tiling. The two scans of each MinPts stay two scans: the
-lrd of a run is finished for every object before its LOF scan reads it.
+depend on the tiling. A phase of a run (LOF's lrd) is finished for
+every object before the next scan (LOF's) reads it.
 
 Tie semantics follow Definition 4: the k-distance neighborhood contains
 *every* object at distance not greater than the k-distance, so rows can
@@ -57,7 +53,7 @@ mode:
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -70,7 +66,7 @@ from ..index import NNIndex
 from ..index.brute import BLOCK_BYTES
 from . import scoring
 from .duplicates import distinct_steps, ensure_distinct_coverage
-from .graph import NeighborhoodGraph, RowPrefixes, resolve_index
+from .graph import GridPrefixes, NeighborhoodGraph, RowPrefixes, resolve_index
 
 _DUPLICATE_MODES = ("inf", "distinct", "error")
 
@@ -139,6 +135,14 @@ class _KTable:
     def write(self, ks: np.ndarray, values: np.ndarray) -> None:
         self.writable()[ks - 1] = values
         self.filled[ks - 1] = True
+
+
+def _table_name(scorer, key: str) -> str:
+    """The table of a scorer's phase ``key`` or ``"score"``: LOF's are
+    ``lrd``/``lof``, others' ``aux@{scorer}@{key}``/``score@{scorer}``."""
+    if scorer.name == "lof":
+        return "lof" if key == "score" else key
+    return f"score@{scorer.name}" if key == "score" else f"aux@{scorer.name}@{key}"
 
 
 def _sorted_set(ks: np.ndarray) -> np.ndarray:
@@ -362,14 +366,6 @@ class MaterializationDB:
             self._fill_k_distances(np.array([k]))
         return self._kdist.row(k)
 
-    def k_distance_table(self, ks: Sequence[int]) -> np.ndarray:
-        """``(K, n)`` k-distances at every MinPts of ``ks``, one row each:
-        rows of the k-distance table (a view when ``ks`` is a run of
-        consecutive MinPts)."""
-        ks = self._check_ks(ks)
-        self._fill_k_distances(_sorted_set(ks))
-        return self._kdist.rows(ks)
-
     def _fill_k_distances(self, ks: np.ndarray) -> None:
         todo = ks[~self._kdist.filled[ks - 1]]
         if not len(todo):
@@ -418,7 +414,7 @@ class MaterializationDB:
         a row of the lrd table, filled by step 2's first scan of M."""
         k = self._check_k(min_pts)
         if not self._lrd.filled[k - 1]:
-            self._sweep(np.array([k]), lof=False)
+            self.fit("lof", [k], score=False)
         return self._lrd.row(k)
 
     def lof(self, min_pts: int) -> np.ndarray:
@@ -433,103 +429,57 @@ class MaterializationDB:
         """
         k = self._check_k(min_pts)
         if not self._lof.filled[k - 1]:
-            self._sweep(np.array([k]), lof=True)
+            self.fit("lof", [k])
         return self._lof.row(k)
 
     def lrd_table(self, ks: Sequence[int]) -> np.ndarray:
-        """``(K, n)`` lrd at every MinPts of ``ks``: rows of the lrd table
-        (a view when ``ks`` is a run of consecutive MinPts), the missing
-        ones filled in one tiled sweep."""
-        ks = self._check_ks(ks)
-        self._sweep(_sorted_set(ks), lof=False)
-        return self._lrd.rows(ks)
+        """``(K, n)`` lrd at every MinPts of ``ks``: read-only rows of the
+        lrd table (a view when ``ks`` is a run of consecutive MinPts),
+        the missing ones filled in one tiled sweep."""
+        return self.fit("lof", ks, score=False).tables["lrd"]
 
     def lof_table(self, ks: Sequence[int]) -> np.ndarray:
-        """``(K, n)`` LOF at every MinPts of ``ks``: rows of the LOF table
-        (a view when ``ks`` is a run of consecutive MinPts), the missing
-        ones filled in one tiled sweep — Section 6.2's grid as one
-        request."""
-        ks = self._check_ks(ks)
-        self._sweep(_sorted_set(ks), lof=True)
-        return self._lof.rows(ks)
+        """``(K, n)`` LOF at every MinPts of ``ks``: read-only rows of the
+        LOF table (a view when ``ks`` is a run of consecutive MinPts), the
+        missing ones filled in one tiled sweep — Section 6.2's grid as
+        one request."""
+        return self.fit("lof", ks).tables["score"]
 
     def lof_range(self, min_pts_lb: int, min_pts_ub: int) -> Dict[int, np.ndarray]:
         """LOF vectors for every MinPts in [lb, ub] (Section 6.2 sweep)."""
-        lb = self._check_k(min_pts_lb)
-        ub = self._check_k(min_pts_ub)
+        lb, ub = self._check_k(min_pts_lb), self._check_k(min_pts_ub)
         if lb > ub:
             raise ValidationError(f"min_pts_lb={lb} exceeds min_pts_ub={ub}")
-        self.lof_table(range(lb, ub + 1))
-        return {k: self._lof.row(k) for k in range(lb, ub + 1)}
+        return dict(zip(range(lb, ub + 1), self.lof_table(range(lb, ub + 1))))
 
-    def _sweep(self, ks: np.ndarray, lof: bool) -> None:
-        """Step 2 at every MinPts of the sorted ``ks`` not in the tables.
+    def scores(self, min_pts: int, scorer="lof", X=None, metric=None) -> np.ndarray:
+        """Per-object scores of any registered scorer at one MinPts: a
+        read-only row of its score table (for ``'lof'``, :meth:`lof`'s).
+        LDOF (``requires_data``) also needs the snapshot ``X`` and ``metric``."""
+        return self.fit(scorer, [min_pts], X=X, metric=metric).tables["score"][0]
 
-        The grid is cut into runs of consecutive MinPts (:func:`_runs`)
-        and each run's scans into row blocks
-        (:meth:`NeighborhoodGraph.tiles`): a tile reads its rows'
-        prefixes of M only up to the widest neighborhood of its run.
-        Scan 1 fills the run's lrd rows for every object; scan 2 (with
-        ``lof``) then reads them from the table for the LOF rows. Each
-        scan counts one ``mscan.passes`` per MinPts.
+    def fit(self, scorer, ks: Sequence[int], X=None, metric=None, score: bool = True):
+        """Step 2 of any registered scorer at every MinPts of ``ks`` not
+        yet in the tables: the one way M is scored.
+
+        Per run of the sorted grid (:func:`_runs`), each phase of the
+        scorer (:class:`~repro.scorers.Phase`) is filled over M's tiles
+        (:meth:`NeighborhoodGraph.tiles`), or over all of M for an
+        aggregate; then, with ``score``, the scorer's
+        :meth:`~repro.scorers.Scorer.score_query` runs over the same
+        tiles, the rows' own phases passed in (``ctx.rows``). Each tiled
+        scan counts one ``mscan.passes`` per MinPts. In mode 'error' a
+        run is checked whole (:meth:`~repro.scorers.Scorer.check`)
+        before its rows count as filled. Returns a context whose
+        ``tables`` hold read-only rows at ``ks`` of each persisted phase
+        and ``"score"``; without ``score``, the grid's query context,
+        with ``"kdist"`` instead.
         """
-        todo = ~self._lrd.filled[ks - 1]
-        if lof:
-            todo |= ~self._lof.filled[ks - 1]
-        for run in _runs(ks[todo]):
-            self._fill_k_distances(run)
-            radii = self._kdist.rows(run)
-            counts = self.graph.prefix_counts(run, radii)
-            self._scan(run, radii, counts, self._lrd)
-            if lof:
-                self._scan(run, radii, counts, self._lof)
+        from ..index import get_metric
+        from ..scorers import Phase, ScorerContext, get_scorer
 
-    def _scan(self, ks, radii, counts, table: _KTable) -> None:
-        """One scan of M at every MinPts of the run ``ks`` whose row of
-        ``table`` is missing, tile by tile: reach-dists and lrd into the
-        lrd table, or lrd ratios and LOF into the LOF table.
-
-        Each tile gathers a neighbor quantity at its ``(b, w)`` id view
-        into a ``(K', b, w)`` block carved from one reused buffer; pads
-        (-1) gather with ``mode='clip'`` and sit outside every segment.
-        Every segment holds the values of one Definition-4 neighborhood
-        in row order, so the kernels give the bits of a scan per MinPts.
-        """
-        need = ~table.filled[ks - 1]
-        if not need.any():
-            return
-        if not need.all():
-            ks, radii, counts = ks[need], radii[need], counts[need]
-        obs.incr("mscan.passes", len(ks))
-        scan_lof = table is self._lof
-        source = self._lrd.rows(ks) if scan_lof else radii
-        out = table.writable()
-        buf = np.empty(BLOCK_BYTES // 8)
-        for rows, grid in self.graph.tiles(radii, counts):
-            shape = grid.counts.shape + (grid.ids.shape[1],)
-            size = math.prod(shape)
-            if buf.size < size:
-                buf = np.empty(size)
-            block = buf[:size].reshape(shape)
-            np.take(source, grid.ids, axis=1, out=block, mode="clip")
-            starts, stops = grid.segments(slice(None))
-            if scan_lof:
-                values = scoring.lof_values(
-                    source[:, rows], block, starts, stops, ratio_out=block
-                )
-            else:
-                reach = scoring.reach_dist_values(grid.dists, block, out=block)
-                values = scoring.lrd_values(reach.reshape(-1), starts, stops)
-            out[ks - 1, rows] = values
-        if not scan_lof and self.duplicate_mode == "error":
-            scoring.check_finite_lrd(out[ks - 1])
-        table.filled[ks - 1] = True
-
-    # -- the scorer registry (repro.scorers) -----------------------------------
-
-    def _scorer_context(self, k: int, X=None, metric=None):
-        from ..scorers import ScorerContext
-
+        scorer = get_scorer(scorer)
+        ks = self._check_ks(ks)
         if X is not None:
             X = np.asarray(X, dtype=np.float64)
             if X.ndim != 2 or X.shape[0] != self.n_points:
@@ -537,67 +487,82 @@ class MaterializationDB:
                     f"dataset snapshot X must be 2-D with {self.n_points} "
                     f"rows to match this materialization"
                 )
-        metric_obj = None
-        if metric is not None:
-            from ..index import get_metric
+        metric = None if metric is None else get_metric(metric)
+        ctx = ScorerContext(mat=self, X=X, metric=metric)
+        steps = list(scorer.phases)
+        if score:
+            steps.append(Phase("score", type(scorer).score_query))
+        names = {p.name: None if p.scratch else _table_name(scorer, p.name) for p in steps}
+        grid = _sorted_set(ks)
+        todo = np.zeros(len(grid), dtype=bool)
+        for tname in filter(None, names.values()):
+            todo |= self._missing(tname, grid)
+        for run in _runs(grid[todo]):
+            self._fit_run(scorer, steps, names, run, ctx)
+        tables = {n: self._tables[t] for n, t in names.items() if t in self._tables}
+        if not score:
+            self._fill_k_distances(grid)
+            tables["kdist"] = self._kdist
+        ctx.tables = {n: t.rows(ks) for n, t in tables.items()}
+        for rows in ctx.tables.values():
+            rows.flags.writeable = False  # a view or copy, not the table
+        return ctx
 
-            metric_obj = get_metric(metric)
-        return ScorerContext(mat=self, k=k, X=X, metric=metric_obj)
+    def _missing(self, tname: str, ks: np.ndarray) -> np.ndarray:
+        table = self._tables.get(tname)
+        return np.ones(len(ks), dtype=bool) if table is None else ~table.filled[ks - 1]
 
-    def _fit_scorer(self, scorer, min_pts: int, X=None, metric=None):
-        """``(scorer, k, score table)`` with MinPts k filled in the
-        scorer's score table (LOF's is the LOF table) and in one aux
-        table per aux array it returns (rows shaped like the array)."""
-        from ..scorers import get_scorer
+    def _fit_run(self, scorer, steps, names, run: np.ndarray, ctx) -> None:
+        """Every step of :meth:`fit` at the MinPts of one run."""
+        self._fill_k_distances(run)
+        radii = self._kdist.rows(run)
+        counts = self.graph.prefix_counts(run, radii)
+        # A scratch phase is needed wherever a later table is missing.
+        needs, later = {}, np.zeros(len(run), dtype=bool)
+        for phase in reversed(steps):
+            tname = names[phase.name]
+            needs[phase.name] = later.copy() if tname is None else self._missing(tname, run)
+            later |= needs[phase.name]
+        tables: Dict[str, _KTable] = {}
+        for phase in steps:
+            tname, need = names[phase.name], needs[phase.name]
+            if need.any():
+                sel = slice(None) if need.all() else need  # views when all
+                sub, step_radii, step_counts = run[sel], radii[sel], counts[sel]
+                step = dataclasses.replace(ctx, tables={"kdist": step_radii})
+                step.tables.update((n, t.rows(sub)) for n, t in tables.items())
+                if phase.aggregate:
+                    step.rows = slice(None)
+                    values = phase.kernel(scorer, step, self._whole(step_radii, step_counts))
+                    self._table(tname, values.shape[1:]).writable()[sub - 1] = values
+                else:
+                    # A scratch table lives for this run only (zeros are
+                    # paged in only where written).
+                    table = self._new_table() if tname is None else self._table(tname)
+                    tables[phase.name] = table
+                    out = table.writable()
+                    obs.incr("mscan.passes", len(sub))
+                    for rows, grid in self.graph.tiles(step_radii, step_counts):
+                        step.rows = rows
+                        out[sub - 1, rows] = phase.kernel(scorer, step, grid)
+            if tname in self._tables:
+                tables[phase.name] = self._tables[tname]
+        if self.duplicate_mode == "error":
+            run_tables = {n: self._tables[t].rows(run) for n, t in names.items() if t}
+            whole = dataclasses.replace(ctx, rows=slice(None), tables=run_tables)
+            scorer.check(whole, self._whole(radii, counts))
+        for name, tname in names.items():
+            if tname is not None:
+                self._tables[tname].filled[run[needs[name]] - 1] = True
 
-        scorer, k = get_scorer(scorer), self._check_k(min_pts)
-        name = "lof" if scorer.name == "lof" else f"score@{scorer.name}"
-        if name not in self._tables or not self._tables[name].filled[k - 1]:
-            vec, aux = scorer.fit(self._scorer_context(k, X=X, metric=metric))
-            rows = {f"aux@{scorer.name}@{a}": v for a, v in aux.items()}
-            for tname, value in {**rows, name: vec}.items():
-                value = np.asarray(value, dtype=np.float64)
-                table = self._table(tname, value.shape)
-                if not table.filled[k - 1]:
-                    table.write(k, value)
-        return scorer, k, self._tables[name]
+    def _whole(self, radii: np.ndarray, counts: np.ndarray) -> GridPrefixes:
+        """Every row of M at a run's MinPts: views cut at the widest prefix."""
+        width = int(counts.max())
+        return GridPrefixes(
+            self.padded_ids[:, :width], self.padded_dists[:, :width], radii, counts
+        )
 
-    def scores(self, min_pts: int, scorer="lof", X=None, metric=None) -> np.ndarray:
-        """Per-object scores of any registered scorer (Section 7.4 step 2,
-        generalized): a row of its score table, computed from the one
-        materialized neighborhood graph — for ``'lof'``, :meth:`lof`
-        itself. Scorers with ``requires_data`` (LDOF) additionally need
-        the dataset snapshot ``X`` and the ``metric``.
-        """
-        _, k, table = self._fit_scorer(scorer, min_pts, X=X, metric=metric)
-        return table.row(k)
-
-    def scorer_aux(self, scorer, min_pts: int, X=None, metric=None) -> Dict[str, np.ndarray]:
-        """The aux arrays a scorer persists for its query path (for
-        example LoOP's per-object pdist vector and nPLOF scalar), by
-        name: rows of its aux tables, filled alongside :meth:`scores`."""
-        scorer, k, _ = self._fit_scorer(scorer, min_pts, X=X, metric=metric)
-        prefix = f"aux@{scorer.name}@"
-        return {
-            name[len(prefix) :]: table.row(k)
-            for name, table in self._tables.items()
-            if name.startswith(prefix)
-        }
-
-    def score_table(
-        self, ks: Sequence[int], scorer="lof", X=None, metric=None, aux=None
-    ) -> np.ndarray:
-        """Rows of a scorer's score table (or, with ``aux``, of its aux
-        table of that name) at every MinPts of ``ks``, the missing ones
-        fitted: a read-only view when ``ks`` is a run, else a copy."""
-        ks = self._check_ks(ks)
-        for k in _sorted_set(ks):
-            scorer, _, table = self._fit_scorer(scorer, k, X=X, metric=metric)
-        if aux is not None:
-            table = self._tables[f"aux@{scorer.name}@{aux}"]
-        matrix = table.rows(ks).view()
-        matrix.flags.writeable = False
-        return matrix
+    # -- the scorer registry (repro.scorers) -----------------------------------
 
     def scorer_state(self, scorer_name: str, build):
         """State a scorer derives from the rows of M once and reads at

@@ -118,7 +118,7 @@ def score_range(
                 f"{materialization.min_pts_ub}"
             )
     grid = np.arange(lb, ub + 1)
-    matrix = scorer_obj.fit_grid(materialization, grid, X=X, metric=metric)
+    matrix = materialization.fit(scorer_obj, grid, X=X, metric=metric).tables["score"]
     scores = _AGGREGATES[aggregate](matrix)
     return RangeLOFResult(
         min_pts_values=grid,

@@ -51,9 +51,9 @@ Counters (see ``docs/observability.md`` for the full contract)
     engine calls resolved to the whole-matrix fallback vs. the tiled
     merge (the ``strategy="auto"`` heuristic's decisions, made exact).
 ``mscan.passes``
-    O(n) scans over the materialization database M (one per lrd pass,
-    one per lof pass — the paper's "step 2" scans): two per MinPts,
-    however a grid's scans are cut into tiles.
+    O(n) scans over the materialization database M, one per MinPts of
+    each tiled scan of a fit, whatever the tiles: LOF's two per MinPts
+    (lrd, LOF: the paper's "step 2"), LoOP's three, LDOF's and kNN's one.
 ``store.saves`` / ``store.loads``
     model-store files written / read by :mod:`repro.store`.
 ``serve.points_scored``

@@ -18,13 +18,14 @@ modes. See ``docs/scorers.md`` for formulas, conventions and the
 failure modes each inherits from the paper's DB-outlier critique.
 """
 
-from .base import Scorer, ScorerContext, get_scorer, list_scorers, register
+from .base import Phase, Scorer, ScorerContext, get_scorer, list_scorers, register
 
 # Importing the scorer modules registers them (each calls register()
 # at import time; the RL001 project check enforces that).
 from . import knn_dist, ldof, lof, loop  # noqa: E402,F401
 
 __all__ = [
+    "Phase",
     "Scorer",
     "ScorerContext",
     "get_scorer",

@@ -1,29 +1,24 @@
 """The Scorer protocol and the registry behind ``--scorer``.
 
-A *scorer* turns the per-k neighborhoods of the one shared
-:class:`~repro.core.graph.NeighborhoodGraph` — row prefixes,
-:class:`~repro.core.graph.RowPrefixes` — into per-object outlier
-scores, and a served request's neighborhoods at every MinPts of a grid
+A *scorer* turns the tie-inclusive neighborhoods of the one shared
+:class:`~repro.core.graph.NeighborhoodGraph` at every MinPts of a grid
 (:class:`~repro.core.graph.GridPrefixes`) into a ``(K, m)`` score
-matrix. LOF is the first registered scorer; LDOF,
-LoOP and the kth-NN-distance baseline ride the same materialization
-pass, the same Definition-4 tie semantics and the same duplicate-mode
-policy — which is the paper's point that local outlier notions are a
-family over one neighborhood structure.
+matrix. LOF is the first registered scorer; LDOF, LoOP and the
+kth-NN-distance baseline ride the same materialization pass, the same
+Definition-4 tie semantics and the same duplicate-mode policy — which
+is the paper's point that local outlier notions are a family over one
+neighborhood structure.
 
 Contract
 --------
-Every scorer is stateless: all per-dataset state lives in the
-:class:`ScorerContext` (the materialization database, optionally the
-dataset snapshot and metric) and in the *aux* arrays :meth:`Scorer.fit`
-returns, which :class:`~repro.core.materialization.MaterializationDB`
-keeps in one ``(MinPtsUB, ...)`` table per scorer and aux name, and
-:mod:`repro.store` persists. The query
-path (:meth:`Scorer.score_query`) scores a whole MinPts grid in one
-pass over ``(K, n)`` tables taken once per grid (:meth:`Scorer.tables`),
-and must reproduce fitted scores bit-for-bit when handed a stored
-object's own neighborhood row, at every MinPts of the grid — the
-serve-vs-batch invariant pinned by ``tests/scorers/``.
+A scorer has one kernel per quantity, shared by fit and serve: its
+*phases* (:class:`Phase`), per-MinPts tables that other objects read
+through neighbor ids, and :meth:`Scorer.score_query`. A fit
+(:meth:`~repro.core.materialization.MaterializationDB.fit`) runs them
+over M's tiles, a request over its own rows, so a stored object's own
+row scores bit-for-bit what the fit stored — the serve-vs-batch
+invariant pinned by ``tests/scorers/``. Scorers are stateless: state
+lives in the :class:`ScorerContext` and the phase tables.
 
 All scoring arithmetic stays inside modules of this package (plus the
 segment kernels of :mod:`repro.core.scoring`); the RL001 lint rule enforces
@@ -32,15 +27,18 @@ the containment and that every module here registers its scorer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..core.graph import GridPrefixes
 from ..exceptions import ValidationError
+from ..index.brute import BLOCK_BYTES
 
 __all__ = [
+    "Phase",
     "Scorer",
     "ScorerContext",
     "register",
@@ -49,33 +47,60 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class Phase:
+    """A per-MinPts table a scorer fills before its score, in order.
+
+    ``kernel(scorer, ctx, grid)`` returns it at every MinPts of ``grid``:
+    ``(K, m)`` for the grid's rows, or for an ``aggregate`` ``(K, ...)``
+    over all of M, which a request reads from its table. A ``scratch``
+    phase lives for one run of a fit and is not persisted."""
+
+    name: str
+    kernel: Callable
+    aggregate: bool = False
+    scratch: bool = False
+
+
 @dataclass
 class ScorerContext:
-    """Everything a scorer may read while fitting or scoring.
+    """Everything a scorer may read while scoring a grid of MinPts.
 
     ``mat`` is the :class:`~repro.core.materialization.MaterializationDB`
     (duck-typed; scorers never import it). ``X``/``metric`` are only
     present when the caller has the dataset snapshot — scorers with
     ``requires_data`` (LDOF needs neighbor-to-neighbor distances the
-    graph does not store) must call :meth:`require_data`. A query
-    context serves a whole MinPts grid: ``k`` is its largest MinPts and
-    ``tables`` holds what :meth:`Scorer.tables` returned for it.
+    graph does not store) must call :meth:`require_data`. ``tables``
+    holds rows at the grid's MinPts of ``"kdist"`` (M's k-distances)
+    and of each phase. ``rows`` is the slice of M's rows a fit's tile
+    scores (``None`` for a request); ``buffer`` is a fit scan's reused
+    tile buffer (:meth:`gather`).
     """
 
     mat: object
-    k: int
     X: Optional[np.ndarray] = None
     metric: object = None
     tables: Dict[str, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def kdist(self) -> np.ndarray:
-        """Per-object k-distances (k-distinct-distances under 'distinct')."""
-        return self.mat.k_distances(self.k)
+    rows: Optional[slice] = None
+    buffer: Optional[np.ndarray] = None
 
     @property
     def duplicate_mode(self) -> str:
-        return self.mat.duplicate_mode
+        """The database's mode, but ``'inf'`` for ``'error'`` in a fit:
+        a tile sees part of a run, so :meth:`Scorer.check` checks runs."""
+        mode = self.mat.duplicate_mode
+        return "inf" if mode == "error" and self.rows is not None else mode
+
+    def gather(self, values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """``values[:, ids]`` as a ``(K', m, w)`` block (pads clip to
+        object 0, outside every segment); in a fit, carved from one
+        :attr:`buffer` of ``BLOCK_BYTES`` reused tile after tile."""
+        shape, out = (len(values),) + ids.shape, None
+        if self.rows is not None and math.prod(shape) <= BLOCK_BYTES // 8:
+            if self.buffer is None:
+                self.buffer = np.empty(BLOCK_BYTES // 8)
+            out = self.buffer[: math.prod(shape)].reshape(shape)
+        return values.take(ids, axis=1, out=out, mode="clip")
 
     def require_data(self, scorer_name: str) -> Tuple[np.ndarray, object]:
         """The (X, metric) pair, or a typed error naming the scorer."""
@@ -101,56 +126,37 @@ class Scorer:
         to this score (LOF only); serving degrades others to exact
         scoring.
     description : one line for ``repro-lof scorers``.
+    phases : the scorer's :class:`Phase` tables, in fill order.
     """
 
     name: str = ""
     requires_data: bool = False
     supports_bounds: bool = False
     description: str = ""
+    phases: Tuple[Phase, ...] = ()
 
-    def fit(self, ctx: ScorerContext) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        """Per-object scores at ``ctx.k`` plus aux arrays to persist.
-
-        Reads the neighborhoods as ``ctx.mat.prefixes(ctx.k)``. Returns
-        ``(scores, aux)``; ``aux`` maps names to float arrays a later
-        :meth:`score_query` needs (e.g. LoOP's per-object pdist vector
-        and nPLOF normalizer). Must be deterministic.
-        """
-        raise NotImplementedError
-
-    def fit_grid(self, mat, ks: Sequence[int], X=None, metric=None) -> np.ndarray:
-        """Per-object scores at every MinPts of ``ks``, one row each: the
-        ``(K, n)`` matrix of Section 6.2's sweep. By default the rows of
-        the scorer's score table in ``mat`` (:meth:`fit` at each MinPts
-        not yet in it); LOF fills its rows in one tiled sweep."""
-        return mat.score_table(ks, self, X=X, metric=metric)
-
-    def tables(self, contexts: Sequence[ScorerContext]) -> Dict[str, np.ndarray]:
-        """The per-MinPts inputs :meth:`score_query` reads, over a grid:
-        one per-k context per MinPts, in grid order, in; arrays with one
-        row per MinPts (``(K, n)`` per-object vectors) out — for LOF,
-        rows (views, for a run of consecutive MinPts) of the
-        materialization's k-distance and lrd tables.
-
-        Called once per (scorer, grid) before the grid's first query; it
-        is the first touch of the materialization's per-MinPts state
-        (the lrd table for LOF, the pdist/nPLOF aux state for LoOP).
-        Scorers that read no per-k state return nothing.
-        """
-        return {}
+    def own(self, name: str, ctx: ScorerContext, grid: GridPrefixes) -> np.ndarray:
+        """The grid rows' own ``(K, m)`` values of phase ``name``: read
+        from its table in a fit, else computed by the phase's kernel."""
+        if ctx.rows is not None:
+            return ctx.tables[name][:, ctx.rows]
+        phase = next(p for p in self.phases if p.name == name)
+        return phase.kernel(self, ctx, grid)
 
     def score_query(self, ctx: ScorerContext, grid: GridPrefixes) -> np.ndarray:
-        """Score query neighborhoods at every MinPts of a grid at once.
+        """The ``(K, m)`` scores of the grid's rows at every MinPts.
 
-        ``grid`` holds the query points' tie-inclusive neighborhoods
-        among the *stored* objects (ids index the training set) as
-        prefixes of one block, with each query's own k-distance at each
-        MinPts in ``grid.radii``; ``ctx.tables`` holds this scorer's
-        :meth:`tables` for the same grid. Returns the ``(K, m)`` score
-        matrix. Handed a stored object's own row, entry ``(j, i)`` must
-        equal the fitted score at the j-th MinPts bit-for-bit.
+        ``grid`` holds the rows' neighborhoods among the *stored* objects
+        (ids index the training set) as prefixes of one block, with each
+        row's own k-distance at each MinPts in ``grid.radii``. The fit
+        runs this method over M's tiles, so handed a stored object's own
+        row it returns the fitted scores bit-for-bit.
         """
         raise NotImplementedError
+
+    def check(self, ctx: ScorerContext, grid: GridPrefixes) -> None:
+        """Mode ``'error'`` over a fitted run (``grid`` is all of M):
+        raise what a scan per MinPts would raise first."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Scorer {self.name!r}>"

@@ -30,10 +30,6 @@ class KNNDistScorer(Scorer):
         "the distance-based baseline"
     )
 
-    def fit(self, ctx: ScorerContext):
-        obs.incr("scorer.knn_dist.points", int(ctx.mat.n_points))
-        return np.array(ctx.mat.k_distances(ctx.k), dtype=np.float64, copy=True), {}
-
     def score_query(self, ctx: ScorerContext, grid) -> np.ndarray:
         obs.incr("scorer.knn_dist.points", int(grid.radii.size))
         return np.array(grid.radii, dtype=np.float64, copy=True)

@@ -12,10 +12,9 @@ neighbor-to-neighbor distances, so the inner mean reads the dataset
 snapshot through the metric's row kernel, like every other d(p, q) of
 the package. A row's inner sums are accumulated in one fixed order, so
 the sum over a c-member prefix does not depend on the row's width
-(:class:`_InnerSums`): a fit computes them once per row of M, cached on
-the materialization for every MinPts of a sweep, and a served request
-once over its own block for every MinPts of its grid, and all of them
-agree to the last bit.
+(:class:`_InnerSums`): a fit keeps one set over M's rows, cached on
+the materialization and sliced per tile, a served request one over its
+own block, and all of them agree to the last bit. LDOF has no phase.
 
 Duplicate conventions mirror LOF's (remark after Definition 6):
 ``Dbar = 0`` (every neighbor co-located, or a single-neighbor row)
@@ -51,6 +50,13 @@ class _InnerSums:
         self.lengths = lengths
         self.half = np.zeros(ids.shape, dtype=np.float64)
         self.done = np.ones(len(ids), dtype=np.int64)  # a 1-prefix sums to 0
+
+    def __getitem__(self, rows: slice) -> "_InnerSums":
+        """The sums of ``rows`` as views: extending them extends these."""
+        part = _InnerSums.__new__(_InnerSums)
+        part.ids, part.lengths = self.ids[rows], self.lengths[rows]
+        part.half, part.done = self.half[rows], self.done[rows]
+        return part
 
     def inner_means(self, counts: np.ndarray, X: np.ndarray, metric) -> np.ndarray:
         """Dbar of every row's ``counts``-prefix (0 below two members);
@@ -88,20 +94,40 @@ def _triangle_rows(done: int, target: int):
     return r, j, (rows + 1) * rows // 2 - lo - 1
 
 
-def _ldof_values(dbar: np.ndarray, inner: np.ndarray, duplicate_mode: str) -> np.ndarray:
-    if duplicate_mode == "error" and np.any(inner == 0.0):
+def _check_inner(inner: np.ndarray) -> None:
+    """Mode 'error': raise on the first zero inner mean, in MinPts order."""
+    if np.any(inner == 0.0):
         bad = scoring.first_row(inner == 0.0)
         raise DuplicatePointsError(
             f"object {bad}'s neighborhood has zero inner distance (all "
             f"neighbors co-located); its LDOF is undefined "
             f"(use duplicate_mode='distinct' or 'inf')"
         )
+
+
+def _ldof_values(dbar: np.ndarray, inner: np.ndarray, duplicate_mode: str) -> np.ndarray:
+    if duplicate_mode == "error":
+        _check_inner(inner)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = dbar / inner
     # 0/0: the query is co-located with its co-located neighbors —
     # ordinary relative to them, same convention as LOF's inf/inf := 1.
     out[(dbar == 0.0) & (inner == 0.0)] = 1.0
     return out
+
+
+def _inner_means(ctx, grid) -> np.ndarray:
+    """Dbar at every (MinPts, row) of ``grid``: from a fit's sums over
+    M's rows, or from a request's own over its block."""
+    X, metric = ctx.require_data(LDOFScorer.name)
+    if ctx.rows is None:
+        sums = _InnerSums(grid.ids, grid.counts.max(axis=0))
+    else:
+        mat = ctx.mat
+        sums = mat.scorer_state(
+            LDOFScorer.name, lambda: _InnerSums(mat.padded_ids, mat.graph.row_lengths)
+        )[ctx.rows]
+    return sums.inner_means(grid.counts, X, metric)
 
 
 class LDOFScorer(Scorer):
@@ -113,30 +139,17 @@ class LDOFScorer(Scorer):
         "neighbor distance over mean inner neighborhood distance"
     )
 
-    def fit(self, ctx: ScorerContext):
-        X, metric = ctx.require_data(self.name)
-        obs.incr("scorer.ldof.points", int(ctx.mat.n_points))
-        # One set of inner sums over M's rows serves every MinPts.
-        sums = ctx.mat.scorer_state(
-            self.name, lambda: _InnerSums(ctx.mat.padded_ids, ctx.mat.graph.row_lengths)
-        )
-        rows = ctx.mat.prefixes(ctx.k)
-        dbar = scoring.row_means(rows.dists.reshape(-1), rows.starts, rows.stops)
-        inner = sums.inner_means(rows.counts, X, metric)
-        return _ldof_values(dbar, inner, ctx.duplicate_mode), {}
-
     def score_query(self, ctx: ScorerContext, grid) -> np.ndarray:
-        X, metric = ctx.require_data(self.name)
-        # One set of inner sums over the request's block serves every
-        # MinPts: each row evaluates the pairs of its widest prefix once.
-        sums = _InnerSums(grid.ids, grid.counts.max(axis=0))
-        inner = sums.inner_means(grid.counts, X, metric)
-        dbar = np.empty(grid.counts.shape)
-        for span in grid.spans():
-            starts, stops = grid.segments(span)
-            dbar[span] = scoring.row_means(grid.stacked(grid.dists, span), starts, stops)
+        inner = _inner_means(ctx, grid)
+        # One MinPts at a time over the (m, w) block: no (K, m, w) copy.
+        flat, starts = grid.dists.reshape(-1), np.arange(len(grid.ids)) * grid.ids.shape[1]
+        dbar = np.stack([scoring.row_means(flat, starts, starts + c) for c in grid.counts])
         obs.incr("scorer.ldof.points", int(grid.counts.size))
         return _ldof_values(dbar, inner, ctx.duplicate_mode)
+
+    def check(self, ctx: ScorerContext, grid) -> None:
+        # The run's sums are already extended: no distance is evaluated.
+        _check_inner(_inner_means(ctx, grid))
 
 
 register(LDOFScorer())

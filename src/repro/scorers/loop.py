@@ -13,10 +13,11 @@ LoOP recasts the LOF idea as a probability in [0, 1]:
   dataset;
 * ``LoOP(p) = max(0, erf(PLOF / (nPLOF * sqrt(2))))``.
 
-The fitted per-object ``pdist`` vector and the scalar ``nPLOF`` are the
-scorer's aux state: persisted in the store and reused verbatim on the
-query path, so scoring a stored object's own neighborhood reproduces
-its fitted probability bit-for-bit.
+Its phases are pdist, PLOF (scratch: a fit keeps it for one run of
+MinPts) and nPLOF (one aggregate per MinPts over all of M). The pdist
+and nPLOF tables are persisted and read verbatim on the query path,
+which computes a request's own pdist and PLOF with the same kernels, so
+scoring a stored object's own row reproduces its fitted probability.
 
 Duplicate conventions mirror LOF's: ``pdist = 0`` (a neighborhood of
 co-located points) is the infinite-density analog — mode ``'error'``
@@ -36,7 +37,7 @@ import numpy as np
 from .. import obs
 from ..core import scoring
 from ..exceptions import DuplicatePointsError
-from .base import Scorer, ScorerContext, register
+from .base import Phase, Scorer, ScorerContext, register
 
 _LAMBDA = 3.0
 _SQRT2 = math.sqrt(2.0)
@@ -48,16 +49,22 @@ def _prob_set_dists(flat_squared: np.ndarray, starts, stops) -> np.ndarray:
     return _LAMBDA * np.sqrt(scoring.row_means(flat_squared, starts, stops))
 
 
-def _plof_values(
-    pdist_self: np.ndarray, expected_pdist: np.ndarray, duplicate_mode: str
-) -> np.ndarray:
-    if duplicate_mode == "error" and np.any(pdist_self == 0.0):
-        bad = scoring.first_row(pdist_self == 0.0)
+def _check_pdist(pdist: np.ndarray) -> None:
+    """Mode 'error': raise on the first zero pdist, in MinPts order."""
+    if np.any(pdist == 0.0):
+        bad = scoring.first_row(pdist == 0.0)
         raise DuplicatePointsError(
             f"object {bad}'s neighborhood is entirely co-located "
             f"(pdist = 0); its PLOF is undefined "
             f"(use duplicate_mode='distinct' or 'inf')"
         )
+
+
+def _plof_values(
+    pdist_self: np.ndarray, expected_pdist: np.ndarray, duplicate_mode: str
+) -> np.ndarray:
+    if duplicate_mode == "error":
+        _check_pdist(pdist_self)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = pdist_self / expected_pdist
     # 0/0: a zero-spread point among zero-spread neighbors is ordinary.
@@ -68,8 +75,8 @@ def _plof_values(
 def _probabilities(plof: np.ndarray, nplof) -> np.ndarray:
     """max(0, erf(PLOF / (nPLOF * sqrt(2)))), elementwise.
 
-    ``nplof`` is a scalar, or one value per row of a ``(K, m)`` ``plof``
-    (shaped ``(K, 1)``). Non-finite PLOF (positive pdist over a zero
+    ``nplof`` holds one value per row of a ``(K, m)`` ``plof``, shaped
+    ``(K, 1)``. Non-finite PLOF (positive pdist over a zero
     expectation) maps to probability 1; a zero nPLOF (no finite
     variation at all) maps every finite PLOF to 0.
     """
@@ -91,47 +98,48 @@ class LoOPScorer(Scorer):
         "PLOF in [0, 1], lambda = 3"
     )
 
-    def fit(self, ctx: ScorerContext):
-        rows = ctx.mat.prefixes(ctx.k)
-        squared = rows.dists * rows.dists
-        pdist = _prob_set_dists(squared.reshape(-1), rows.starts, rows.stops)
-        expected = scoring.row_means(
-            pdist[rows.ids].reshape(-1), rows.starts, rows.stops
-        )
-        plof = _plof_values(pdist, expected, ctx.duplicate_mode)
-        finite = np.isfinite(plof)
-        if np.any(finite):
-            nplof = _LAMBDA * float(np.sqrt(np.mean(np.square(plof[finite]))))
-        else:
-            nplof = 0.0
-        obs.incr("scorer.loop.points", int(ctx.mat.n_points))
-        aux = {
-            "pdist": pdist,
-            "nplof": np.array([nplof], dtype=np.float64),
-        }
-        return _probabilities(plof, nplof), aux
-
-    def tables(self, contexts):
-        # Rows of the aux tables: pdist (K, n), nplof (K, 1).
-        ctx, ks = contexts[0], [c.k for c in contexts]
-        return {
-            name: ctx.mat.score_table(ks, self, X=ctx.X, metric=ctx.metric, aux=name)
-            for name in ("pdist", "nplof")
-        }
-
-    def score_query(self, ctx: ScorerContext, grid) -> np.ndarray:
-        pdist_train, nplof = ctx.tables["pdist"], ctx.tables["nplof"]
+    def _pdist(self, ctx: ScorerContext, grid) -> np.ndarray:
         squared = grid.dists * grid.dists
-        plof = np.empty(grid.counts.shape)
+        out = np.empty(grid.counts.shape)
         for span in grid.spans():
             starts, stops = grid.segments(span)
-            pdist_q = _prob_set_dists(grid.stacked(squared, span), starts, stops)
+            out[span] = _prob_set_dists(grid.stacked(squared, span), starts, stops)
+        return out
+
+    def _plof(self, ctx: ScorerContext, grid) -> np.ndarray:
+        pdist_q, pdist_train = self.own("pdist", ctx, grid), ctx.tables["pdist"]
+        out = np.empty(grid.counts.shape)
+        for span in grid.spans():
+            starts, stops = grid.segments(span)
             expected = scoring.row_means(
-                pdist_train[span][:, grid.ids].reshape(-1), starts, stops
+                ctx.gather(pdist_train[span], grid.ids).reshape(-1), starts, stops
             )
-            plof[span] = _plof_values(pdist_q, expected, ctx.duplicate_mode)
+            out[span] = _plof_values(pdist_q[span], expected, ctx.duplicate_mode)
+        return out
+
+    def _nplof(self, ctx: ScorerContext, grid) -> np.ndarray:
+        # One MinPts row at a time, so np.mean sums a row's finite PLOF
+        # in the order a fit of that MinPts alone would.
+        out = np.zeros((len(grid.radii), 1))
+        for j, plof in enumerate(ctx.tables["plof"]):
+            finite = plof[np.isfinite(plof)]
+            if len(finite):
+                out[j] = _LAMBDA * float(np.sqrt(np.mean(np.square(finite))))
+        return out
+
+    phases = (
+        Phase("pdist", _pdist),
+        Phase("plof", _plof, scratch=True),
+        Phase("nplof", _nplof, aggregate=True),
+    )
+
+    def score_query(self, ctx: ScorerContext, grid) -> np.ndarray:
+        plof = self.own("plof", ctx, grid)
         obs.incr("scorer.loop.points", int(grid.counts.size))
-        return _probabilities(plof, nplof)
+        return _probabilities(plof, ctx.tables["nplof"])
+
+    def check(self, ctx: ScorerContext, grid) -> None:
+        _check_pdist(ctx.tables["pdist"])
 
 
 register(LoOPScorer())

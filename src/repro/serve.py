@@ -554,23 +554,15 @@ class OnlineScorer:
         return Xq, exclude, ks
 
     def _ensure_ks(self, ks, scorer) -> ScorerContext:  # reprolint: holds-lock
-        """The query context of one (scorer, MinPts grid), built once.
-
-        The scorer's :meth:`~repro.scorers.Scorer.tables` are the first
-        touch of the materialization's per-MinPts state (the k-distance
-        and lrd tables for LOF, the pdist/nPLOF aux state for LoOP);
-        doing it once per (scorer, grid), under the lock, keeps the
-        step-2 scan counters (``mscan.passes``) exactly serial.
+        """The query context of one (scorer, MinPts grid), built once:
+        :meth:`~repro.core.materialization.MaterializationDB.fit` without
+        the score, the first touch of the per-MinPts tables, under the
+        lock so the step-2 scan counters (``mscan.passes``) stay serial.
         """
         key = (scorer.name, ks)
         if key not in self._grids:
-            per_k = [
-                ScorerContext(mat=self.mat, k=k, X=self.X, metric=self.metric)
-                for k in ks
-            ]
-            self._grids[key] = ScorerContext(
-                mat=self.mat, k=max(ks), X=self.X, metric=self.metric,
-                tables=scorer.tables(per_k),
+            self._grids[key] = self.mat.fit(
+                scorer, ks, X=self.X, metric=self.metric, score=False
             )
         return self._grids[key]
 
@@ -630,7 +622,7 @@ class OnlineScorer:
         if len(novel):
             ids[novel, : novel_ids.shape[1]] = novel_ids
             dists[novel, : novel_dists.shape[1]] = novel_dists
-        return GridPrefixes.from_radii(ids, dists, radii)
+        return GridPrefixes(ids, dists, radii)
 
     def _novel_rows(self, Xq, exclude, ks):  # reprolint: holds-lock
         """Each novel query's neighborhood at ``max(ks)`` and its radius

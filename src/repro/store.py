@@ -49,6 +49,9 @@ aligned so ``mmap`` slices are well-aligned), ``nbytes``, and a
 default — a flipped bit raises :class:`~repro.exceptions.
 StoreCorruptionError` rather than ever producing garbage scores.
 
+A load requires the padding after the header and between sections to
+be zero (the checksums cover section bytes only), in the same pass.
+
 Versioning rules (see ``docs/serving.md``): the magic never changes; a
 reader rejects any version but its own with
 :class:`~repro.exceptions.StoreVersionError` (no silent coercion);
@@ -598,17 +601,47 @@ def _verify_streamed(fh, path: Path, sections) -> None:
         _check_digest(path, section, digest)
 
 
+def _padding(path: Path, sections, end: int, size: int):
+    """``(offset, length)`` of the padding before each section: each one
+    starts at the first 64-byte boundary after the header or the section
+    before it, and the last one ends the file."""
+    gaps = []
+    for section in sections:
+        gaps.append((end, section.offset - end))
+        if section.offset != _align(end):
+            break
+        end = section.offset + section.nbytes
+    else:
+        if end == size:
+            return gaps
+    raise StoreCorruptionError(f"{path} lays out its sections as no store does")
+
+
+def _check_padding(path: Path, pad, offset: int) -> None:
+    if any(pad):
+        raise StoreCorruptionError(f"{path} has non-zero padding at byte {offset}")
+
+
 def _read_sections(
     fh, path: Path, header: Dict, size: int, mmap: bool, verify: bool
 ) -> Dict[str, np.ndarray]:
     """Every section of the table, each read once from ``fh``: into
-    fresh writable arrays, or as read-only views of one map of the file."""
+    fresh writable arrays, or as read-only views of one map of the file;
+    the zero padding before each in the same pass."""
     sections = [_section_layout(path, entry, size) for entry in header["sections"]]
+    gaps = _padding(path, sections, fh.tell(), size)
     if not mmap:
-        return {s.name: _read_section(fh, path, s, verify) for s in sections}
+        arrays = {}
+        for section, (offset, length) in zip(sections, gaps):
+            fh.seek(offset)
+            _check_padding(path, fh.read(length), offset)
+            arrays[section.name] = _read_section(fh, path, section, verify)
+        return arrays
     if verify:
         _verify_streamed(fh, path, sections)
     mapped = _mmap.mmap(fh.fileno(), 0, access=_mmap.ACCESS_READ)
+    for offset, length in gaps:
+        _check_padding(path, mapped[offset : offset + length], offset)
     return {
         s.name: np.frombuffer(
             mapped, dtype=s.dtype, count=s.nbytes // s.dtype.itemsize,
@@ -687,7 +720,7 @@ def load_model(path: PathLike, mmap: bool = False, verify: bool = True) -> Store
     )
     if header["kind"] == "estimator":
         model.min_pts_values = arrays["min_pts_values"]
-        model.lof_matrix = mat.score_table(model.min_pts_values, model.scorer)
+        model.lof_matrix = mat.fit(model.scorer, model.min_pts_values).tables["score"]
         model.scores = arrays["scores"]
     obs.incr("store.loads")
     return model

@@ -183,7 +183,7 @@ class TestGridPrefixes:
     def test_counts_are_counted_on_first_read(self):
         g = NeighborhoodGraph.from_index(tied_grid(), 6)
         radii = np.stack([g.k_distances(k) for k in (2, 4, 6)])
-        grid = GridPrefixes.from_radii(g.padded_ids, g.padded_dists, radii)
+        grid = GridPrefixes(g.padded_ids, g.padded_dists, radii)
         assert "counts" not in vars(grid)
         want = np.stack([g.prefixes(k).counts for k in (2, 4, 6)])
         assert grid.counts.tobytes() == want.tobytes()

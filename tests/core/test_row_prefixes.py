@@ -233,4 +233,6 @@ class TestNoViews:
         with obs.collect() as snap:
             score_range(X, min_pts_lb=4, min_pts_ub=9, scorer=scorer)
         assert self._count(snap, "graph.builds") == 1
-        assert self._count(snap, "mscan.passes") == 0
+        # One scan per MinPts of each tiled step: LDOF's score; LoOP's
+        # pdist, PLOF and score (nPLOF reads the PLOF rows, not M).
+        assert self._count(snap, "mscan.passes") == {"ldof": 6, "loop": 18}[scorer]

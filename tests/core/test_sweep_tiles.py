@@ -11,6 +11,7 @@ on tie-heavy data, in every duplicate mode, with tiles shrunk until runs
 and row blocks split at every position, and on a grid of one MinPts.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -78,7 +79,7 @@ def _tiled(mat, ks):
     except DuplicatePointsError as exc:
         return ("DuplicatePointsError", str(exc))
     return (
-        mat.k_distance_table(ks).tobytes(),
+        mat.fit("lof", ks, score=False).tables["kdist"].tobytes(),
         mat.lrd_table(ks).tobytes(),
         lof.tobytes(),
     )
@@ -194,3 +195,113 @@ def test_fit_wide_sweep_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak - base < 3 * BLOCK_BYTES
+
+
+# -- every scorer: the tiled fit against a per-MinPts loop -------------------
+
+SCORERS = ("knn_dist", "ldof", "lof", "loop")
+
+#: A grid with gaps: not a run, so the tables hand out copied rows.
+GAPS = [5, 7, 8]
+
+
+def _loop_per_k(mat, ks):
+    """LoOP as its module docstring defines it, one MinPts at a time."""
+    out = []
+    for k in ks:
+        rows = mat.graph.prefixes(k, kdist=mat.k_distances(k))
+        squared = (rows.dists * rows.dists).reshape(-1)
+        pdist = 3.0 * np.sqrt(scoring.row_means(squared, rows.starts, rows.stops))
+        if mat.duplicate_mode == "error" and np.any(pdist == 0.0):
+            return (
+                "DuplicatePointsError",
+                f"object {np.flatnonzero(pdist == 0.0)[0]}'s neighborhood is "
+                "entirely co-located (pdist = 0); its PLOF is undefined "
+                "(use duplicate_mode='distinct' or 'inf')",
+            )
+        expected = scoring.row_means(pdist[rows.ids].reshape(-1), rows.starts, rows.stops)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plof = pdist / expected
+        plof[(pdist == 0.0) & (expected == 0.0)] = 1.0
+        plof -= 1.0
+        finite = np.isfinite(plof)
+        nplof = 0.0
+        if finite.any():
+            nplof = 3.0 * float(np.sqrt(np.mean(np.square(plof[finite]))))
+        prob = np.where(finite, 0.0, 1.0)
+        if nplof > 0.0:
+            scale = nplof * math.sqrt(2.0)
+            prob[finite] = [max(0.0, math.erf(v / scale)) for v in plof[finite]]
+        out.append(prob)
+    return np.vstack(out).tobytes()
+
+
+def _ldof_error(mat, X, ks):
+    """LDOF's 'error' outcome from the definition: the first object, in
+    MinPts order, whose neighborhood has fewer than two members or all
+    of them at one location; None when there is none."""
+    for k in ks:
+        rows = mat.graph.prefixes(k, kdist=mat.k_distances(k))
+        for i in range(rows.n_rows):
+            ids, _ = rows.row(i)
+            if len(ids) < 2 or (X[ids] == X[ids[0]]).all():
+                return (
+                    "DuplicatePointsError",
+                    f"object {i}'s neighborhood has zero inner distance (all "
+                    "neighbors co-located); its LDOF is undefined "
+                    "(use duplicate_mode='distinct' or 'inf')",
+                )
+    return None
+
+
+def _fit_scores(mat, scorer, ks, X):
+    try:
+        return mat.fit(scorer, ks, X=X, metric="euclidean").tables["score"].tobytes()
+    except DuplicatePointsError as exc:
+        return ("DuplicatePointsError", str(exc))
+
+
+def _oracle(X, ub, mode, scorer, ks):
+    mat = _db(X, ub, mode)
+    if scorer == "knn_dist":
+        return np.vstack([mat.k_distances(k) for k in ks]).tobytes()
+    if scorer == "lof":
+        outcome = _per_k(mat, ks)
+        return outcome if outcome[0] == "DuplicatePointsError" else outcome[2]
+    if scorer == "loop":
+        return _loop_per_k(mat, ks)
+    # LDOF: the tiled fit at one MinPts and one row per tile (its
+    # definitional oracle is test_ldof_paths.py::test_matches_the_definition).
+    if mode == "error" and _ldof_error(mat, X, ks):
+        return _ldof_error(mat, X, ks)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mat_module, "BLOCK_BYTES", 8)
+        patch.setattr(graph_module, "BLOCK_BYTES", 8)
+        return _fit_scores(mat, scorer, ks, X)
+
+
+@pytest.mark.parametrize("budget", BUDGETS, indirect=True)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("dup", [0, 3])
+@pytest.mark.parametrize("scorer", SCORERS)
+def test_every_scorer_matches_the_scan_per_minpts(budget, mode, dup, scorer):
+    X = _tie_heavy(seed=dup + 1, dup=dup)
+    for ks in (list(range(1, 31)), [2, 3, 5, 8, 13, 21, 30], GAPS, [17]):
+        want = _oracle(X, 30, mode, scorer, ks)
+        assert _fit_scores(_db(X, 30, mode), scorer, ks, X) == want, ks
+
+
+@pytest.mark.parametrize("budget", BUDGETS, indirect=True)
+@pytest.mark.parametrize("scorer", SCORERS)
+def test_every_scorer_raises_the_per_minpts_message(budget, scorer):
+    # Rows 0..1 share a location (a duplicate at MinPts 1 only) and rows
+    # 140..143 another (up to MinPts 3), in the last row blocks: from
+    # MinPts 2 on, the error a scan per MinPts raises first names object
+    # 140 for LOF and LoOP, and for LDOF object 45 (whose two nearest
+    # neighbors are rows 0..1) or 140, all past the first row block.
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(140, 2))
+    X = np.vstack([X[:1], X, np.repeat(X[-1:], 3, axis=0)])
+    for ks in ([1, 2, 3], [2, 3, 4, 5], [3], [2, 5, 8]):
+        want = _oracle(X, 8, "error", scorer, ks)
+        assert _fit_scores(_db(X, 8, "error"), scorer, ks, X) == want, ks

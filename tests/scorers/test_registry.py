@@ -1,5 +1,7 @@
 """The registry contract: resolution, rejection, and the public surface."""
 
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -56,3 +58,37 @@ class TestPackageSurface:
         assert repro.register_scorer is register
         assert repro.Scorer is Scorer
         assert repro.ScorerContext is not None
+
+
+class TestProtocolExample:
+    def test_the_documented_example_fits_and_serves_bit_for_bit(
+        self, tmp_path, monkeypatch, two_density_clusters
+    ):
+        # Run the fenced block of docs/scorers.md's protocol section as
+        # written, with registration a no-op, then fit the example as an
+        # unregistered instance and serve each stored row back.
+        import numpy as np
+
+        from repro import materialize, save_model
+        from repro.serve import OnlineScorer
+
+        doc = (Path(__file__).parents[2] / "docs" / "scorers.md").read_text()
+        section = doc.split("## The Scorer protocol", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.setattr(repro, "register_scorer", lambda scorer: scorer)
+        namespace = {}
+        exec(compile(block, "docs/scorers.md", "exec"), namespace)
+        example = namespace["MeanReach"]()
+        assert example.name not in list_scorers()
+
+        X = two_density_clusters
+        mat = materialize(X, 10)
+        grid = (5, 7, 8)
+        fitted = mat.fit(example, grid).tables["score"]
+        assert fitted.shape == (3, len(X)) and np.isfinite(fitted).all()
+        path = tmp_path / "example.rlof"
+        save_model(path, mat, X=X)
+        served = OnlineScorer.from_path(path, cache_size=0)
+        for j, k in enumerate(grid):
+            got = served.score_new(X, min_pts=k, exclude=np.arange(len(X)), scorer=example)
+            assert got.tobytes() == fitted[j].tobytes(), k

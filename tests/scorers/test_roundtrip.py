@@ -22,7 +22,7 @@ import pytest
 from repro import LocalOutlierFactor, load_model, materialize, save_model
 from repro.cli import main
 from repro.exceptions import StoreVersionError
-from repro.scorers import ScorerContext, get_scorer, list_scorers
+from repro.scorers import get_scorer, list_scorers
 from repro.serve import OnlineScorer
 from repro.store import FORMAT_VERSION, read_header
 
@@ -39,6 +39,13 @@ def test_every_registered_scorer_is_covered():
 def _fresh(X):
     """A new materialization of the zoo store's data, nothing computed."""
     return materialize(X, 10)
+
+
+def _aux(mat, scorer, k, **data):
+    """A scorer's phase rows at MinPts ``k``, by phase name (the fit's
+    query context without the k-distances and scores)."""
+    tables = mat.fit(scorer, [k], **data).tables
+    return {key: rows[0] for key, rows in tables.items() if key not in ("kdist", "score")}
 
 
 class TestScorerSections:
@@ -61,23 +68,21 @@ class TestScorerSections:
         loaded = load_model(path, mmap=mmap).mat
         fresh = _fresh(X)
         scorer = get_scorer(name)
-        want = scorer.fit_grid(fresh, ZOO_GRID, X=X, metric="euclidean")
-        got = scorer.fit_grid(loaded, ZOO_GRID, X=X, metric="euclidean")
+        want = fresh.fit(scorer, ZOO_GRID, X=X, metric="euclidean").tables["score"]
+        got = loaded.fit(scorer, ZOO_GRID, X=X, metric="euclidean").tables["score"]
         assert got.shape == (len(ZOO_GRID), len(X))
         assert np.array_equal(got, want)
 
         def tables(mat):
-            return scorer.tables(
-                [ScorerContext(mat=mat, k=k, X=X, metric=None) for k in ZOO_GRID]
-            )
+            return mat.fit(scorer, ZOO_GRID, X=X, score=False).tables
 
         want_tables, got_tables = tables(fresh), tables(loaded)
         assert set(got_tables) == set(want_tables)
         for key, table in want_tables.items():
             assert np.array_equal(got_tables[key], table), key
         for k in ZOO_GRID:
-            want_aux = fresh.scorer_aux(name, k, X=X, metric="euclidean")
-            got_aux = loaded.scorer_aux(name, k)
+            want_aux = _aux(fresh, name, k, X=X, metric="euclidean")
+            got_aux = _aux(loaded, name, k)
             assert set(got_aux) == set(want_aux)
             for key, arr in want_aux.items():
                 assert got_aux[key].shape == arr.shape
@@ -101,8 +106,8 @@ class TestScorerSections:
         for mmap in (False, True):
             mat = load_model(path, mmap=mmap).mat
             for k in ZOO_GRID:
-                want = fresh.scorer_aux("loop", k)
-                got = mat.scorer_aux("loop", k)
+                want = _aux(fresh, "loop", k)
+                got = _aux(mat, "loop", k)
                 assert set(got) == {"pdist", "nplof"}
                 assert got["nplof"].shape == (1,)
                 assert np.array_equal(got["pdist"], want["pdist"])
@@ -168,8 +173,8 @@ class TestScorerSections:
             want = fresh.scores(6, scorer=name, X=X, metric="euclidean")
             assert np.array_equal(got, want), name
         assert np.array_equal(mat.lrd(6), fresh.lrd(6))
-        want_aux = fresh.scorer_aux("loop", 6)
-        assert np.array_equal(mat.scorer_aux("loop", 6)["pdist"], want_aux["pdist"])
+        want_aux = _aux(fresh, "loop", 6)
+        assert np.array_equal(_aux(mat, "loop", 6)["pdist"], want_aux["pdist"])
         for (name, k), want in fitted.items():
             assert np.array_equal(mat.scores(k, scorer=name), want), (name, k)
         assert path.read_bytes() == before

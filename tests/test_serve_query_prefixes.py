@@ -38,7 +38,7 @@ from repro.core.graph import GridPrefixes
 from repro.core.range_lof import _AGGREGATES
 from repro.exceptions import ReproError, ValidationError
 from repro.index.batch import select_tie_inclusive, tie_threshold
-from repro.scorers import ScorerContext, get_scorer
+from repro.scorers import get_scorer
 from repro.serve import OnlineScorer
 from repro.store import load_model
 
@@ -115,8 +115,7 @@ def oracle_scores(sc, Xq, exclude, min_pts, scorer):
     matrix = np.empty((len(ks), len(Xq)))
     for row_k, k in enumerate(ks):
         view = oracle_view(sc, Xq, exclude, k)
-        ctx = ScorerContext(mat=sc.mat, k=k, X=sc.X, metric=sc.metric)
-        ctx.tables = active.tables([ctx])
+        ctx = sc.mat.fit(active, [k], X=sc.X, metric=sc.metric, score=False)
         matrix[row_k] = active.score_query(ctx, view)[0]
     if len(ks) == 1:
         return matrix[0]

@@ -22,7 +22,7 @@ from repro.exceptions import (
     StoreVersionError,
     ValidationError,
 )
-from repro.scorers import Scorer
+from repro.scorers import Phase, Scorer
 from repro.store import FORMAT_VERSION, MAGIC, read_header
 
 
@@ -155,6 +155,33 @@ class TestCorruption:
         bad = tmp_path / "bad.rlof"
         bad.write_bytes(bytes(blob))
         with pytest.raises(StoreCorruptionError, match="checksum"):
+            load_model(bad)
+
+    def test_padding_bitflip(self, tmp_path, store_bytes):
+        # The zero padding after the header and between sections is
+        # outside every checksum; any byte of it set is corruption.
+        path, blob = store_bytes
+        header = read_header(path)
+        hlen = int.from_bytes(blob[16:24], "little")
+        end, offsets = 24 + hlen, []
+        for entry in header["sections"]:
+            offsets += [end, entry["offset"] - 1] if entry["offset"] > end else []
+            end = entry["offset"] + entry["nbytes"]
+        assert offsets[0] == 24 + hlen and len(offsets) > 6
+        bad = tmp_path / "pad.rlof"
+        for offset in offsets:
+            flipped = bytearray(blob)
+            flipped[offset] ^= 0x01
+            bad.write_bytes(bytes(flipped))
+            for mmap in (False, True):
+                with pytest.raises(StoreCorruptionError, match="padding"):
+                    load_model(bad, mmap=mmap)
+
+    def test_bytes_after_the_last_section(self, tmp_path, store_bytes):
+        _, blob = store_bytes
+        bad = tmp_path / "tail.rlof"
+        bad.write_bytes(bytes(blob) + b"\x00")
+        with pytest.raises(StoreCorruptionError, match="as no store does"):
             load_model(bad)
 
     def test_truncated_file(self, tmp_path, store_bytes):
@@ -309,6 +336,8 @@ class TestCrashInjection:
         for entry in read_header(saved)["sections"]:
             for edge in (entry["offset"], entry["offset"] + entry["nbytes"]):
                 cuts.update((edge - 1, edge, edge + 1))
+            # Inside the padding before the section.
+            cuts.update((entry["offset"] - 32, entry["offset"] - 2))
         cuts = sorted(c for c in cuts if 0 <= c < len(blob))
         assert len(cuts) > 30
         bad = tmp_path / "torn.rlof"
@@ -390,7 +419,7 @@ class TestByteIdentity:
         # A 0-d aux array: its table is (MinPtsUB,), and a row comes back
         # with the array's own shape ().
         stub = _AuxStub({"scalar": np.array(0.25)})
-        mat.scores(7, scorer=stub)
+        mat.fit(stub, [7])
         path = tmp_path / "loop.rlof"
         save_model(path, mat, X=mixed_density)
         self._assert_reference_bytes(path, handed_to_writer)
@@ -399,10 +428,10 @@ class TestByteIdentity:
         assert shapes["aux@loop@nplof"] == [8, 1]
         for mmap in (False, True):
             mat = load_model(path, mmap=mmap).mat
-            scalar = mat.scorer_aux(stub, 7)["scalar"]
+            scalar = mat.fit(stub, [7]).tables["scalar"][0]
             assert scalar.shape == ()
             assert scalar.tolist() == 0.25
-            assert mat.scorer_aux("loop", 5)["nplof"].shape == (1,)
+            assert mat.fit("loop", [5]).tables["nplof"][0].shape == (1,)
 
     def test_distinct_store(self, tmp_path, tied_integer_data, handed_to_writer):
         mat = MaterializationDB.materialize(
@@ -416,12 +445,10 @@ class TestByteIdentity:
 
     def test_zero_length_sections(self, tmp_path, mixed_density, handed_to_writer):
         mat = MaterializationDB.materialize(mixed_density, 6)
-        # Zero-length aux arrays, and a zero-length score vector so the
-        # last table in name order is empty too.
-        stub = _AuxStub(
-            {"flat": np.empty(0), "wide": np.empty((0, 3))}, scores=np.empty(0)
-        )
-        mat.scores(6, scorer=stub)
+        # Zero-length aux arrays and no score table, so the last table in
+        # name order is empty too.
+        stub = _AuxStub({"flat": np.empty(0), "wide": np.empty((0, 3))})
+        mat.fit(stub, [6], score=False)
         path = tmp_path / "empty.rlof"
         save_model(path, mat)
         self._assert_reference_bytes(path, handed_to_writer)
@@ -432,23 +459,30 @@ class TestByteIdentity:
         last = read_header(path)["sections"][-1]
         assert last["nbytes"] == 0 and last["offset"] == path.stat().st_size
         for mmap in (False, True):
-            aux = load_model(path, mmap=mmap).mat.scorer_aux(stub, 6)
-            assert aux["flat"].shape == (0,) and aux["wide"].shape == (0, 3)
+            aux = load_model(path, mmap=mmap).mat.fit(stub, [6], score=False).tables
+            assert aux["flat"][0].shape == (0,) and aux["wide"][0].shape == (0, 3)
 
 
 class _AuxStub(Scorer):
-    """An unregistered scorer that returns the aux arrays it was built
-    with, and zero scores (or the ``scores`` it was given)."""
+    """An unregistered scorer with one aggregate phase per aux array it
+    was built with (each MinPts row is the array), and zero scores."""
 
     name = "aux_stub"
 
-    def __init__(self, aux, scores=None):
-        self.aux = aux
-        self.scores = scores
+    def __init__(self, aux):
+        self.phases = tuple(
+            Phase(name, _constant(value), aggregate=True) for name, value in aux.items()
+        )
 
-    def fit(self, ctx):
-        scores = np.zeros(ctx.mat.n_points) if self.scores is None else self.scores
-        return scores, self.aux
+    def score_query(self, ctx, grid):
+        return np.zeros(grid.counts.shape)
+
+
+def _constant(value):
+    def kernel(scorer, ctx, grid):
+        return np.broadcast_to(value, (len(grid.radii),) + value.shape).copy()
+
+    return kernel
 
 
 class _CountingFile:
